@@ -34,7 +34,6 @@ from .scoring import (
     eer,
     ensemble,
     fit_calibration,
-    generate_calibration_trials,
     quality_features,
 )
 from .synthcorpus import SynthSpec, synth_corpus, synth_speaker, synth_utterance

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
 
 SAMPLE_RATE = 16000
@@ -139,56 +140,48 @@ class AugmentBanks:
 
 def read_wav(path) -> Waveform:
     """Read a 16-bit PCM mono 16 kHz WAV file, scaling samples by 1/32768."""
-    raw = Path(path).read_bytes()
-    fmt, data = _parse_riff(raw, str(path))
-    audio_format, channels, rate, bits = fmt
-    if audio_format != 1:
-        raise FormatError(f"{path}: unsupported encoding (expected PCM, got format {audio_format})")
-    if channels != 1:
-        raise FormatError(f"{path}: unsupported channel count {channels} (expected mono)")
-    if rate != SAMPLE_RATE:
-        raise FormatError(f"{path}: unsupported sample rate {rate} (expected {SAMPLE_RATE})")
-    if bits != 16:
-        raise FormatError(f"{path}: unsupported bit depth {bits} (expected 16)")
-    if len(data) % 2 != 0 or len(data) == 0:
-        raise FormatError(f"{path}: malformed data chunk")
-    pcm = np.frombuffer(data, dtype="<i2")
+    pcm = np.frombuffer(_pcm_data(path), dtype="<i2")
     return Waveform(pcm.astype(np.float64) / 32768.0)
 
 
 def read_wav_duration(path) -> float:
     """Duration in seconds from the WAV header, without decoding samples."""
-    raw = Path(path).read_bytes()
-    fmt, data = _parse_riff(raw, str(path))
-    _, channels, rate, bits = fmt
-    bytes_per_sample = max(1, bits // 8) * max(1, channels)
-    return len(data) / bytes_per_sample / rate
+    return len(_pcm_data(path)) / 2 / SAMPLE_RATE
 
 
-def _parse_riff(raw: bytes, name: str):
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise FormatError(f"{name}: malformed RIFF/WAVE header")
+def _pcm_data(path) -> memoryview:
+    """The data chunk of a WAV file, once its fmt chunk passes every check read_wav makes."""
+    r = Reader(path)
+    riff, _, wave = r.unpack("4sI4s", "RIFF header")
+    if (riff, wave) != (b"RIFF", b"WAVE"):
+        raise r.error("malformed RIFF/WAVE header")
     fmt = None
     data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise FormatError(f"{name}: truncated chunk {cid!r}")
+    while r.remaining >= 8:
+        cid, size = r.unpack("4sI", "chunk header")
+        body = r.take(size, f"chunk {cid!r}")
+        if size % 2 and r.remaining:
+            r.take(1, "chunk pad byte")
         if cid == b"fmt ":
-            if size < 16:
-                raise FormatError(f"{name}: malformed fmt chunk")
-            audio_format, channels, rate = struct.unpack("<HHI", body[:8])
-            bits = struct.unpack("<H", body[14:16])[0]
-            fmt = (audio_format, channels, rate, bits)
+            fmt = body
         elif cid == b"data":
             data = body
-        pos += 8 + size + (size % 2)
     if fmt is None or data is None:
-        raise FormatError(f"{name}: missing fmt or data chunk")
-    return fmt, data
+        raise r.error("missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise r.error("malformed fmt chunk")
+    audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if audio_format != 1:
+        raise r.error(f"unsupported encoding (expected PCM, got format {audio_format})")
+    if channels != 1:
+        raise r.error(f"unsupported channel count {channels} (expected mono)")
+    if rate != SAMPLE_RATE:
+        raise r.error(f"unsupported sample rate {rate} (expected {SAMPLE_RATE})")
+    if bits != 16:
+        raise r.error(f"unsupported bit depth {bits} (expected 16)")
+    if len(data) % 2 != 0 or len(data) == 0:
+        raise r.error("malformed data chunk")
+    return data
 
 
 def write_wav(path, wav: Waveform):

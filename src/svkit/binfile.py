@@ -1,0 +1,89 @@
+"""Bounds-checked cursor over one input file.
+
+The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, so this is
+the one module that moves a read position; the manifest, trial and score
+loaders take their rows from it. Every failure raises FormatError naming the
+file.
+"""
+
+from __future__ import annotations
+
+import struct
+from collections import Counter
+from collections.abc import Iterator
+from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError
+
+
+class Reader:
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._buf = memoryview(Path(path).read_bytes())
+        except OSError as exc:
+            raise FormatError(f"{path}: file not found or unreadable ({exc.strerror})") from None
+        self._pos = 0
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    @property
+    def remaining(self) -> int:
+        return len(self._buf) - self._pos
+
+    def header(self, magic: bytes, kind: str):
+        """Consume the magic and u32 version 1 that open SVHS, SVCK and SVEB files."""
+        if self._buf[: len(magic)] != magic:
+            raise self.error(f"bad magic (not an {kind})")
+        (version,) = self.unpack(f"{len(magic)}xI", "header")
+        if version != 1:
+            raise self.error(f"unsupported {magic.decode()} version {version}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        """The next n bytes, as a view into the file buffer."""
+        start = self._pos
+        if start + n > len(self._buf):
+            raise self.error(f"truncated {what} ({n} bytes needed, {self.remaining} left)")
+        self._pos = start + n
+        return self._buf[start : self._pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """Unpack the little-endian struct `fmt` (no byte-order prefix)."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, what: str) -> str:
+        """A u16-length-prefixed UTF-8 string."""
+        n = int.from_bytes(self.take(2, what), "little")
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{what} is not valid UTF-8") from None
+
+    def rows(self, sep: str | None = None) -> Iterator[tuple[int, list]]:
+        """(line number, fields split on `sep`) for each non-blank line of a UTF-8 text file."""
+        try:
+            text = str(self._buf, "utf-8")
+        except UnicodeDecodeError:
+            raise self.error("not valid UTF-8 text") from None
+        return ((n, line.split(sep)) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+
+    def float32(self, chunks, what: str) -> np.ndarray:
+        """The float32 values of `chunks` as one flat array, checked finite once per file."""
+        values = np.frombuffer(b"".join(chunks), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise self.error(f"non-finite value in {what}")
+        return values
+
+    def unique(self, names: list, what: str):
+        if len(set(names)) != len(names):
+            dup = next(n for n, c in Counter(names).items() if c > 1)
+            raise self.error(f"duplicate {what}: {dup!r}")
+
+    def end(self):
+        """Reject bytes left after the last record."""
+        if self.remaining:
+            raise self.error(f"payload size mismatch ({self.remaining} trailing bytes)")

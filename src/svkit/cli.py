@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file (section.key = value lines)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--jobs", type=int, default=1, help="upper bound on worker count")
     parser.add_argument("--deterministic", action="store_true", help="suppress timestamps in logs")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,18 +14,17 @@ from pathlib import Path
 from .audio import AugmentConfig, FbankConfig
 from .ecapa import EcapaConfig
 from .errors import ConfigError
-from .training import TrainSchedule
+from .training import TrainSchedule, check_aam
 from .upstream import MockUpstreamConfig
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
     cohort_top_k: int = 600
-    calibration_trials: int = 30000
 
     def __post_init__(self):
-        if self.cohort_top_k < 1 or self.calibration_trials < 1:
-            raise ConfigError("scoring counts must be >= 1")
+        if self.cohort_top_k < 1:
+            raise ConfigError("scoring.cohort_top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,7 @@ class AamSettings:
     scale: float = 30.0
 
     def __post_init__(self):
-        if not 0 <= self.margin < 1.5707963267948966:
-            raise ConfigError("aam.margin must lie in [0, pi/2)")
-        if self.scale <= 0:
-            raise ConfigError("aam.scale must be positive")
+        check_aam("aam.margin", self.margin, self.scale)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ and batch-size independence:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .binfile import Reader
 from .errors import ConfigError, FormatError
 from .rng import child_rng
 
@@ -244,32 +246,19 @@ def save_checkpoint(tensors: dict, path):
 
 
 def load_checkpoint(path) -> dict:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _SVCK_MAGIC:
-        raise FormatError(f"{path}: bad magic (not an SVCK checkpoint)")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported SVCK version {version}")
-    tensors = {}
-    pos = 8
-    while pos < len(raw):
-        if pos + 2 > len(raw):
-            raise FormatError(f"{path}: truncated record header")
-        (name_len,) = struct.unpack("<H", raw[pos : pos + 2])
-        pos += 2
-        name = raw[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        if pos + 1 > len(raw):
-            raise FormatError(f"{path}: truncated record for {name}")
-        rank = raw[pos]
-        pos += 1
-        if pos + 4 * rank > len(raw):
-            raise FormatError(f"{path}: truncated dims for {name}")
-        dims = struct.unpack(f"<{rank}I", raw[pos : pos + 4 * rank])
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        if pos + 4 * count > len(raw):
-            raise FormatError(f"{path}: truncated payload for {name}")
-        tensors[name] = np.frombuffer(raw[pos : pos + 4 * count], dtype="<f4").reshape(dims).copy()
-        pos += 4 * count
+    r = Reader(path)
+    r.header(_SVCK_MAGIC, "SVCK checkpoint")
+    names, chunks, tensors = [], [], {}
+    while r.remaining:
+        name = r.text("tensor name")
+        (rank,) = r.unpack("B", f"rank of {name}")
+        dims = r.unpack(f"{rank}I", f"dims of {name}")
+        names.append(name)
+        chunks.append(r.take(4 * math.prod(dims), f"payload of {name}"))
+        try:
+            tensors[name] = np.frombuffer(chunks[-1], dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:
+            raise r.error(f"bad shape {dims} for {name}: {exc}") from None
+    r.unique(names, "tensor name")
+    r.float32(chunks, "tensor payload")
     return tensors

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import ecapa as ecapa_mod
 from .aggregator import aggregate, normalized_weights
-from .audio import read_wav
+from .audio import read_wav, read_wav_duration
 from .autodiff import Tensor
 from .ecapa import EcapaConfig
 from .errors import FormatError
@@ -103,6 +103,4 @@ def extract_embeddings(system: System, manifest: Manifest) -> dict:
 
 
 def utterance_durations(manifest: Manifest) -> dict:
-    from .audio import read_wav_duration
-
     return {row.utt_id: read_wav_duration(manifest.resolve(row)) for row in manifest.rows}

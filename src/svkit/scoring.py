@@ -8,12 +8,14 @@ weighted-mean ensemble -> EER. Every step is deterministic and oracle-checkable.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .errors import DataError, FormatError
 from .upstream import Manifest
 
@@ -67,13 +69,17 @@ def cosine_score(e1, e2) -> float:
     return float(np.clip(np.dot(e1, e2) / (n1 * n2), -1.0, 1.0))
 
 
+def _embedding(store: dict, uid: str):
+    try:
+        return store[uid]
+    except KeyError:
+        raise DataError(f"trial references unknown utterance id: {uid}") from None
+
+
 def score_trials(trials, store: dict) -> np.ndarray:
     out = np.empty(len(trials))
     for i, t in enumerate(trials):
-        for uid in (t.enroll_id, t.test_id):
-            if uid not in store:
-                raise DataError(f"trial references unknown utterance id: {uid}")
-        out[i] = cosine_score(store[t.enroll_id], store[t.test_id])
+        out[i] = cosine_score(_embedding(store, t.enroll_id), _embedding(store, t.test_id))
     return out
 
 
@@ -115,7 +121,7 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
 
     def side_stats(uid: str):
         if uid not in stats:
-            e = np.asarray(store[uid], dtype=np.float64)
+            e = np.asarray(_embedding(store, uid), dtype=np.float64)
             norm = np.linalg.norm(e)
             if norm == 0.0:
                 raise DataError(f"zero-norm embedding for {uid}")
@@ -137,29 +143,6 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
-
-
-def generate_calibration_trials(manifest: Manifest, n: int, rng: np.random.Generator) -> list:
-    """n labeled trials, half targets where feasible, no self-pairs."""
-    groups = manifest.by_speaker()
-    speakers = sorted(groups)
-    if len(speakers) < 2:
-        raise DataError("calibration trials need at least two speakers")
-    multi = [s for s in speakers if len(groups[s]) >= 2]
-    if not multi:
-        raise DataError("no speaker has two utterances; cannot form target trials")
-    n_target = n // 2
-    trials = []
-    for _ in range(n_target):
-        spk = multi[int(rng.integers(0, len(multi)))]
-        a, b = rng.choice(len(groups[spk]), size=2, replace=False)
-        trials.append(Trial(groups[spk][a].utt_id, groups[spk][b].utt_id, label=1))
-    for _ in range(n - n_target):
-        i, j = rng.choice(len(speakers), size=2, replace=False)
-        ra = groups[speakers[i]][int(rng.integers(0, len(groups[speakers[i]])))]
-        rb = groups[speakers[j]][int(rng.integers(0, len(groups[speakers[j]])))]
-        trials.append(Trial(ra.utt_id, rb.utt_id, label=0))
-    return trials
 
 
 def quality_features(trial: Trial, durations: dict) -> np.ndarray:
@@ -282,6 +265,8 @@ def eer(scores, labels) -> tuple:
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise DataError("scores and labels must be aligned 1-D arrays")
+    if not np.isfinite(scores).all():
+        raise DataError("EER needs finite scores")
     n_tar = int(np.sum(labels == 1))
     n_non = int(np.sum(labels == 0))
     if n_tar == 0 or n_non == 0:
@@ -322,15 +307,9 @@ def eer(scores, labels) -> tuple:
 
 def load_trials(path) -> list:
     """Space-separated trials: 'label enroll test' or unlabeled 'enroll test'."""
-    path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"trial list not found: {path}")
     trials = []
     labeled = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
+    for lineno, parts in Reader(path).rows():
         if len(parts) == 3:
             if labeled is False:
                 raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
@@ -366,20 +345,17 @@ def trial_labels(trials) -> np.ndarray:
 
 def load_scores(path, trials=None) -> np.ndarray:
     """Score file 'enroll test score'; when trials are given, order must match."""
-    path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"score file not found: {path}")
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
+    for lineno, parts in Reader(path).rows():
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 'enroll test score'")
         try:
-            rows.append((parts[0], parts[1], float(parts[2])))
+            score = float(parts[2])
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: bad score value {parts[2]!r}") from None
+            score = math.nan
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: bad score value {parts[2]!r}")
+        rows.append((parts[0], parts[1], score))
     if trials is not None:
         if len(rows) != len(trials):
             raise FormatError(f"{path}: {len(rows)} scores for {len(trials)} trials")
@@ -417,23 +393,13 @@ def save_embeddings(store: dict, path):
 
 
 def load_embeddings(path) -> dict:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != _SVEB_MAGIC:
-        raise FormatError(f"{path}: bad magic (not an SVEB store)")
-    version, dim, count = struct.unpack("<III", raw[4:16])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported SVEB version {version}")
-    store = {}
-    pos = 16
+    r = Reader(path)
+    r.header(_SVEB_MAGIC, "SVEB store")
+    dim, count = r.unpack("II", "header")
+    ids, chunks = [], []
     for _ in range(count):
-        if pos + 2 > len(raw):
-            raise FormatError(f"{path}: truncated record header")
-        (n,) = struct.unpack("<H", raw[pos : pos + 2])
-        pos += 2
-        uid = raw[pos : pos + n].decode("utf-8")
-        pos += n
-        if pos + 4 * dim > len(raw):
-            raise FormatError(f"{path}: truncated embedding for {uid}")
-        store[uid] = np.frombuffer(raw[pos : pos + 4 * dim], dtype="<f4").astype(np.float64)
-        pos += 4 * dim
-    return store
+        ids.append(r.text("embedding id"))
+        chunks.append(r.take(4 * dim, "embedding vector"))
+    r.end()
+    r.unique(ids, "embedding id")
+    return dict(zip(ids, r.float32(chunks, "embeddings").reshape(count, dim).astype(np.float64)))

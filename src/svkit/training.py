@@ -27,6 +27,14 @@ from .upstream import Manifest, MockUpstream, MockUpstreamConfig, load_stack, sp
 logger = logging.getLogger(__name__)
 
 
+def check_aam(margin_key: str, margin: float, scale: float = 1.0):
+    """Raise ConfigError unless 0 <= margin < pi/2 and scale > 0."""
+    if not 0.0 <= margin < math.pi / 2:
+        raise ConfigError(f"{margin_key} must lie in [0, pi/2)")
+    if not scale > 0:
+        raise ConfigError("aam.scale must be positive")
+
+
 @dataclass(frozen=True)
 class AamConfig:
     n_classes: int
@@ -34,10 +42,7 @@ class AamConfig:
     scale: float = 30.0
 
     def __post_init__(self):
-        if not 0.0 <= self.margin < math.pi / 2:
-            raise ConfigError("aam.margin must lie in [0, pi/2)")
-        if self.scale <= 0:
-            raise ConfigError("aam.scale must be positive")
+        check_aam("aam.margin", self.margin, self.scale)
         if self.n_classes < 2:
             raise ConfigError("aam needs at least two classes")
 
@@ -62,6 +67,7 @@ class TrainSchedule:
             raise ConfigError("crop lengths must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        check_aam("schedule.lmft_margin", self.lmft_margin)
 
 
 @dataclass(frozen=True)

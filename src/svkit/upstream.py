@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import Waveform
+from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 
@@ -36,6 +37,8 @@ class LayerStack:
             raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("layer stack contains non-finite entries")
+        if not 0 < self.frame_rate_hz < np.inf:
+            raise ValueError(f"layer stack frame rate must be positive and finite, got {self.frame_rate_hz}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
@@ -211,21 +214,15 @@ def save_stack(stack: LayerStack, path):
 
 
 def load_stack(path) -> LayerStack:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:4] != _SVHS_MAGIC:
-        raise FormatError(f"{path}: bad magic (not an SVHS stack file)")
-    version, n, t, d = struct.unpack("<IIII", raw[4:20])
-    (rate,) = struct.unpack("<f", raw[20:24])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported SVHS version {version}")
-    expected = n * t * d * 4
-    payload = raw[24:]
-    if len(payload) < expected:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} bytes, header claims {expected})")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: payload size mismatch (trailing bytes)")
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, t, d)
-    return LayerStack(data, frame_rate_hz=float(rate))
+    r = Reader(path)
+    r.header(_SVHS_MAGIC, "SVHS stack file")
+    n, t, d, rate = r.unpack("IIIf", "header")
+    payload = r.take(n * t * d * 4, "payload")
+    r.end()
+    try:
+        return LayerStack(np.frombuffer(payload, dtype="<f4").reshape(n, t, d), frame_rate_hz=float(rate))
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +273,8 @@ def load_manifest(path, check_paths: bool = False) -> Manifest:
     Relative paths resolve against the manifest's directory.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"manifest not found: {path}")
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
+    for lineno, parts in Reader(path).rows("\t"):
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         rows.append(ManifestRow(*parts))

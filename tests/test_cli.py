@@ -1,5 +1,7 @@
 """Command-line surface tests: one full pipeline walk plus error-code contracts."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,11 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     code = main(["--config", str(bad), "eval", "--scores", "x", "--trials", "y"])
     assert code == 2
     assert "fbank.bogus" in capsys.readouterr().err
+    # a bad fine-tuning margin stops before any training stage runs
+    code = main(["--set", "schedule.lmft_margin=2.0", "train", "--manifest", "m.tsv",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "schedule.lmft_margin" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):
@@ -186,6 +193,35 @@ def test_exit_code_3_on_bad_input_format(tmp_path, capsys):
     assert code == 3
     assert "bad magic" in capsys.readouterr().err
 
+
+
+def test_exit_code_3_on_corrupt_stack_in_embed(workspace, tmp_path, capsys):
+    from svkit.config import load_config
+    from svkit.ecapa import init_params, save_checkpoint
+
+    _, cfg_path = workspace
+    cfg = load_config(cfg_path)
+    tensors = {f"ecapa.{k}": v for k, v in init_params(cfg.ecapa, seed=0).items()}
+    tensors["agg.logits"] = np.zeros(cfg.upstream.n_layers + 1)
+    save_checkpoint(tensors, tmp_path / "c.svck")
+    nan_payload = np.full(4 * 2 * 12, np.nan, dtype="<f4").tobytes()
+    (tmp_path / "bad.svhs").write_bytes(b"SVHS" + struct.pack("<IIIIf", 1, 4, 2, 12, 50.0) + nan_payload)
+    (tmp_path / "m.tsv").write_text("u1\ts1\tbad.svhs\n")
+    code = main(["--config", cfg_path, "embed", "--checkpoint", str(tmp_path / "c.svck"),
+                 "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "e.sveb")])
+    assert code == 3
+    assert "bad.svhs: layer stack contains non-finite" in capsys.readouterr().err
+
+
+def test_exit_code_3_on_invalid_utf8_embedding_id(tmp_path, capsys):
+    store = tmp_path / "e.sveb"
+    store.write_bytes(b"SVEB" + struct.pack("<IIIH", 1, 1, 1, 2) + b"\xff\xfe" + struct.pack("<f", 1.0))
+    trials = tmp_path / "t.txt"
+    trials.write_text("1 a b\n")
+    code = main(["score", "--trials", str(trials), "--embeddings", str(store),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
 
 def test_exit_code_4_on_degenerate_data(tmp_path, capsys):
     trials = tmp_path / "t.txt"

@@ -51,6 +51,9 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("toplevel = 1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(path)
+    path.write_text("scoring.calibration_trials = 100\n")
+    with pytest.raises(ConfigError, match="unknown config key: scoring.calibration_trials"):
+        load_config(path)
 
 
 def test_bad_values_rejected(tmp_path):
@@ -64,6 +67,8 @@ def test_bad_values_rejected(tmp_path):
     path.write_text("augment.probability = 2.0\n")
     with pytest.raises(ConfigError, match="probability"):
         load_config(path)
+    with pytest.raises(ConfigError, match="schedule.lmft_margin"):
+        load_config(overrides=[("schedule.lmft_margin", "2.0")])
 
 
 def test_roundtrip_identity(tmp_path):

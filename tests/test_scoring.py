@@ -16,7 +16,6 @@ from svkit.scoring import (
     eer,
     ensemble,
     fit_calibration,
-    generate_calibration_trials,
     load_embeddings,
     load_scores,
     load_trials,
@@ -173,6 +172,12 @@ def test_snorm_degenerate_cohort_errors():
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, cohort)
 
 
+
+def test_snorm_unknown_id():
+    cohort = Cohort(np.eye(2), ("a", "b"), top_k=2)
+    with pytest.raises(DataError, match="unknown utterance id: t"):
+        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], {"e": np.ones(2)}, cohort)
+
 def test_snorm_matches_oracle_random_instances():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -197,27 +202,6 @@ def test_snorm_matches_oracle_random_instances():
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
-
-
-def test_generate_trials_infeasible_targets():
-    manifest = manifest_for([("u1", "a"), ("u2", "b")])
-    with pytest.raises(DataError, match="target"):
-        generate_calibration_trials(manifest, 4, np.random.default_rng(0))
-
-
-def test_generate_trials_forced_composition():
-    manifest = manifest_for([("a1", "a"), ("a2", "a"), ("b1", "b"), ("b2", "b")])
-    trials = generate_calibration_trials(manifest, 4, np.random.default_rng(0))
-    labels = [t.label for t in trials]
-    assert labels.count(1) == 2 and labels.count(0) == 2
-    assert all(t.enroll_id != t.test_id for t in trials)
-
-
-def test_generate_trials_deterministic():
-    manifest = manifest_for([("a1", "a"), ("a2", "a"), ("b1", "b"), ("b2", "b"), ("c1", "c")])
-    a = generate_calibration_trials(manifest, 10, np.random.default_rng(42))
-    b = generate_calibration_trials(manifest, 10, np.random.default_rng(42))
-    assert a == b
 
 
 def test_fit_calibration_separable():
@@ -380,6 +364,12 @@ def test_eer_single_class_rejected():
         eer([0.5, 0.6], [1, 1])
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eer_non_finite_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        eer([0.9, bad, 0.1, 0.2], [1, 1, 0, 0])
+
 def test_eer_threshold_separates_at_crossing():
     scores = np.array([0.1, 0.4, 0.35, 0.8, 0.75, 0.2])
     labels = np.array([0, 0, 1, 1, 1, 0])
@@ -424,6 +414,10 @@ def test_scores_roundtrip_and_alignment(tmp_path):
     np.testing.assert_allclose(scores, [0.123457, -0.5])
     with pytest.raises(FormatError, match="match the trial list"):
         load_scores(path, list(reversed(trials)))
+    for bad in ("nan", "inf", "-Infinity"):
+        path.write_text(f"a b 0.5\nc d {bad}\n")
+        with pytest.raises(FormatError, match=f"2: bad score value '{bad}'"):
+            load_scores(path)
 
 
 def test_embedding_store_roundtrip(tmp_path):
