@@ -142,7 +142,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: unreadable or not valid UTF-8 ({exc})") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -21,6 +21,9 @@ from .upstream import Manifest
 
 logger = logging.getLogger(__name__)
 
+_GRAD_TOL = 1e-8  # fit_calibration stops once max |d loss / d theta| falls below this
+_NEWTON_MAX_ITER = 100  # overlapping classes converge in about 10 steps
+
 
 @dataclass(frozen=True)
 class Trial:
@@ -69,18 +72,31 @@ def cosine_score(e1, e2) -> float:
     return float(np.clip(np.dot(e1, e2) / (n1 * n2), -1.0, 1.0))
 
 
-def _embedding(store: dict, uid: str):
+def _trial_rows(trials, store: dict, zero_norm: str):
+    """Unit rows of the trials' distinct ids, in trial order, and each trial's enroll and test row."""
+    sides = [uid for t in trials for uid in (t.enroll_id, t.test_id)]
+    index = {uid: i for i, uid in enumerate(dict.fromkeys(sides))}
+    pairs = np.array([index[uid] for uid in sides], dtype=np.intp)
+    ids = list(index)
     try:
-        return store[uid]
-    except KeyError:
-        raise DataError(f"trial references unknown utterance id: {uid}") from None
+        emb = np.array([store[uid] for uid in ids], dtype=np.float64).reshape(len(ids), -1)
+    except KeyError as exc:
+        raise DataError(f"trial references unknown utterance id: {exc.args[0]}") from None
+    norms = np.linalg.norm(emb, axis=1)
+    for bad, message in ((~np.isfinite(emb).all(axis=1), "non-finite embedding for {uid}"), (norms == 0.0, zero_norm)):
+        if bad.any():
+            raise DataError(message.format(uid=ids[int(np.argmax(bad))]))
+    return emb / norms[:, None], pairs[0::2], pairs[1::2]
 
 
 def score_trials(trials, store: dict) -> np.ndarray:
     out = np.empty(len(trials))
-    for i, t in enumerate(trials):
-        out[i] = cosine_score(_embedding(store, t.enroll_id), _embedding(store, t.test_id))
-    return out
+    if trials:
+        unit, e, t = _trial_rows(trials, store, "cosine score of a zero-norm embedding is undefined")
+        for lo in range(0, len(out), 4096):  # cache-sized row gathers; memory stays flat at any trial count
+            block = slice(lo, lo + 4096)
+            out[block] = np.einsum("ij,ij->i", unit[e[block]], unit[t[block]])
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -117,27 +133,16 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(trials),):
         raise DataError("score set does not align with the trial list")
-    stats: dict = {}
-
-    def side_stats(uid: str):
-        if uid not in stats:
-            e = np.asarray(_embedding(store, uid), dtype=np.float64)
-            norm = np.linalg.norm(e)
-            if norm == 0.0:
-                raise DataError(f"zero-norm embedding for {uid}")
-            cos = cohort.members @ (e / norm)
-            top = np.sort(cos)[-cohort.top_k :]
-            stats[uid] = (float(np.mean(top)), float(np.std(top)))
-        return stats[uid]
-
-    out = np.empty_like(scores)
-    for i, t in enumerate(trials):
-        mu_e, sd_e = side_stats(t.enroll_id)
-        mu_t, sd_t = side_stats(t.test_id)
-        if sd_e == 0.0 or sd_t == 0.0:
-            raise DataError(f"degenerate cohort (zero spread) for trial {t.enroll_id} {t.test_id}")
-        out[i] = 0.5 * ((scores[i] - mu_e) / sd_e + (scores[i] - mu_t) / sd_t)
-    return out
+    if not trials:
+        return scores.copy()
+    unit, e, t = _trial_rows(trials, store, "zero-norm embedding for {uid}")
+    top = np.partition(unit @ cohort.members.T, -cohort.top_k, axis=1)[:, -cohort.top_k :]
+    mu, sd = top.mean(axis=1), top.std(axis=1)
+    flat = (sd[e] == 0.0) | (sd[t] == 0.0)
+    if flat.any():
+        bad = trials[int(np.argmax(flat))]
+        raise DataError(f"degenerate cohort (zero spread) for trial {bad.enroll_id} {bad.test_id}")
+    return 0.5 * ((scores - mu[e]) / sd[e] + (scores - mu[t]) / sd[t])
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +174,12 @@ def _bce_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     return value, np.concatenate([x.T @ resid, [resid.sum()]])
 
 
-def fit_calibration(scores, labels, quality=None, tol: float = 1e-8, max_iter: int = 10000) -> CalibrationModel:
+def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
     """Logistic regression of label on [score, quality features].
 
-    Plain gradient descent with a backtracking/growing step, run to gradient
-    tolerance or the iteration cap. Degenerate (single-class) labels raise.
+    Damped Newton (IRLS): the step solves the Hessian system by least squares,
+    so separable data's near-singular Hessian does not raise, and is halved
+    until the loss does not rise. Single-class labels and non-finite inputs raise.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -188,23 +194,28 @@ def fit_calibration(scores, labels, quality=None, tol: float = 1e-8, max_iter: i
         if quality.shape[0] != scores.size:
             raise DataError("quality feature rows must align with scores")
         x = np.column_stack([scores, quality])
+    if not (np.isfinite(x).all() and np.isfinite(labels).all()):
+        raise DataError("calibration needs finite scores, labels and quality features")
 
-    theta = np.zeros(x.shape[1] + 1)
+    xb = np.column_stack([x, np.ones(len(labels))])
+    theta = np.zeros(xb.shape[1])
     value, grad = _bce_value_grad(theta, x, labels)
-    step = 1.0
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if np.max(np.abs(grad)) < _GRAD_TOL:
             break
+        p = 0.5 * (1.0 + np.tanh(0.5 * (xb @ theta)))
+        hessian = (xb.T * (p * (1.0 - p) / len(labels))) @ xb
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        step = 1.0
         while True:
-            cand = theta - step * grad
+            cand = theta - step * direction
             cand_value, cand_grad = _bce_value_grad(cand, x, labels)
             if cand_value <= value or step < 1e-18:
                 break
             step *= 0.5
-        if cand_value > value:
+        if cand_value >= value:
             break
         theta, value, grad = cand, cand_value, cand_grad
-        step *= 1.3
 
     model = CalibrationModel(
         score_weight=float(theta[0]),
@@ -267,25 +278,16 @@ def eer(scores, labels) -> tuple:
         raise DataError("scores and labels must be aligned 1-D arrays")
     if not np.isfinite(scores).all():
         raise DataError("EER needs finite scores")
-    n_tar = int(np.sum(labels == 1))
-    n_non = int(np.sum(labels == 0))
-    if n_tar == 0 or n_non == 0:
+    tar = np.sort(scores[labels == 1])
+    non = np.sort(scores[labels == 0])
+    if tar.size == 0 or non.size == 0:
         raise DataError("EER needs at least one target and one nontarget trial")
 
     distinct = np.unique(scores)
     # operating points below the minimum, between each adjacent pair, above the max
-    miss = [0.0]
-    fa = [1.0]
-    thresholds = [distinct[0] - 1.0]
-    tar_scores = scores[labels == 1]
-    non_scores = scores[labels == 0]
-    for i, v in enumerate(distinct):
-        miss.append(float(np.sum(tar_scores <= v)) / n_tar)
-        fa.append(float(np.sum(non_scores > v)) / n_non)
-        thresholds.append((v + distinct[i + 1]) / 2.0 if i + 1 < len(distinct) else v + 1.0)
-    miss = np.asarray(miss)
-    fa = np.asarray(fa)
-    thresholds = np.asarray(thresholds)
+    miss = np.concatenate([[0.0], np.searchsorted(tar, distinct, "right") / tar.size])
+    fa = np.concatenate([[1.0], (non.size - np.searchsorted(non, distinct, "right")) / non.size])
+    thresholds = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]])
 
     diff = miss - fa
     # diff starts at -1 and ends at +1, so the first nonnegative index is >= 1
@@ -330,9 +332,7 @@ def load_trials(path) -> list:
 
 
 def save_trials(trials, path):
-    lines = []
-    for t in trials:
-        lines.append(f"{t.enroll_id} {t.test_id}" if t.label is None else f"{t.label} {t.enroll_id} {t.test_id}")
+    lines = [f"{t.enroll_id} {t.test_id}" if t.label is None else f"{t.label} {t.enroll_id} {t.test_id}" for t in trials]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -68,6 +68,9 @@ class TrainSchedule:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         check_aam("schedule.lmft_margin", self.lmft_margin)
+        for key in ("lr_stage1", "lr_stage2", "lr_lmft"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"schedule.{key} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -436,23 +439,14 @@ def _gc_aam(rng):
 
 
 def _gc_calibration(rng):
-    from .scoring import _bce_value_grad
-
     n = 32
-    x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
-    y = (rng.random(n) < 0.5).astype(np.float64)
+    x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n), np.ones(n)])  # bias column last
+    y = (rng.random(n) < 0.5).astype(np.float64)[:, None]
     theta = Tensor(rng.standard_normal(3) * 0.5, requires_grad=True)
 
     def make_loss():
-        value, grad = _bce_value_grad(theta.data, x, y)
-        out = Tensor(np.asarray(value))
-        out.requires_grad = True
-        out._parents = (theta,)
-
-        def back(g):
-            Tensor._accum(theta, g * grad)
-
-        out._backward = back
-        return out
+        # mean BCE of scoring.fit_calibration's model; log(1 + exp(-|z|)) never overflows
+        z = Tensor(x) @ theta.reshape(3, 1)
+        return (z.relu() + (1.0 + (-(z.relu() + (-z).relu())).exp()).log() - z * y).mean()
 
     return make_loss, {"theta": theta}

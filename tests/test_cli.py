@@ -175,6 +175,11 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "schedule.lmft_margin" in capsys.readouterr().err
+    # invalid UTF-8 in the config file is a config error, not a decode traceback
+    bad.write_bytes(b"seed = \xff\n")
+    code = main(["--config", str(bad), "eval", "--scores", "x", "--trials", "y"])
+    assert code == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):

@@ -69,6 +69,12 @@ def test_bad_values_rejected(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="schedule.lmft_margin"):
         load_config(overrides=[("schedule.lmft_margin", "2.0")])
+    for key, value in (("lr_stage1", "nan"), ("lr_stage2", "-1.0"), ("lr_lmft", "0.0"), ("lr_stage1", "inf")):
+        path.write_text(f"schedule.{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"schedule.{key} must be finite and > 0"):
+            load_config(path)
+    with pytest.raises(ConfigError, match="schedule.lr_stage1"):
+        load_config(overrides=[("schedule.lr_stage1", "nan")])
 
 
 def test_roundtrip_identity(tmp_path):

@@ -1,6 +1,8 @@
 """Cosine scoring, s-norm, calibration, ensemble, and EER tests with
 independent brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,71 @@ def snorm_oracle(score, e_scores, t_scores, top_k):
     es = np.sort(e_scores)[-top_k:]
     ts = np.sort(t_scores)[-top_k:]
     return 0.5 * ((score - es.mean()) / es.std() + (score - ts.mean()) / ts.std())
+
+
+# The per-trial loop implementations that the whole-array scoring code
+# replaced, kept as references for it.
+
+
+def loop_score_trials(trials, store):
+    out = np.empty(len(trials))
+    for i, t in enumerate(trials):
+        out[i] = cosine_score(store[t.enroll_id], store[t.test_id])
+    return out
+
+
+def loop_adaptive_snorm(scores, trials, store, cohort):
+    stats = {}
+
+    def side_stats(uid):
+        if uid not in stats:
+            e = np.asarray(store[uid], dtype=np.float64)
+            top = np.sort(cohort.members @ (e / np.linalg.norm(e)))[-cohort.top_k :]
+            stats[uid] = (float(np.mean(top)), float(np.std(top)))
+        return stats[uid]
+
+    out = np.empty(len(trials))
+    for i, t in enumerate(trials):
+        mu_e, sd_e = side_stats(t.enroll_id)
+        mu_t, sd_t = side_stats(t.test_id)
+        if sd_e == 0.0 or sd_t == 0.0:
+            raise DataError(f"degenerate cohort (zero spread) for trial {t.enroll_id} {t.test_id}")
+        out[i] = 0.5 * ((scores[i] - mu_e) / sd_e + (scores[i] - mu_t) / sd_t)
+    return out
+
+
+def loop_eer(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_tar, n_non = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    distinct = np.unique(scores)
+    miss, fa, thresholds = [0.0], [1.0], [distinct[0] - 1.0]
+    tar_scores, non_scores = scores[labels == 1], scores[labels == 0]
+    for i, v in enumerate(distinct):
+        miss.append(float(np.sum(tar_scores <= v)) / n_tar)
+        fa.append(float(np.sum(non_scores > v)) / n_non)
+        thresholds.append((v + distinct[i + 1]) / 2.0 if i + 1 < len(distinct) else v + 1.0)
+    miss, fa, thresholds = np.asarray(miss), np.asarray(fa), np.asarray(thresholds)
+    diff = miss - fa
+    idx = int(np.argmax(diff >= 0))
+    if diff[idx] == 0.0:
+        return float(miss[idx]), float(thresholds[idx])
+    lo, hi = idx - 1, idx
+    lam = (fa[lo] - miss[lo]) / ((miss[hi] - miss[lo]) - (fa[hi] - fa[lo]))
+    return float(miss[lo] + lam * (miss[hi] - miss[lo])), float(thresholds[lo] + lam * (thresholds[hi] - thresholds[lo]))
+
+
+def random_scoring_case(rng):
+    """A random store, a trial list that repeats ids, and a cohort (sometimes top_k = its size)."""
+    dim = int(rng.integers(2, 17))
+    ids = [f"u{i}" for i in range(int(rng.integers(1, 30)))]
+    store = {uid: rng.standard_normal(dim) * rng.uniform(0.01, 100.0) for uid in ids}
+    pairs = rng.integers(len(ids), size=(int(rng.integers(1, 80)), 2))
+    trials = [Trial(ids[a], ids[b]) for a, b in pairs]
+    members = rng.standard_normal((int(rng.integers(2, 25)), dim))
+    members /= np.linalg.norm(members, axis=1, keepdims=True)
+    top_k = members.shape[0] if rng.random() < 0.3 else int(rng.integers(1, members.shape[0] + 1))
+    return store, trials, Cohort(members, tuple(f"c{i}" for i in range(members.shape[0])), top_k=top_k)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +237,56 @@ def test_snorm_degenerate_cohort_errors():
     cohort = Cohort(members, ("a", "b", "c"), top_k=3)
     with pytest.raises(DataError, match="degenerate cohort.*e t"):
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, cohort)
+    # only e's side is flat: the error names the first trial that uses it
+    store = {"a": np.array([0.6, 0.8, 0.0]), "b": np.array([0.0, 0.6, 0.8]), "e": np.array([1.0, 0.0, 0.0])}
+    cohort = Cohort(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ("a", "b"), top_k=2)
+    trials = [Trial("a", "b"), Trial("b", "e"), Trial("e", "a")]
+    with pytest.raises(DataError, match="degenerate cohort.* for trial b e$"):
+        adaptive_snorm(np.zeros(3), trials, store, cohort)
+
+
+def test_score_trials_and_snorm_match_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        store, trials, cohort = random_scoring_case(rng)
+        raw = score_trials(trials, store)
+        assert np.max(np.abs(raw - loop_score_trials(trials, store))) <= 1e-12
+        try:
+            want = loop_adaptive_snorm(raw, trials, store, cohort)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                adaptive_snorm(raw, trials, store, cohort)
+            continue
+        # a small top-k spread scales s-norm values (and rounding) up, hence also a relative bound
+        np.testing.assert_allclose(adaptive_snorm(raw, trials, store, cohort), want, rtol=1e-12, atol=1e-12)
+    # a trial list longer than score_trials' 4096-trial blocks, not a multiple of them
+    store, trials, _ = random_scoring_case(rng)
+    ids = sorted(store)
+    trials = [Trial(ids[a], ids[b]) for a, b in rng.integers(len(ids), size=(9001, 2))]
+    assert np.max(np.abs(score_trials(trials, store) - loop_score_trials(trials, store))) <= 1e-12
+
+
+def test_empty_trial_list_scores_empty():
+    cohort = Cohort(np.eye(2), ("a", "b"), top_k=2)
+    assert score_trials([], {}).shape == (0,)
+    assert adaptive_snorm(np.empty(0), [], {}, cohort).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_embedding_rejected(bad):
+    store = {"e": np.array([1.0, 0.5]), "t": np.array([bad, 1.0])}
+    with pytest.raises(DataError, match="non-finite embedding for t"):
+        score_trials([Trial("e", "t")], store)
+    with pytest.raises(DataError, match="non-finite embedding for t"):
+        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
+
+
+def test_zero_norm_embedding_messages():
+    store = {"e": np.array([1.0, 0.5]), "t": np.zeros(2)}
+    with pytest.raises(DataError, match="cosine score of a zero-norm embedding"):
+        score_trials([Trial("e", "t")], store)
+    with pytest.raises(DataError, match="zero-norm embedding for t"):
+        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
 
 
 
@@ -248,6 +365,34 @@ def test_fit_calibration_gradient_tolerance_reached():
     theta = np.array([model.score_weight, model.bias])
     _, grad = _bce_value_grad(theta, scores[:, None], labels)
     assert np.max(np.abs(grad)) < 1e-7  # overlapping classes: optimum reachable
+
+
+def test_fit_calibration_quality_aware_converges():
+    from scipy.optimize import minimize
+
+    from svkit.scoring import _bce_value_grad
+
+    rng = np.random.default_rng(12)
+    n = 3000
+    labels = (rng.random(n) < 0.5).astype(float)
+    seconds = np.exp(rng.uniform(np.log(2.0), np.log(20.0), (n, 2)))
+    scores = labels * 2.0 - 1.0 + rng.standard_normal(n) * (0.5 + 2.0 / np.sqrt(seconds.min(axis=1)))
+    quality = np.column_stack([np.log(seconds.min(axis=1)), np.log(seconds).sum(axis=1)])
+    model = fit_calibration(scores, labels, quality)
+    theta = np.array([model.score_weight, *model.quality_weights, model.bias])
+    x = np.column_stack([scores, quality])
+    _, grad = _bce_value_grad(theta, x, labels)
+    assert np.max(np.abs(grad)) < 1e-8
+    ref = minimize(_bce_value_grad, np.zeros(4), args=(x, labels), jac=True, method="BFGS", options={"gtol": 1e-12})
+    np.testing.assert_allclose(theta, ref.x, rtol=1e-6)
+
+
+@pytest.mark.parametrize("where", ["score", "label", "quality"])
+def test_fit_calibration_non_finite_rejected(where):
+    scores, labels, quality = np.array([0.1, 0.9, 0.3, 0.7]), np.array([0.0, 1.0, 0.0, 1.0]), np.ones((4, 2))
+    {"score": scores, "label": labels, "quality": quality[:, 1]}[where][2] = np.inf if where == "quality" else np.nan
+    with pytest.raises(DataError, match="finite"):
+        fit_calibration(scores, labels, quality)
 
 
 def test_apply_calibration_identity_and_affine():
@@ -357,6 +502,16 @@ def test_eer_matches_oracle_on_random_instances():
         labels[-max(1, n // 4) :] = 0
         value, _ = eer(scores, labels)
         assert abs(value - eer_oracle(scores, labels)) < 1e-9
+
+
+def test_eer_bit_equal_to_loop_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        n = int(rng.integers(2, 120))
+        scores = np.round(rng.normal(0.0, 1.0, n), int(rng.integers(0, 3)))  # many ties
+        labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(int)
+        labels[:2] = [0, 1]
+        assert eer(scores, labels) == loop_eer(scores, labels)
 
 
 def test_eer_single_class_rejected():
