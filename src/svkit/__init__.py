@@ -39,7 +39,6 @@ from .scoring import (
 from .synthcorpus import SynthSpec, synth_corpus, synth_speaker, synth_utterance
 from .training import (
     AamConfig,
-    PlantSpec,
     TrainResult,
     TrainSchedule,
     aam_loss,
@@ -52,6 +51,7 @@ from .upstream import (
     Manifest,
     ManifestRow,
     MockUpstreamConfig,
+    PlantSpec,
     load_manifest,
     load_stack,
     mock_forward,

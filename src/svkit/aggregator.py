@@ -11,9 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .audio import FeatureMatrix
 from .errors import DataError
-from .upstream import LayerStack
 
 
 def normalized_weights(logits) -> np.ndarray:
@@ -25,14 +23,13 @@ def normalized_weights(logits) -> np.ndarray:
     return z / z.sum()
 
 
-def aggregate(stack: LayerStack, weights) -> FeatureMatrix:
-    """Frame representation: the weighted sum of all layers, one weight per layer."""
+def aggregate(layers: np.ndarray, weights) -> np.ndarray:
+    """(T, D) weighted sum of a float64 (L+1, T, D) stack; bit-equal to `aggregate_graph`."""
     weights = np.asarray(weights, dtype=np.float64)
-    n = stack.layers.shape[0]
+    n = layers.shape[0]
     if weights.shape != (n,):
         raise DataError(f"expected {n} layer weights, got shape {weights.shape}")
-    frames = np.tensordot(weights, stack.layers.astype(np.float64), axes=(0, 0))
-    return FeatureMatrix(frames, frame_rate_hz=stack.frame_rate_hz)
+    return np.tensordot(weights, layers, axes=(0, 0))
 
 
 def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:

@@ -23,7 +23,7 @@ from .ecapa import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, FormatError
 from .pipeline import System, extract_embeddings, utterance_durations
 from .synthcorpus import SynthSpec, synth_corpus
-from .training import PlantSpec, train
+from .training import train
 from .upstream import Manifest, ManifestRow, load_manifest, mock_forward, save_manifest, save_stack
 
 logger = logging.getLogger("svkit")
@@ -101,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the staged training pipeline")
     p.add_argument("--manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--mode", choices=("mock", "import"), default="mock")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("embed", help="extract embeddings for a manifest")
@@ -202,10 +201,6 @@ def _cmd_upstream_export(args, cfg: RunConfig):
     return [("stacks", len(rows)), ("layers", cfg.upstream.n_layers + 1), ("dim", cfg.upstream.dim)]
 
 
-def _plant_from(cfg: RunConfig):
-    return PlantSpec(cfg.plant.layer, cfg.plant.strength) if cfg.plant.enabled else None
-
-
 def _cmd_train(args, cfg: RunConfig):
     manifest_path = _require(args.manifest, "manifest")
     manifest = load_manifest(manifest_path, check_paths=True)
@@ -224,10 +219,9 @@ def _cmd_train(args, cfg: RunConfig):
         ecapa_cfg=cfg.ecapa,
         margin=cfg.aam.margin,
         scale=cfg.aam.scale,
-        mode=args.mode,
         augment_cfg=augment_cfg,
         banks=banks,
-        plant=_plant_from(cfg),
+        plant=cfg.plant.spec(),
         seed=cfg.seed,
     )
     out_dir = Path(args.out_dir)
@@ -243,7 +237,7 @@ def _cmd_train(args, cfg: RunConfig):
 def _cmd_embed(args, cfg: RunConfig):
     tensors = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest, check_paths=True)
-    system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=_plant_from(cfg))
+    system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=cfg.plant.spec())
     store = extract_embeddings(system, manifest)
     scoring.save_embeddings(store, args.out)
     return [("count", len(store)), ("dim", cfg.ecapa.embed_dim)]

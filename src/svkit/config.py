@@ -15,7 +15,7 @@ from .audio import AugmentConfig, FbankConfig
 from .ecapa import EcapaConfig
 from .errors import ConfigError
 from .training import TrainSchedule, check_aam
-from .upstream import MockUpstreamConfig
+from .upstream import MockUpstreamConfig, PlantSpec
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ class PlantSettings:
     layer: int = -1
     strength: float = 0.0
 
-    @property
-    def enabled(self) -> bool:
-        return self.layer >= 0
+    def __post_init__(self):
+        self.spec()  # a bad strength fails at config load, before any data is read
+
+    def spec(self) -> PlantSpec | None:
+        return PlantSpec(self.layer, self.strength) if self.layer >= 0 else None
 
 
 @dataclass(frozen=True)

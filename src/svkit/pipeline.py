@@ -14,12 +14,14 @@ from .audio import read_wav, read_wav_duration
 from .autodiff import Tensor
 from .ecapa import EcapaConfig
 from .errors import FormatError
-from .training import PlantSpec, TrainResult
+from .training import TrainResult
 from .upstream import (
     LayerStack,
     Manifest,
     MockUpstream,
     MockUpstreamConfig,
+    PlantSpec,
+    is_stack_file,
     load_stack,
     plant_speaker_info,
 )
@@ -37,7 +39,6 @@ class System:
         upstream_params: dict | None = None,
         plant: PlantSpec | None = None,
     ):
-        self.upstream_cfg = upstream_cfg
         self.ecapa_cfg = ecapa_cfg
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
         self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
@@ -80,21 +81,17 @@ class System:
         )
 
     def stack_for(self, manifest: Manifest, row) -> LayerStack:
+        """The row's stored float32 stack: a `.svhs` file, else the mock upstream's output."""
         path = manifest.resolve(row)
-        if path.suffix == ".svhs":
-            stack = load_stack(path)
-        else:
-            wav = read_wav(path)
-            stack = LayerStack(
-                self.upstream.forward_array(wav), frame_rate_hz=self.upstream_cfg.frame_rate_hz
-            )
-        if self.plant is not None:
-            stack = plant_speaker_info(stack, row.speaker_id, self.plant.layer, self.plant.strength)
-        return stack
+        if is_stack_file(path):
+            return load_stack(path)
+        return self.upstream.stack(read_wav(path))
 
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
-        feats = aggregate(self.stack_for(manifest, row), self.weights)
-        return ecapa_mod.embed(feats.frames, self.ecapa_params, self.ecapa_cfg)
+        layers = self.stack_for(manifest, row).layers.astype(np.float64)
+        if self.plant is not None:
+            plant_speaker_info(layers, row.speaker_id, self.plant)
+        return ecapa_mod.embed(aggregate(layers, self.weights), self.ecapa_params, self.ecapa_cfg)
 
 
 def extract_embeddings(system: System, manifest: Manifest) -> dict:

@@ -45,6 +45,8 @@ class Cohort:
             raise DataError("cohort needs at least two speaker means")
         if not 1 <= self.top_k <= self.members.shape[0]:
             raise DataError("cohort top_k must lie in [1, member count]")
+        if not np.isfinite(self.members).all():
+            raise DataError("cohort members contain non-finite values")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,8 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(trials),):
         raise DataError("score set does not align with the trial list")
+    if not np.isfinite(scores).all():
+        raise DataError("s-norm input scores contain non-finite values")
     if not trials:
         return scores.copy()
     unit, e, t = _trial_rows(trials, store, "zero-norm embedding for {uid}")

@@ -22,7 +22,15 @@ from .audio import AugmentBanks, AugmentConfig, Waveform, augment, read_wav
 from .ecapa import EcapaConfig
 from .errors import ConfigError, DataError
 from .rng import child_rng
-from .upstream import Manifest, MockUpstream, MockUpstreamConfig, load_stack, speaker_offset
+from .upstream import (
+    Manifest,
+    MockUpstream,
+    MockUpstreamConfig,
+    PlantSpec,
+    is_stack_file,
+    load_stack,
+    plant_speaker_info,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +79,6 @@ class TrainSchedule:
         for key in ("lr_stage1", "lr_stage2", "lr_lmft"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"schedule.{key} must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PlantSpec:
-    """Inject a fixed per-speaker offset into one upstream layer (test fixture)."""
-
-    layer: int
-    strength: float
 
 
 @dataclass
@@ -202,7 +202,6 @@ def train(
     ecapa_cfg: EcapaConfig,
     margin: float = 0.2,
     scale: float = 30.0,
-    mode: str = "mock",
     augment_cfg: AugmentConfig | None = None,
     banks: AugmentBanks | None = None,
     plant: PlantSpec | None = None,
@@ -210,12 +209,12 @@ def train(
 ) -> TrainResult:
     """Run the staged training pipeline on a manifest.
 
-    mode "mock" reads waveforms and runs the seeded mock upstream; mode
-    "import" reads pre-exported layer stacks from the manifest paths (the
-    upstream is then frozen in every stage, and stage 2 logs a notice).
+    A `.svhs` row is an imported layer stack, used whole (no crop or
+    augmentation) and frozen in every stage. Every other row is a WAV that is
+    cropped, augmented and run through the seeded mock upstream. With no WAV
+    row there is no upstream to tune: stage 2 logs a notice and the result
+    exports no upstream tensors.
     """
-    if mode not in ("mock", "import"):
-        raise ConfigError(f"unknown upstream mode: {mode}")
     speakers = manifest.speakers
     if len(speakers) < 2:
         raise DataError("training requires at least two speakers in the manifest")
@@ -231,9 +230,6 @@ def train(
         child_rng(seed, "aam-anchors").normal(0.0, 1.0, (len(speakers), ecapa_cfg.embed_dim)),
         requires_grad=True,
     )
-    if plant is not None and not 0 <= plant.layer <= upstream_cfg.n_layers:
-        raise DataError(f"plant layer {plant.layer} out of range 0..{upstream_cfg.n_layers}")
-
     result = TrainResult(
         ecapa={}, agg_logits=np.zeros(0), anchors=np.zeros(0),
         upstream={}, speakers=speakers,
@@ -244,6 +240,7 @@ def train(
     rng_aug = child_rng(seed, "augment")
 
     rows = list(manifest.rows)
+    has_wav = not all(is_stack_file(row.path) for row in rows)
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, margin, schedule.crop_seconds, False),
         (2, schedule.stage2_epochs, schedule.lr_stage2, margin, schedule.crop_seconds, True),
@@ -253,7 +250,7 @@ def train(
     for stage, n_epochs, lr, stage_margin, crop_s, tune_upstream in stages:
         if n_epochs == 0:
             continue
-        if tune_upstream and mode == "import":
+        if tune_upstream and not has_wav:
             notice = f"stage {stage}: imported stacks are frozen; training downstream only"
             logger.info(notice)
             result.notices.append(notice)
@@ -273,7 +270,7 @@ def train(
                 embs, labels = [], []
                 for row in batch:
                     feats = _utterance_features(
-                        row, manifest, mode, upstream, tune_upstream, logits,
+                        row, manifest, upstream, tune_upstream, logits,
                         crop_s, plant, rng_crop, rng_aug, augment_cfg, banks,
                     )
                     embs.append(ecapa_mod.forward(feats, params, ecapa_cfg))
@@ -290,45 +287,36 @@ def train(
     result.ecapa = {k: v.data.copy() for k, v in params.items()}
     result.agg_logits = logits.data.copy()
     result.anchors = anchors.data.copy()
-    if mode == "mock":
+    if has_wav:
         result.upstream = upstream.param_arrays()
     return result
 
 
 def _utterance_features(
-    row, manifest, mode, upstream, tune_upstream, logits,
+    row, manifest, upstream, tune_upstream, logits,
     crop_s, plant, rng_crop, rng_aug, augment_cfg, banks,
 ) -> Tensor:
-    """Aggregated (T, D) features for one training utterance."""
+    """Aggregated (T, D) features for one training utterance.
+
+    Stored float32 layers become float64 once, before the plant: the frozen
+    stages compute `pipeline.System`'s features bit for bit. Fine-tuning keeps
+    the upstream's float64 graph instead, so that gradients reach it.
+    """
     path = manifest.resolve(row)
-    if mode == "import":
-        stack = load_stack(path)
-        if stack.layers.shape[0] != logits.data.size:
-            raise DataError(
-                f"{row.utt_id}: stack has {stack.layers.shape[0]} layers, "
-                f"expected {logits.data.size}"
-            )
-        layers = stack.layers.astype(np.float64)
-        if plant is not None:
-            layers[plant.layer] += plant.strength * speaker_offset(row.speaker_id, layers.shape[2])
-        return aggregate_graph(layers, logits)
-
-    wav = read_wav(path)
-    wav = crop_random(wav, crop_s, rng_crop)
-    if augment_cfg is not None and banks is not None:
-        wav = augment(wav, banks, augment_cfg, rng_aug)
-    if tune_upstream:
-        layer_list = upstream.forward_graph(Tensor(wav.samples))
-        if plant is not None:
-            off = Tensor(plant.strength * speaker_offset(row.speaker_id, upstream.cfg.dim))
-            layer_list = [
-                h + off if i == plant.layer else h for i, h in enumerate(layer_list)
-            ]
-        return aggregate_graph(layer_list, logits)
-
-    layers = upstream.forward_array(wav)
+    if is_stack_file(path):
+        layers = load_stack(path).layers.astype(np.float64)
+        if len(layers) != logits.data.size:
+            raise DataError(f"{row.utt_id}: stack has {len(layers)} layers, expected {logits.data.size}")
+    else:
+        wav = crop_random(read_wav(path), crop_s, rng_crop)
+        if augment_cfg is not None and banks is not None:
+            wav = augment(wav, banks, augment_cfg, rng_aug)
+        if tune_upstream:
+            layers = upstream.forward_graph(Tensor(wav.samples))
+        else:
+            layers = upstream.stack(wav).layers.astype(np.float64)
     if plant is not None:
-        layers[plant.layer] += plant.strength * speaker_offset(row.speaker_id, layers.shape[2])
+        plant_speaker_info(layers, row.speaker_id, plant)
     return aggregate_graph(layers, logits)
 
 

@@ -9,6 +9,7 @@ output that feeds the first mixing layer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,11 +43,6 @@ class LayerStack:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
-
-    @property
-    def n_layers(self) -> int:
-        """L: number of mixing layers (stack holds L+1 entries)."""
-        return self.layers.shape[0] - 1
 
     @property
     def num_frames(self) -> int:
@@ -113,13 +109,14 @@ class MockUpstream:
             params[f"mix{l}.b"] = rng.normal(0.0, 0.1, cfg.dim)
         return params
 
-    def num_frames(self, n_samples: int) -> int:
-        return n_samples // self.cfg.stride_product
-
     def forward_array(self, wav: Waveform) -> np.ndarray:
         """Float64 (L+1) x T x D stack; the float32 LayerStack is a storage view."""
         graph = self.forward_graph(ad.Tensor(wav.samples))
         return np.stack([h.data for h in graph])
+
+    def stack(self, wav: Waveform) -> LayerStack:
+        """The forward pass stored as a float32 LayerStack, like an imported SVHS stack."""
+        return LayerStack(self.forward_array(wav), frame_rate_hz=self.cfg.frame_rate_hz)
 
     def forward_graph(self, samples: ad.Tensor) -> list:
         """Differentiable forward: list of (T, D) tensors for layers 0..L."""
@@ -170,13 +167,29 @@ def _smooth(x: ad.Tensor, width: int) -> ad.Tensor:
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:
     """Run the seeded mock encoder on one waveform."""
-    model = MockUpstream(cfg)
-    return LayerStack(model.forward_array(wav), frame_rate_hz=cfg.frame_rate_hz)
+    return MockUpstream(cfg).stack(wav)
+
+
+def is_stack_file(path) -> bool:
+    """Row source rule: a `.svhs` file is an imported stack; any other path is a WAV."""
+    return Path(path).suffix == ".svhs"
 
 
 # ---------------------------------------------------------------------------
 # Planted speaker information (fixture for verifying weight learning)
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlantSpec:
+    """Inject a fixed per-speaker offset into one upstream layer (test fixture)."""
+
+    layer: int
+    strength: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.strength < math.inf:
+            raise ConfigError(f"plant.strength must be finite and >= 0, got {self.strength}")
 
 
 def speaker_offset(speaker_id, dim: int) -> np.ndarray:
@@ -186,15 +199,15 @@ def speaker_offset(speaker_id, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def plant_speaker_info(stack: LayerStack, speaker_id, layer_k: int, strength: float) -> LayerStack:
-    """Add strength * unit_vector(speaker_id) to every frame of layer k only."""
-    if not 0 <= layer_k <= stack.n_layers:
-        raise DataError(f"layer index {layer_k} out of range 0..{stack.n_layers}")
-    if strength < 0:
-        raise DataError("plant strength must be >= 0")
-    layers = stack.layers.astype(np.float64)
-    layers[layer_k] += strength * speaker_offset(speaker_id, stack.dim)
-    return LayerStack(layers, frame_rate_hz=stack.frame_rate_hz)
+def plant_speaker_info(layers, speaker_id, plant: PlantSpec):
+    """Add strength * unit_vector(speaker_id) to every frame of the planted layer, in place.
+
+    `layers` is a float64 (L+1, T, D) array or, while the upstream is fine-tuned, a list of (T, D) tensors.
+    """
+    k = plant.layer
+    if not 0 <= k < len(layers):
+        raise DataError(f"plant layer {k} out of range 0..{len(layers) - 1}")
+    layers[k] = layers[k] + plant.strength * speaker_offset(speaker_id, layers[k].shape[-1])
 
 
 # ---------------------------------------------------------------------------

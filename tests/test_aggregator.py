@@ -60,14 +60,14 @@ def test_identical_layers_any_weights():
     h = rng.standard_normal((4, 3))
     stack = stack_from(np.stack([h, h, h]))
     w = normalized_weights(rng.standard_normal(3))
-    np.testing.assert_allclose(aggregate(stack, w).frames, stack.layers[0], atol=1e-7)
+    np.testing.assert_allclose(aggregate(stack.layers, w), stack.layers[0], atol=1e-7)
 
 
 def test_two_layer_symmetry():
     a = np.tile([1.0, 0.0], (5, 1))
     b = np.tile([0.0, 1.0], (5, 1))
-    out = aggregate(stack_from(np.stack([a, b])), [0.5, 0.5])
-    np.testing.assert_allclose(out.frames, np.full((5, 2), 0.5))
+    out = aggregate(stack_from(np.stack([a, b])).layers, [0.5, 0.5])
+    np.testing.assert_allclose(out, np.full((5, 2), 0.5))
 
 
 def test_one_hot_saturated_logits_select_layer():
@@ -76,14 +76,14 @@ def test_one_hot_saturated_logits_select_layer():
     k = 2
     logits = np.zeros(5)
     logits[k] = 40.0
-    out = aggregate(stack_from(layers), normalized_weights(logits))
-    assert np.max(np.abs(out.frames - layers[k].astype(np.float32))) < 1e-6
+    out = aggregate(stack_from(layers).layers, normalized_weights(logits))
+    assert np.max(np.abs(out - layers[k].astype(np.float32))) < 1e-6
 
 
 def test_weight_length_mismatch():
     stack = stack_from(np.zeros((3, 2, 2)))
     with pytest.raises(DataError, match="3 layer weights"):
-        aggregate(stack, [0.5, 0.5])
+        aggregate(stack.layers, [0.5, 0.5])
 
 
 def test_aggregate_linear_in_stack():
@@ -91,8 +91,8 @@ def test_aggregate_linear_in_stack():
     a = rng.standard_normal((4, 5, 3))
     b = rng.standard_normal((4, 5, 3))
     w = normalized_weights(rng.standard_normal(4))
-    lhs = aggregate(stack_from(2.0 * a + 0.5 * b), w).frames
-    rhs = 2.0 * aggregate(stack_from(a), w).frames + 0.5 * aggregate(stack_from(b), w).frames
+    lhs = aggregate(stack_from(2.0 * a + 0.5 * b).layers, w)
+    rhs = 2.0 * aggregate(stack_from(a).layers, w) + 0.5 * aggregate(stack_from(b).layers, w)
     np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
 

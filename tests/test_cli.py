@@ -128,7 +128,7 @@ def test_upstream_export_manifest_and_import_training(workspace, capsys, tmp_pat
     run_dir = tmp_path / "import_run"
     summary = run_ok(capsys, ["--config", cfg, "--set", "schedule.stage2_epochs=1",
                               "--set", "plant.layer=-1",
-                              "train", "--mode", "import",
+                              "train",
                               "--manifest", str(stacks / "manifest.tsv"),
                               "--out-dir", str(run_dir)])
     assert summary["epochs"] == "2"
@@ -180,6 +180,11 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     code = main(["--config", str(bad), "eval", "--scores", "x", "--trials", "y"])
     assert code == 2
     assert "not valid UTF-8" in capsys.readouterr().err
+    # a planted offset must be finite and non-negative
+    code = main(["--set", "plant.layer=1", "--set", "plant.strength=nan", "train",
+                 "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "plant.strength" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):

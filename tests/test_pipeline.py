@@ -68,3 +68,55 @@ def test_durations(trained):
     corpus, _ = trained
     durations = utterance_durations(corpus.heldout)
     assert all(abs(d - 1.0) < 1e-9 for d in durations.values())
+
+
+@pytest.mark.parametrize("plant", [None, PlantSpec(layer=1, strength=2.0)])
+def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, plant):
+    """Full-length, unaugmented rows: WAV rows and their SVHS twins reach the
+    aggregator with the same float64 layers in training and in `System`."""
+    import svkit.pipeline as pipeline_mod
+    import svkit.training as training_mod
+    from svkit.aggregator import aggregate, aggregate_graph
+    from svkit.audio import read_wav
+    from svkit.upstream import Manifest, ManifestRow, mock_forward, save_stack
+
+    corpus = synth_corpus(SynthSpec(2, 3, 1, seed=8), tmp_path / "corpus")
+    rows = []
+    for row in corpus.train.rows:
+        wav_path = corpus.train.resolve(row)
+        save_stack(mock_forward(read_wav(wav_path), UP), tmp_path / f"{row.utt_id}.svhs")
+        rows.append(ManifestRow(row.utt_id, row.speaker_id, str(wav_path)))
+        rows.append(ManifestRow(f"{row.utt_id}-svhs", row.speaker_id, f"{row.utt_id}.svhs"))
+    manifest = Manifest(tuple(rows), base_dir=tmp_path)
+
+    seen = {"train": [], "embed": []}
+
+    def record_graph(layers, logits):
+        out = aggregate_graph(layers, logits)
+        seen["train"].append((layers.copy(), logits.data.copy(), out.data.copy()))
+        return out
+
+    def record_numpy(layers, weights):
+        out = aggregate(layers, weights)
+        seen["embed"].append((layers.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(training_mod, "aggregate_graph", record_graph)
+    monkeypatch.setattr(pipeline_mod, "aggregate", record_numpy)
+    # one uncropped batch: every row is aggregated with the initial logits
+    sched = TrainSchedule(stage1_epochs=1, stage2_epochs=0, lmft_epochs=0,
+                          crop_seconds=1.0, batch_size=len(rows), lr_stage1=1e-3)
+    result = train(manifest, sched, upstream_cfg=UP, ecapa_cfg=EC, plant=plant, seed=3)
+    logits = seen["train"][0][1]
+    assert all(np.array_equal(rec[1], logits) for rec in seen["train"])
+    system = System(UP, EC, result.ecapa, logits, upstream_params=result.upstream, plant=plant)
+    embs = extract_embeddings(system, manifest)
+
+    def key(arrays):
+        return [a.tobytes() for a in arrays]
+
+    assert sorted(key((layers, out)) for layers, _, out in seen["train"]) == sorted(
+        key(rec) for rec in seen["embed"]
+    )
+    for row in corpus.train.rows:
+        assert embs[row.utt_id].tobytes() == embs[f"{row.utt_id}-svhs"].tobytes()

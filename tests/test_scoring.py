@@ -281,6 +281,19 @@ def test_non_finite_embedding_rejected(bad):
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_snorm_non_finite_score_rejected(bad):
+    store = {"e": np.array([1.0, 0.5]), "t": np.array([0.5, 1.0])}
+    with pytest.raises(DataError, match="non-finite"):
+        adaptive_snorm(np.array([bad]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_cohort_non_finite_member_rejected(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        Cohort(np.array([[1.0, 0.0], [bad, 1.0]]), ("a", "b"), top_k=2)
+
+
 def test_zero_norm_embedding_messages():
     store = {"e": np.array([1.0, 0.5]), "t": np.zeros(2)}
     with pytest.raises(DataError, match="cosine score of a zero-norm embedding"):

@@ -1,0 +1,94 @@
+"""Guards for the benchmark's span tracer (`perfbench/tracing.py`).
+
+The tracer replaces svkit functions by attribute name, so a rename or a call
+that bypasses one of those attributes breaks or blinds `--trace 1` runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from svkit import training
+from svkit.audio import AugmentBanks, AugmentConfig, Waveform, read_wav
+from svkit.ecapa import EcapaConfig
+from svkit.pipeline import System, extract_embeddings
+from svkit.synthcorpus import SynthSpec, synth_corpus
+from svkit.upstream import Manifest, ManifestRow, MockUpstreamConfig, mock_forward, save_stack
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wrap_points(tracing):
+    return [(owner, attr) for points in tracing.WRAP_POINTS.values() for owner, attr in points]
+
+
+def current(owner, attr):
+    # the tracer saves a class attribute from the class's own namespace
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_every_wrap_point_resolves(tracing):
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr in wrap_points(tracing)
+        if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))
+    ]
+    assert missing == []
+
+
+def test_install_then_uninstall_restores_the_originals(tracing):
+    points = wrap_points(tracing)
+    before = [current(owner, attr) for owner, attr in points]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(current(o, a) is not b for (o, a), b in zip(points, before))
+    finally:
+        tracer.uninstall()
+    assert all(current(o, a) is b for (o, a), b in zip(points, before))
+
+
+def test_feature_path_calls_through_the_wrapped_names(tracing, tmp_path):
+    up = MockUpstreamConfig(n_layers=3, dim=12, seed=2)
+    ec = EcapaConfig(in_dim=12, channels=16, res2_scale=8, dilations=(2, 3, 4),
+                     se_bottleneck=8, attention_channels=8, embed_dim=12)
+    corpus = synth_corpus(SynthSpec(2, 3, 1, seed=4), tmp_path / "corpus")
+    rows = []
+    for i, row in enumerate(corpus.train.rows):
+        path = str(corpus.train.resolve(row))
+        if i % 2:
+            save_stack(mock_forward(read_wav(path), up), tmp_path / f"{row.utt_id}.svhs")
+            path = f"{row.utt_id}.svhs"
+        rows.append(ManifestRow(row.utt_id, row.speaker_id, path))
+    manifest = Manifest(tuple(rows), base_dir=tmp_path)
+    banks = AugmentBanks(noises=(Waveform(np.full(800, 0.1)),), rirs=(Waveform(np.array([1.0, 0.5])),))
+    sched = training.TrainSchedule(stage1_epochs=1, stage2_epochs=1, lmft_epochs=0,
+                                   crop_seconds=0.5, batch_size=8)
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        result = training.train(manifest, sched, upstream_cfg=up, ecapa_cfg=ec,
+                                augment_cfg=AugmentConfig(probability=1.0), banks=banks, seed=1)
+        extract_embeddings(System.from_result(result, up, ec), manifest)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    expected = {
+        "training.train", "audio.read_wav", "training.crop_random", "audio.augment",
+        "upstream.forward_array", "upstream.forward_graph", "aggregator.aggregate_graph",
+        "upstream.load_stack", "pipeline.stack_for", "pipeline.embed_row", "aggregator.aggregate",
+    }
+    assert expected - names == set()

@@ -236,10 +236,30 @@ def test_import_mode_stage2_freezes_and_notices(tiny_corpus, tmp_path):
     manifest = Manifest(tuple(rows), base_dir=tmp_path)
 
     res = train(manifest, tiny_schedule(stage1_epochs=1, stage2_epochs=1),
-                upstream_cfg=UP, ecapa_cfg=EC, mode="import", seed=4)
+                upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert res.upstream == {}
     assert any("frozen" in n for n in res.notices)
     assert [row[1] for row in res.log] == [1, 2]
+
+
+def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
+    from svkit.audio import read_wav
+    from svkit.upstream import Manifest, ManifestRow, MockUpstream, mock_forward, save_stack
+
+    rows = []
+    for i, row in enumerate(tiny_corpus.train.rows):
+        path = str(tiny_corpus.train.resolve(row))
+        if i % 2:
+            save_stack(mock_forward(read_wav(path), UP), tmp_path / f"{row.utt_id}.svhs")
+            path = f"{row.utt_id}.svhs"
+        rows.append(ManifestRow(row.utt_id, row.speaker_id, path))
+    res = train(Manifest(tuple(rows), base_dir=tmp_path), tiny_schedule(stage2_epochs=1),
+                upstream_cfg=UP, ecapa_cfg=EC, seed=4)
+    assert res.notices == []
+    assert [row[1] for row in res.log] == [1, 2]
+    initial = MockUpstream(UP).params
+    assert set(res.upstream) == set(initial)
+    assert any(np.any(res.upstream[k] != v) for k, v in initial.items())
 
 
 def test_single_speaker_manifest_rejected(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 
 from svkit.audio import Waveform
 from svkit.autodiff import Tensor
-from svkit.errors import DataError, FormatError
+from svkit.errors import ConfigError, DataError, FormatError
 from svkit.upstream import (
     LayerStack,
     Manifest,
     ManifestRow,
     MockUpstream,
     MockUpstreamConfig,
+    PlantSpec,
     load_manifest,
     load_stack,
     mock_forward,
@@ -106,44 +107,67 @@ def stack_fixture():
     return mock_forward(rand_wav(3200, seed=7), MockUpstreamConfig(n_layers=4, dim=16, seed=1))
 
 
+def layers_fixture():
+    return stack_fixture().layers.astype(np.float64)
+
+
+def planted(layers, speaker_id, layer, strength):
+    out = layers.copy()
+    plant_speaker_info(out, speaker_id, PlantSpec(layer, strength))
+    return out
+
+
 def test_plant_zero_strength_unchanged():
-    stack = stack_fixture()
-    out = plant_speaker_info(stack, "spk1", 2, 0.0)
-    np.testing.assert_array_equal(out.layers, stack.layers)
+    layers = layers_fixture()
+    np.testing.assert_array_equal(planted(layers, "spk1", 2, 0.0), layers)
 
 
 def test_plant_same_speaker_same_offset():
-    stack = stack_fixture()
-    a = plant_speaker_info(stack, "spk7", 1, 2.0)
-    b = plant_speaker_info(stack, "spk7", 1, 2.0)
-    np.testing.assert_array_equal(a.layers, b.layers)
+    layers = layers_fixture()
+    a = planted(layers, "spk7", 1, 2.0)
+    b = planted(layers, "spk7", 1, 2.0)
+    np.testing.assert_array_equal(a, b)
     off = speaker_offset("spk7", 16)
     np.testing.assert_allclose(np.linalg.norm(off), 1.0, atol=1e-12)
-    c = plant_speaker_info(stack, "spk8", 1, 2.0)
-    assert np.any(c.layers != a.layers)
+    c = planted(layers, "spk8", 1, 2.0)
+    assert np.any(c != a)
 
 
 def test_plant_out_of_range_layer_errors():
-    stack = stack_fixture()
-    with pytest.raises(DataError, match="out of range"):
-        plant_speaker_info(stack, "spk1", stack.n_layers + 3, 1.0)
+    layers = layers_fixture()
+    for layer in (-1, layers.shape[0], layers.shape[0] + 2):
+        with pytest.raises(DataError, match="out of range"):
+            planted(layers, "spk1", layer, 1.0)
 
 
 def test_plant_touches_only_target_layer():
-    stack = stack_fixture()
-    out = plant_speaker_info(stack, "spk1", 2, 3.0)
-    for l in range(stack.layers.shape[0]):
+    layers = layers_fixture()
+    out = planted(layers, "spk1", 2, 3.0)
+    for l in range(layers.shape[0]):
         if l != 2:
-            np.testing.assert_array_equal(out.layers[l], stack.layers[l])
+            np.testing.assert_array_equal(out[l], layers[l])
         else:
-            assert np.any(out.layers[l] != stack.layers[l])
+            assert np.any(out[l] != layers[l])
 
 
 def test_plant_commutes_across_layers():
-    stack = stack_fixture()
-    ab = plant_speaker_info(plant_speaker_info(stack, "x", 1, 2.0), "y", 3, 1.5)
-    ba = plant_speaker_info(plant_speaker_info(stack, "y", 3, 1.5), "x", 1, 2.0)
-    np.testing.assert_array_equal(ab.layers, ba.layers)
+    layers = layers_fixture()
+    ab = planted(planted(layers, "x", 1, 2.0), "y", 3, 1.5)
+    ba = planted(planted(layers, "y", 3, 1.5), "x", 1, 2.0)
+    np.testing.assert_array_equal(ab, ba)
+
+
+def test_plant_tensor_list_matches_array():
+    layers = layers_fixture()
+    tensors = [Tensor(h) for h in layers]
+    plant_speaker_info(tensors, "spk3", PlantSpec(2, 1.5))
+    np.testing.assert_array_equal(np.stack([h.data for h in tensors]), planted(layers, "spk3", 2, 1.5))
+
+
+@pytest.mark.parametrize("strength", [-1.0, np.nan, np.inf])
+def test_plant_strength_must_be_finite_non_negative(strength):
+    with pytest.raises(ConfigError, match="plant.strength"):
+        PlantSpec(1, strength)
 
 
 # ---------------------------------------------------------------------------
