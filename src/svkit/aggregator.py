@@ -50,17 +50,12 @@ def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
     return (w @ flat).reshape(t, d)
 
 
-def export_weights(weights, labels=None) -> list:
-    """Rows of (label, normalized-weight-to-6-decimals), layer 0 first."""
-    w = np.asarray(weights, dtype=np.float64)
-    if labels is None or len(labels) == 0:
-        labels = [f"layer_{i}" for i in range(len(w))]
-    if len(labels) != len(w):
-        raise DataError(f"expected {len(w)} labels, got {len(labels)}")
-    return [(str(lab), f"{val:.6f}") for lab, val in zip(labels, w)]
+def export_weights(weights) -> list:
+    """Rows of (layer_i, normalized-weight-to-6-decimals), layer 0 first."""
+    return [(f"layer_{i}", f"{val:.6f}") for i, val in enumerate(np.asarray(weights, dtype=np.float64))]
 
 
-def write_weights_csv(path, weights, labels=None):
-    rows = export_weights(weights, labels)
+def write_weights_csv(path, weights):
+    rows = export_weights(weights)
     lines = ["layer,weight"] + [f"{lab},{val}" for lab, val in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

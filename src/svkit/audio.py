@@ -41,10 +41,6 @@ class Waveform:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
 
@@ -109,7 +105,6 @@ class FeatureMatrix:
 class AugmentConfig:
     probability: float = 0.6
     noise_snr_db_range: tuple = (0.0, 20.0)
-    kinds: tuple = ("noise", "reverb")
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
@@ -117,11 +112,6 @@ class AugmentConfig:
         lo, hi = self.noise_snr_db_range
         if lo > hi:
             raise ConfigError("augment SNR range must satisfy low <= high")
-        kinds = tuple(sorted(set(self.kinds)))
-        for k in kinds:
-            if k not in ("noise", "reverb"):
-                raise ConfigError(f"unknown augmentation kind: {k}")
-        object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "noise_snr_db_range", (float(lo), float(hi)))
 
 
@@ -294,25 +284,22 @@ def augment(
     cfg: AugmentConfig,
     rng: np.random.Generator,
 ) -> Waveform:
-    """With probability cfg.probability apply one uniformly chosen augmentation kind.
+    """With probability cfg.probability apply one augmentation kind, drawn
+    uniformly from the kinds whose bank is non-empty ("noise", then "reverb").
 
-    Returns the input object unchanged when not triggered. Fully determined
-    by the rng state: the trigger draw always happens first, then kind, then
-    kind-specific parameters.
+    Returns the input object unchanged when not triggered or when both banks
+    are empty. Fully determined by the rng state: the trigger draw always
+    happens first, then kind, then kind-specific parameters.
     """
-    triggered = rng.random() < cfg.probability
-    if not triggered or not cfg.kinds:
+    kinds = [kind for kind, bank in (("noise", banks.noises), ("reverb", banks.rirs)) if bank]
+    if not rng.random() < cfg.probability or not kinds:
         return wav
-    kind = cfg.kinds[int(rng.integers(0, len(cfg.kinds)))]
+    kind = kinds[int(rng.integers(0, len(kinds)))]
     if kind == "noise":
-        if not banks.noises:
-            raise DataError("noise augmentation enabled but the noise bank is empty")
         noise = banks.noises[int(rng.integers(0, len(banks.noises)))]
         lo, hi = cfg.noise_snr_db_range
         snr = float(rng.uniform(lo, hi))
         return mix_noise(wav, noise, snr, rng)
-    if not banks.rirs:
-        raise DataError("reverb augmentation enabled but the RIR bank is empty")
     ir = banks.rirs[int(rng.integers(0, len(banks.rirs)))]
     return apply_rir(wav, ir)
 
@@ -322,4 +309,7 @@ def load_bank(directory) -> tuple:
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"augmentation bank directory not found: {directory}")
-    return tuple(read_wav(p) for p in sorted(directory.glob("*.wav")))
+    bank = tuple(read_wav(p) for p in sorted(directory.glob("*.wav")))
+    if not bank:
+        raise FormatError(f"augmentation bank directory has no .wav files: {directory}")
+    return bank

@@ -44,16 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data)
 

@@ -40,8 +40,6 @@ def main(argv=None) -> int:
     )
     try:
         overrides = [_split_override(s) for s in args.set or []]
-        if args.seed is not None:
-            overrides.append(("seed", str(args.seed)))
         cfg = load_config(args.config, overrides=overrides)
         summary = args.func(args, cfg)
     except ConfigError as exc:
@@ -74,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="svkit", description=__doc__)
     parser.add_argument("--config", help="config file (section.key = value lines)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--deterministic", action="store_true", help="suppress timestamps in logs")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,13 +202,11 @@ def _cmd_train(args, cfg: RunConfig):
     manifest_path = _require(args.manifest, "manifest")
     manifest = load_manifest(manifest_path, check_paths=True)
     banks = None
-    augment_cfg = None
     if cfg.paths.noise_dir or cfg.paths.rir_dir:
         banks = AugmentBanks(
             noises=load_bank(cfg.paths.noise_dir) if cfg.paths.noise_dir else (),
             rirs=load_bank(cfg.paths.rir_dir) if cfg.paths.rir_dir else (),
         )
-        augment_cfg = cfg.augment
     result = train(
         manifest,
         cfg.schedule,
@@ -219,7 +214,7 @@ def _cmd_train(args, cfg: RunConfig):
         ecapa_cfg=cfg.ecapa,
         margin=cfg.aam.margin,
         scale=cfg.aam.scale,
-        augment_cfg=augment_cfg,
+        augment_cfg=cfg.augment,
         banks=banks,
         plant=cfg.plant.spec(),
         seed=cfg.seed,
@@ -237,7 +232,10 @@ def _cmd_train(args, cfg: RunConfig):
 def _cmd_embed(args, cfg: RunConfig):
     tensors = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest, check_paths=True)
-    system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=cfg.plant.spec())
+    try:
+        system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=cfg.plant.spec())
+    except FormatError as exc:
+        raise FormatError(f"{args.checkpoint}: {exc}") from None
     store = extract_embeddings(system, manifest)
     scoring.save_embeddings(store, args.out)
     return [("count", len(store)), ("dim", cfg.ecapa.embed_dim)]

@@ -86,12 +86,6 @@ _SECTIONS = {
 def _parse_value(text: str, current):
     """Parse a config value against the type of the current (default) value."""
     text = text.strip()
-    if isinstance(current, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}")
     if isinstance(current, int):
         try:
             return int(text)
@@ -103,16 +97,11 @@ def _parse_value(text: str, current):
         except ValueError:
             raise ConfigError(f"expected a number, got {text!r}") from None
     if isinstance(current, tuple):
-        if not text:
-            return ()
-        items = [p.strip() for p in text.split(",")]
-        if current and isinstance(current[0], (int, float)) and not isinstance(current[0], bool):
-            kind = type(current[0])
-            try:
-                return tuple(kind(p) for p in items)
-            except ValueError:
-                raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-        return tuple(items)
+        kind = type(current[0])
+        try:
+            return tuple(kind(p) for p in text.split(","))
+        except ValueError:
+            raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
     return text
 
 

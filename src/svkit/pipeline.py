@@ -21,6 +21,7 @@ from .upstream import (
     MockUpstream,
     MockUpstreamConfig,
     PlantSpec,
+    check_row_stack,
     is_stack_file,
     load_stack,
     plant_speaker_info,
@@ -52,25 +53,30 @@ class System:
 
     @classmethod
     def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant=None) -> "System":
-        return cls(
-            upstream_cfg,
-            ecapa_cfg,
-            result.ecapa,
-            result.agg_logits,
-            upstream_params=result.upstream or None,
-            plant=plant,
-        )
+        return cls.from_checkpoint(result.checkpoint_tensors(), upstream_cfg, ecapa_cfg, plant=plant)
 
     @classmethod
     def from_checkpoint(cls, tensors: dict, upstream_cfg, ecapa_cfg, plant=None) -> "System":
+        """Build a system, checking each tensor it reads by name and shape against the configs.
+
+        Upstream tensors are optional: without them the mock upstream is
+        initialized from `upstream_cfg`'s seed.
+        """
         ecapa_params = {k[len("ecapa.") :]: v for k, v in tensors.items() if k.startswith("ecapa.")}
         upstream_params = {k[len("upstream.") :]: v for k, v in tensors.items() if k.startswith("upstream.")}
-        if "agg.logits" not in tensors or not ecapa_params:
-            raise FormatError("checkpoint is missing aggregator logits or encoder tensors")
-        expected = ecapa_mod.param_shapes(ecapa_cfg)
-        found = {k: tuple(np.asarray(v).shape) for k, v in ecapa_params.items()}
-        if found != {k: tuple(s) for k, s in expected.items()}:
-            raise FormatError("checkpoint tensors do not match the configured encoder")
+        expected = {f"ecapa.{k}": tuple(s) for k, s in ecapa_mod.param_shapes(ecapa_cfg).items()}
+        expected["agg.logits"] = (upstream_cfg.n_layers + 1,)
+        if upstream_params:
+            expected.update({f"upstream.{k}": v.shape for k, v in MockUpstream(upstream_cfg).params.items()})
+        found = {
+            k: np.shape(v) for k, v in tensors.items() if k == "agg.logits" or k.startswith(("ecapa.", "upstream."))
+        }
+        for name in sorted(expected.keys() | found.keys()):
+            if found.get(name) != expected.get(name):
+                raise FormatError(
+                    f"checkpoint tensors do not match the configured system: {name}: checkpoint has "
+                    f"{found.get(name, 'no such tensor')}, config expects {expected.get(name, 'no such tensor')}"
+                )
         return cls(
             upstream_cfg,
             ecapa_cfg,
@@ -89,6 +95,7 @@ class System:
 
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
         layers = self.stack_for(manifest, row).layers.astype(np.float64)
+        check_row_stack(layers, manifest, row, self.weights.size, self.ecapa_cfg.in_dim)
         if self.plant is not None:
             plant_speaker_info(layers, row.speaker_id, self.plant)
         return ecapa_mod.embed(aggregate(layers, self.weights), self.ecapa_params, self.ecapa_cfg)

@@ -27,6 +27,7 @@ from .upstream import (
     MockUpstream,
     MockUpstreamConfig,
     PlantSpec,
+    check_row_stack,
     is_stack_file,
     load_stack,
     plant_speaker_info,
@@ -202,7 +203,7 @@ def train(
     ecapa_cfg: EcapaConfig,
     margin: float = 0.2,
     scale: float = 30.0,
-    augment_cfg: AugmentConfig | None = None,
+    augment_cfg: AugmentConfig = AugmentConfig(),
     banks: AugmentBanks | None = None,
     plant: PlantSpec | None = None,
     seed: int = 0,
@@ -211,9 +212,9 @@ def train(
 
     A `.svhs` row is an imported layer stack, used whole (no crop or
     augmentation) and frozen in every stage. Every other row is a WAV that is
-    cropped, augmented and run through the seeded mock upstream. With no WAV
-    row there is no upstream to tune: stage 2 logs a notice and the result
-    exports no upstream tensors.
+    cropped, augmented when `banks` is given, and run through the seeded mock
+    upstream. With no WAV row there is no upstream to tune: stage 2 logs a
+    notice and the result exports no upstream tensors.
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
@@ -305,11 +306,10 @@ def _utterance_features(
     path = manifest.resolve(row)
     if is_stack_file(path):
         layers = load_stack(path).layers.astype(np.float64)
-        if len(layers) != logits.data.size:
-            raise DataError(f"{row.utt_id}: stack has {len(layers)} layers, expected {logits.data.size}")
+        check_row_stack(layers, manifest, row, logits.data.size, upstream.cfg.dim)
     else:
         wav = crop_random(read_wav(path), crop_s, rng_crop)
-        if augment_cfg is not None and banks is not None:
+        if banks is not None:
             wav = augment(wav, banks, augment_cfg, rng_aug)
         if tune_upstream:
             layers = upstream.forward_graph(Tensor(wav.samples))

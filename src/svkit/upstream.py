@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .audio import Waveform
+from .audio import SAMPLE_RATE, Waveform
 from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
@@ -53,34 +53,28 @@ class LayerStack:
         return self.layers.shape[2]
 
 
+# The mock's front end is fixed, like the encoders it stands in for (the
+# wav2vec 2.0 feature encoder hops 320 samples, 20 ms at 16 kHz): four strided
+# convs whose kernels equal their strides, and a 3-frame moving average after
+# every mixing layer.
+CONV_STRIDES = (5, 4, 4, 4)
+HOP = math.prod(CONV_STRIDES)
+SMOOTHING = 3
+
+
 @dataclass(frozen=True)
 class MockUpstreamConfig:
     n_layers: int = 12
     dim: int = 64
     seed: int = 0
-    conv_strides: tuple = (5, 4, 4, 4)
-    smoothing: int = 3
 
     def __post_init__(self):
         if self.n_layers < 1 or self.dim < 1:
             raise ConfigError("mock upstream needs n_layers >= 1 and dim >= 1")
-        strides = tuple(int(s) for s in self.conv_strides)
-        if not strides or any(s < 1 for s in strides):
-            raise ConfigError("conv_strides must be positive integers")
-        if self.smoothing < 1:
-            raise ConfigError("smoothing width must be >= 1")
-        object.__setattr__(self, "conv_strides", strides)
-
-    @property
-    def stride_product(self) -> int:
-        p = 1
-        for s in self.conv_strides:
-            p *= s
-        return p
 
     @property
     def frame_rate_hz(self) -> float:
-        return 16000.0 / self.stride_product
+        return SAMPLE_RATE / HOP
 
 
 class MockUpstream:
@@ -99,7 +93,7 @@ class MockUpstream:
         rng = child_rng(cfg.seed, "mock-upstream-init")
         params = {}
         c_in = 1
-        for i, stride in enumerate(cfg.conv_strides):
+        for i, stride in enumerate(CONV_STRIDES):
             fan = stride * c_in
             params[f"conv{i}.w"] = rng.normal(0.0, 1.0 / np.sqrt(fan), (fan, cfg.dim))
             params[f"conv{i}.b"] = rng.normal(0.0, 0.1, cfg.dim)
@@ -121,13 +115,13 @@ class MockUpstream:
     def forward_graph(self, samples: ad.Tensor) -> list:
         """Differentiable forward: list of (T, D) tensors for layers 0..L."""
         cfg = self.cfg
-        if samples.data.size < cfg.stride_product:
+        if samples.data.size < HOP:
             raise DataError(
                 f"waveform of {samples.data.size} samples is shorter than the "
-                f"{cfg.stride_product}-sample receptive field"
+                f"{HOP}-sample receptive field"
             )
         x = samples.reshape(-1, 1)
-        for i, stride in enumerate(cfg.conv_strides):
+        for i, stride in enumerate(CONV_STRIDES):
             t = x.shape[0] // stride
             c = x.shape[1]
             x = x[: t * stride].reshape(t, stride * c)
@@ -135,7 +129,7 @@ class MockUpstream:
         layers = [x]
         for l in range(1, cfg.n_layers + 1):
             z = (x @ self._p(f"mix{l}.w") + self._p(f"mix{l}.b")).tanh()
-            x = _smooth(z, cfg.smoothing)
+            x = _smooth(z)
             layers.append(x)
         return layers
 
@@ -159,10 +153,8 @@ class MockUpstream:
         }
 
 
-def _smooth(x: ad.Tensor, width: int) -> ad.Tensor:
-    if width <= 1:
-        return x
-    return ad.time_patches(x, width, 1).sum(axis=1) * (1.0 / width)
+def _smooth(x: ad.Tensor) -> ad.Tensor:
+    return ad.time_patches(x, SMOOTHING, 1).sum(axis=1) * (1.0 / SMOOTHING)
 
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:
@@ -173,6 +165,16 @@ def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:
 def is_stack_file(path) -> bool:
     """Row source rule: a `.svhs` file is an imported stack; any other path is a WAV."""
     return Path(path).suffix == ".svhs"
+
+
+def check_row_stack(layers, manifest: Manifest, row: ManifestRow, n_layers_plus_1: int, dim: int):
+    """DataError naming the row and its file unless `layers` is (n_layers_plus_1, T, dim)."""
+    n, _, d = layers.shape
+    if (n, d) != (n_layers_plus_1, dim):
+        raise DataError(
+            f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
+            f"expected {n_layers_plus_1} layers of dim {dim}"
+        )
 
 
 # ---------------------------------------------------------------------------

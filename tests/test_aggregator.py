@@ -133,13 +133,9 @@ def test_export_rounded_rows_sum_near_one():
         assert abs(sum(float(v) for _, v in rows) - 1.0) <= 1e-5 + 13 * 5e-7
 
 
-def test_export_custom_and_default_labels():
-    rows = export_weights([0.5, 0.5], labels=["a", "b"])
-    assert [r[0] for r in rows] == ["a", "b"]
-    rows = export_weights([0.5, 0.5], labels=[])
+def test_export_default_labels():
+    rows = export_weights([0.5, 0.5])
     assert [r[0] for r in rows] == ["layer_0", "layer_1"]
-    with pytest.raises(DataError):
-        export_weights([0.5, 0.5], labels=["only_one"])
 
 
 def test_csv_writer_layout(tmp_path):

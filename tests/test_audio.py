@@ -14,6 +14,7 @@ from svkit.audio import (
     apply_rir,
     augment,
     fbank,
+    load_bank,
     mel_filter_centers,
     mix_noise,
     read_wav,
@@ -270,7 +271,7 @@ def test_augment_probability_zero_is_identity():
 
 def test_augment_unit_impulse_reverb_identity():
     wav = tone(200.0)
-    cfg = AugmentConfig(probability=1.0, kinds=("reverb",))
+    cfg = AugmentConfig(probability=1.0)
     only_delta = AugmentBanks(rirs=(Waveform(np.array([1.0])),))
     out = augment(wav, only_delta, cfg, np.random.default_rng(10))
     np.testing.assert_array_equal(out.samples, wav.samples)
@@ -285,11 +286,31 @@ def test_augment_trigger_rate_concentrates():
     assert 0.58 <= triggered / 10000 <= 0.62
 
 
-def test_augment_empty_bank_errors():
+def test_augment_empty_banks_return_input():
     wav = tone(200.0)
-    cfg = AugmentConfig(probability=1.0, kinds=("noise",))
-    with pytest.raises(DataError, match="bank is empty"):
-        augment(wav, AugmentBanks(), cfg, np.random.default_rng(0))
+    cfg = AugmentConfig(probability=1.0)
+    assert augment(wav, AugmentBanks(), cfg, np.random.default_rng(0)) is wav
+
+
+def test_augment_noise_only_bank_mixes_every_crop():
+    # the kinds follow the banks: with no RIR bank, every triggered crop is noise-mixed
+    wav = tone(200.0)
+    cfg = AugmentConfig(probability=1.0)
+    bank = banks()
+    noise_only = AugmentBanks(noises=bank.noises)
+    rng, replay = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(20):
+        out = augment(wav, noise_only, cfg, rng)
+        replay.random()  # trigger
+        replay.integers(0, 1)  # kind: noise is the only one
+        noise = noise_only.noises[int(replay.integers(0, 1))]
+        snr = float(replay.uniform(*cfg.noise_snr_db_range))
+        np.testing.assert_array_equal(out.samples, mix_noise(wav, noise, snr, replay).samples)
+
+
+def test_load_bank_rejects_directory_without_wavs(tmp_path):
+    with pytest.raises(FormatError, match="no .wav files"):
+        load_bank(tmp_path)
 
 
 def test_augment_deterministic_across_runs():
@@ -311,5 +332,3 @@ def test_augment_config_validation():
         AugmentConfig(probability=1.5)
     with pytest.raises(ConfigError):
         AugmentConfig(noise_snr_db_range=(20.0, 0.0))
-    with pytest.raises(ConfigError):
-        AugmentConfig(kinds=("echo",))

@@ -253,3 +253,84 @@ def test_commands_idempotent_byte_identical(workspace, capsys, tmp_path):
                         "--trials", str(data / "trials.txt"),
                         "--embeddings", str(root / "held.sveb"), "--out", str(out)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_option_tripwire():
+    """Every config key and global flag; a new option must be added here on purpose."""
+    from svkit.cli import _build_parser
+    from svkit.config import RunConfig, dump_config
+
+    keys = [line.split(" = ")[0] for line in dump_config(RunConfig()).splitlines()]
+    assert keys == [
+        "seed",
+        "fbank.n_mels", "fbank.win_ms", "fbank.hop_ms", "fbank.fft_size", "fbank.preemph",
+        "fbank.mel_low_hz", "fbank.mel_high_hz", "fbank.log_floor",
+        "upstream.n_layers", "upstream.dim", "upstream.seed",
+        "ecapa.in_dim", "ecapa.channels", "ecapa.res2_scale", "ecapa.dilations", "ecapa.se_bottleneck",
+        "ecapa.attention_channels", "ecapa.embed_dim",
+        "aam.margin", "aam.scale",
+        "schedule.stage1_epochs", "schedule.stage2_epochs", "schedule.lmft_epochs", "schedule.crop_seconds",
+        "schedule.lmft_crop_seconds", "schedule.lmft_margin", "schedule.batch_size", "schedule.lr_stage1",
+        "schedule.lr_stage2", "schedule.lr_lmft",
+        "augment.probability", "augment.noise_snr_db_range",
+        "scoring.cohort_top_k",
+        "plant.layer", "plant.strength",
+        "paths.noise_dir", "paths.rir_dir",
+    ]
+    flags = [s for action in _build_parser()._actions for s in action.option_strings]
+    assert flags == ["-h", "--help", "--config", "--set", "--deterministic", "--verbose"]
+
+
+def test_train_with_noise_bank_only(workspace, capsys, tmp_path):
+    """Augmentation kinds follow the configured banks: no RIR bank means no reverb draw."""
+    from svkit.audio import Waveform, write_wav
+
+    root, cfg = workspace
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    write_wav(noise_dir / "n0.wav", Waveform(np.random.default_rng(0).uniform(-0.3, 0.3, 16000)))
+    summary = run_ok(capsys, ["--config", cfg, "--set", f"paths.noise_dir={noise_dir}",
+                              "--set", "augment.probability=1.0", "train",
+                              "--manifest", str(root / "data" / "train.tsv"),
+                              "--out-dir", str(tmp_path / "run")])
+    assert summary["epochs"] == "1"
+
+
+def test_exit_code_3_on_checkpoint_for_another_config(workspace, capsys, tmp_path):
+    root, cfg = workspace
+    ckpt = root / "run" / "checkpoint.svck"  # trained by test_full_pipeline: 3 layers, dim 12
+    for override, tensor in (("upstream.n_layers=4", "agg.logits"), ("upstream.dim=16", "upstream.conv0.b")):
+        code = main(["--config", cfg, "--set", override, "embed", "--checkpoint", str(ckpt),
+                     "--manifest", str(root / "data" / "heldout.tsv"), "--out", str(tmp_path / "e.sveb")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"{ckpt}: checkpoint tensors do not match the configured system: {tensor}:" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "embed"])
+@pytest.mark.parametrize("shape", [(5, 4, 12), (4, 4, 8)], ids=["layers", "dim"])
+def test_exit_code_4_on_stack_that_does_not_fit(workspace, capsys, tmp_path, command, shape):
+    from svkit.config import load_config
+    from svkit.ecapa import init_params, save_checkpoint
+    from svkit.upstream import LayerStack, save_stack
+
+    _, cfg_path = workspace
+    rng = np.random.default_rng(1)
+    for i in range(2):
+        save_stack(LayerStack(rng.standard_normal(shape), frame_rate_hz=50.0), tmp_path / f"u{i}.svhs")
+    (tmp_path / "m.tsv").write_text("u0\ts0\tu0.svhs\nu1\ts1\tu1.svhs\n")
+    if command == "train":
+        argv = ["train", "--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "run")]
+    else:
+        cfg = load_config(cfg_path)
+        tensors = {f"ecapa.{k}": v for k, v in init_params(cfg.ecapa, seed=0).items()}
+        tensors["agg.logits"] = np.zeros(cfg.upstream.n_layers + 1)
+        save_checkpoint(tensors, tmp_path / "c.svck")
+        argv = ["embed", "--checkpoint", str(tmp_path / "c.svck"), "--manifest", str(tmp_path / "m.tsv"),
+                "--out", str(tmp_path / "e.sveb")]
+    code = main(["--config", cfg_path] + argv)
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert f"({tmp_path / 'u'}" in err and ".svhs): stack has" in err
+    assert f"stack has {shape[0]} layers of dim {shape[2]}, expected 4 layers of dim 12" in err

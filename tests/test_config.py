@@ -27,16 +27,16 @@ def test_load_file_and_overrides(tmp_path):
         "seed = 42\n"
         "ecapa.channels = 64\n"
         "ecapa.se_bottleneck = 32\n"
-        "upstream.conv_strides = 8,5,8\n"
-        "augment.kinds = noise\n"
+        "ecapa.dilations = 3, 5,7\n"
+        "augment.noise_snr_db_range = 5,15\n"
         "schedule.lr_stage1 = 5e-3\n"
     )
     cfg = load_config(path, overrides=[("ecapa.embed_dim", "64")])
     assert cfg.seed == 42
     assert cfg.ecapa.channels == 64
     assert cfg.ecapa.embed_dim == 64
-    assert cfg.upstream.conv_strides == (8, 5, 8)
-    assert cfg.augment.kinds == ("noise",)
+    assert cfg.ecapa.dilations == (3, 5, 7)
+    assert cfg.augment.noise_snr_db_range == (5.0, 15.0)
     assert cfg.schedule.lr_stage1 == 5e-3
 
 
@@ -51,9 +51,12 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("toplevel = 1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(path)
-    path.write_text("scoring.calibration_trials = 100\n")
-    with pytest.raises(ConfigError, match="unknown config key: scoring.calibration_trials"):
-        load_config(path)
+    # settings that were removed stay rejected
+    for key, value in (("scoring.calibration_trials", "100"), ("upstream.conv_strides", "5,4,4,4"),
+                       ("upstream.smoothing", "3"), ("augment.kinds", "noise")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            load_config(path)
 
 
 def test_bad_values_rejected(tmp_path):
@@ -63,6 +66,9 @@ def test_bad_values_rejected(tmp_path):
         load_config(path)
     path.write_text("fbank.n_mels = 0\n")
     with pytest.raises(ConfigError, match="n_mels"):
+        load_config(path)
+    path.write_text("ecapa.dilations = 2,x,4\n")
+    with pytest.raises(ConfigError, match="expected comma-separated numbers"):
         load_config(path)
     path.write_text("augment.probability = 2.0\n")
     with pytest.raises(ConfigError, match="probability"):

@@ -53,6 +53,9 @@ def test_from_checkpoint_rejects_mismatched_config(trained, tmp_path):
                         se_bottleneck=8, attention_channels=8, embed_dim=12)
     with pytest.raises(FormatError, match="do not match"):
         System.from_checkpoint(load_checkpoint(path), UP, wrong)
+    no_logits = {k: v for k, v in load_checkpoint(path).items() if k != "agg.logits"}
+    with pytest.raises(FormatError, match="agg.logits: checkpoint has no such tensor"):
+        System.from_checkpoint(no_logits, UP, EC)
 
 
 def test_embeddings_deterministic(trained):

@@ -7,6 +7,7 @@ from svkit.audio import Waveform
 from svkit.autodiff import Tensor
 from svkit.errors import ConfigError, DataError, FormatError
 from svkit.upstream import (
+    CONV_STRIDES,
     LayerStack,
     Manifest,
     ManifestRow,
@@ -55,7 +56,7 @@ def test_mock_forward_zero_input_bias_only():
     assert np.all(h0 == h0[0])
     # direct formula oracle: fold the biases through the linear conv stack
     c = np.zeros(1)
-    for i, stride in enumerate(cfg.conv_strides):
+    for i, stride in enumerate(CONV_STRIDES):
         w = model.params[f"conv{i}.w"]
         b = model.params[f"conv{i}.b"]
         c = np.tile(c, stride) @ w + b
