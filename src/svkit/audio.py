@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import convolve
 
 from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
@@ -110,8 +111,8 @@ class AugmentConfig:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError("augment.probability must lie in [0, 1]")
         lo, hi = self.noise_snr_db_range
-        if lo > hi:
-            raise ConfigError("augment SNR range must satisfy low <= high")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"augment.noise_snr_db_range must be finite with low <= high, got {lo},{hi}")
         object.__setattr__(self, "noise_snr_db_range", (float(lo), float(hi)))
 
 
@@ -266,11 +267,13 @@ def mix_noise(wav: Waveform, noise: Waveform, snr_db: float, rng: np.random.Gene
 
 
 def apply_rir(wav: Waveform, ir: Waveform) -> Waveform:
-    """Convolve with an impulse response, truncate to the input length, match RMS."""
+    """Convolve with an impulse response, truncate to the input length, match RMS.
+
+    scipy's size rule picks FFT for a room response, direct (exact) for a unit impulse."""
     h = ir.samples
     if not np.any(h != 0.0):
         raise DataError("impulse response has zero energy")
-    out = np.convolve(wav.samples, h)[: len(wav)]
+    out = convolve(wav.samples, h)[: len(wav)]
     rms_in = wav.rms()
     rms_out = float(np.sqrt(np.mean(out**2)))
     if rms_out > 0.0:

@@ -56,7 +56,9 @@ class LayerStack:
 # The mock's front end is fixed, like the encoders it stands in for (the
 # wav2vec 2.0 feature encoder hops 320 samples, 20 ms at 16 kHz): four strided
 # convs whose kernels equal their strides, and a 3-frame moving average after
-# every mixing layer.
+# every mixing layer. With no nonlinearity between them the four convs are one
+# linear map of each 320-sample patch, which `forward_graph` applies. That holds
+# for the mock only: real encoders put GELU and a norm between their convs.
 CONV_STRIDES = (5, 4, 4, 4)
 HOP = math.prod(CONV_STRIDES)
 SMOOTHING = 3
@@ -120,12 +122,17 @@ class MockUpstream:
                 f"waveform of {samples.data.size} samples is shorter than the "
                 f"{HOP}-sample receptive field"
             )
-        x = samples.reshape(-1, 1)
-        for i, stride in enumerate(CONV_STRIDES):
-            t = x.shape[0] // stride
-            c = x.shape[1]
-            x = x[: t * stride].reshape(t, stride * c)
-            x = x @ self._p(f"conv{i}.w") + self._p(f"conv{i}.b")
+        # compose the conv stack into one (HOP, D) weight and (1, D) bias: conv i
+        # reads `stride` frames of conv i-1, so its weight stacks the previous one
+        # times each (D, D) tap, and the previous bias passes through the taps' sum
+        d = cfg.dim
+        w, b = self._p("conv0.w"), self._p("conv0.b").reshape(1, d)
+        for i, stride in enumerate(CONV_STRIDES[1:], 1):
+            wi = self._p(f"conv{i}.w")
+            w = ad.concat([w @ wi[k * d : (k + 1) * d] for k in range(stride)])
+            b = b @ wi.reshape(stride, d, d).sum(axis=0) + self._p(f"conv{i}.b")
+        t = samples.data.size // HOP
+        x = samples[: t * HOP].reshape(t, HOP) @ w + b
         layers = [x]
         for l in range(1, cfg.n_layers + 1):
             z = (x @ self._p(f"mix{l}.w") + self._p(f"mix{l}.b")).tanh()

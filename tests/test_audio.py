@@ -235,6 +235,17 @@ def test_rir_delayed_impulse_shifts():
     np.testing.assert_allclose(out.samples, shifted * scale, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, taps", [(4000, 1), (4000, 11), (48000, 4000), (1500, 4000)])
+def test_rir_matches_direct_convolution(n, taps):
+    rng = np.random.default_rng(n + taps)
+    x = rng.uniform(-0.3, 0.3, n)
+    ir = rng.standard_normal(taps) * np.exp(-np.arange(taps) / (1.0 + taps / 5))
+    ref = np.convolve(x, ir)[:n]
+    ref = np.clip(ref * (np.sqrt(np.mean(x**2)) / np.sqrt(np.mean(ref**2))), -1.0, 1.0)
+    out = apply_rir(Waveform(x), Waveform(ir))
+    assert np.max(np.abs(out.samples - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_rir_zero_energy_errors():
     with pytest.raises(DataError, match="zero energy"):
         apply_rir(tone(440.0), Waveform(np.zeros(16)))

@@ -37,8 +37,9 @@ def workspace(tmp_path_factory):
 
 def run_ok(capsys, argv):
     code = main(argv)
-    out = capsys.readouterr().out.strip().splitlines()[-1]
-    assert code == 0, out
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    out = captured.out.strip().splitlines()[-1]
     assert out.startswith("status=ok")
     return dict(kv.split("=", 1) for kv in out.split()[1:])
 
@@ -185,6 +186,11 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
                  "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "plant.strength" in capsys.readouterr().err
+    # a non-finite SNR range stops at config load, not at the first noise draw
+    code = main(["--set", "augment.noise_snr_db_range=nan,nan", "train",
+                 "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "augment.noise_snr_db_range" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):

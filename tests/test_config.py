@@ -81,6 +81,13 @@ def test_bad_values_rejected(tmp_path):
             load_config(path)
     with pytest.raises(ConfigError, match="schedule.lr_stage1"):
         load_config(overrides=[("schedule.lr_stage1", "nan")])
+    for value in ("nan,nan", "-inf,5", "0,inf", "nan,5"):
+        with pytest.raises(ConfigError, match="augment.noise_snr_db_range must be finite"):
+            load_config(overrides=[("augment.noise_snr_db_range", value)])
+    for key in ("crop_seconds", "lmft_crop_seconds"):
+        for value in ("nan", "inf", "0.0", "-3.0"):
+            with pytest.raises(ConfigError, match=f"schedule.{key} must be finite and > 0"):
+                load_config(overrides=[(f"schedule.{key}", value)])
 
 
 def test_roundtrip_identity(tmp_path):

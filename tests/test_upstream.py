@@ -14,6 +14,7 @@ from svkit.upstream import (
     MockUpstream,
     MockUpstreamConfig,
     PlantSpec,
+    _smooth,
     load_manifest,
     load_stack,
     mock_forward,
@@ -97,6 +98,47 @@ def test_mock_graph_parameters_receive_gradients():
     sum(h.sum() for h in layers).backward()
     for name, p in params.items():
         assert p.grad is not None and np.any(p.grad != 0), name
+
+
+def reference_forward(model, samples):
+    """Layers 0..L with the four strided convs run one at a time: the reference
+    for the composed 320-sample patch map."""
+    x = samples.reshape(-1, 1)
+    for i, stride in enumerate(CONV_STRIDES):
+        t = x.shape[0] // stride
+        x = x[: t * stride].reshape(t, stride * x.shape[1])
+        x = x @ model.params[f"conv{i}.w"] + model.params[f"conv{i}.b"]
+    layers = [x]
+    for l in range(1, model.cfg.n_layers + 1):
+        x = _smooth((x @ model.params[f"mix{l}.w"] + model.params[f"mix{l}.b"]).tanh())
+        layers.append(x)
+    return layers
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [4877, 16001])
+def test_patch_map_matches_conv_by_conv_reference(n):
+    cfg = MockUpstreamConfig(n_layers=3, dim=16, seed=11)
+    samples = rand_wav(n, seed=n).samples
+    composed, reference = MockUpstream(cfg), MockUpstream(cfg)
+    params, ref_params = composed.as_tensors(), reference.as_tensors()
+    got = composed.forward_graph(Tensor(samples))
+    want = reference_forward(reference, Tensor(samples))
+    assert len(got) == len(want) == cfg.n_layers + 1
+    probe = np.random.default_rng(1).standard_normal((len(want),) + want[0].shape)
+    for h, r, p in zip(got, want, probe):
+        assert h.shape == r.shape == (n // 320, cfg.dim)
+        assert rel_err(h.data, r.data) <= 1e-10
+    sum((h * p).sum() for h, p in zip(got, probe)).backward()
+    sum((r * p).sum() for r, p in zip(want, probe)).backward()
+    assert set(params) == {f"conv{i}.{k}" for i in range(4) for k in "wb"} | {
+        f"mix{l}.{k}" for l in range(1, 4) for k in "wb"
+    }
+    for name, p in params.items():
+        assert rel_err(p.grad, ref_params[name].grad) <= 1e-10, name
 
 
 # ---------------------------------------------------------------------------
