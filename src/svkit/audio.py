@@ -25,7 +25,6 @@ class Waveform:
     """Mono 16 kHz sample sequence with amplitudes in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -33,8 +32,6 @@ class Waveform:
             raise ValueError("waveform must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)

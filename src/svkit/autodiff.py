@@ -75,14 +75,10 @@ class Tensor:
         else:
             parent.grad += grad
 
-    def backward(self, grad=None):
+    def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without an explicit gradient needs a scalar")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar")
 
         # iterative post-order over the requires_grad subgraph
         topo = []
@@ -101,7 +97,7 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
 
-        Tensor._accum(self, grad)
+        Tensor._accum(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -160,18 +156,6 @@ class Tensor:
 
         return Tensor._child(data, (a, b), back)
 
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
-    def __pow__(self, p: float):
-        a = self
-        data = a.data ** p
-
-        def back(g):
-            Tensor._accum(a, g * p * a.data ** (p - 1))
-
-        return Tensor._child(data, (a,), back)
-
     def __matmul__(self, other):
         a, b = self, Tensor._coerce(other)
         if a.data.ndim != 2 or b.data.ndim != 2:
@@ -209,6 +193,9 @@ class Tensor:
         return Tensor._child(a.data.T.copy(), (a,), back)
 
     def __getitem__(self, key):
+        # integer and slice keys only: `full[key] += g` would drop repeated array indices
+        if any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,))):
+            raise ValueError("indexing supports integers and slices only")
         a = self
         data = a.data[key]
         if np.isscalar(data) or data.ndim == 0:

@@ -212,8 +212,7 @@ def _cmd_train(args, cfg: RunConfig):
         cfg.schedule,
         upstream_cfg=cfg.upstream,
         ecapa_cfg=cfg.ecapa,
-        margin=cfg.aam.margin,
-        scale=cfg.aam.scale,
+        aam=cfg.aam,
         augment_cfg=cfg.augment,
         banks=banks,
         plant=cfg.plant.spec(),

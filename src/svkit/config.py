@@ -14,7 +14,7 @@ from pathlib import Path
 from .audio import AugmentConfig, FbankConfig
 from .ecapa import EcapaConfig
 from .errors import ConfigError
-from .training import TrainSchedule, check_aam
+from .training import AamConfig, TrainSchedule
 from .upstream import MockUpstreamConfig, PlantSpec
 
 
@@ -25,15 +25,6 @@ class ScoringConfig:
     def __post_init__(self):
         if self.cohort_top_k < 1:
             raise ConfigError("scoring.cohort_top_k must be >= 1")
-
-
-@dataclass(frozen=True)
-class AamSettings:
-    margin: float = 0.2
-    scale: float = 30.0
-
-    def __post_init__(self):
-        check_aam("aam.margin", self.margin, self.scale)
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class RunConfig:
     fbank: FbankConfig = field(default_factory=FbankConfig)
     upstream: MockUpstreamConfig = field(default_factory=MockUpstreamConfig)
     ecapa: EcapaConfig = field(default_factory=EcapaConfig)
-    aam: AamSettings = field(default_factory=AamSettings)
+    aam: AamConfig = field(default_factory=AamConfig)
     schedule: TrainSchedule = field(default_factory=TrainSchedule)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
@@ -70,17 +61,7 @@ class RunConfig:
     paths: PathSettings = field(default_factory=PathSettings)
 
 
-_SECTIONS = {
-    "fbank": FbankConfig,
-    "upstream": MockUpstreamConfig,
-    "ecapa": EcapaConfig,
-    "aam": AamSettings,
-    "schedule": TrainSchedule,
-    "augment": AugmentConfig,
-    "scoring": ScoringConfig,
-    "plant": PlantSettings,
-    "paths": PathSettings,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name != "seed")
 
 
 def _parse_value(text: str, current):

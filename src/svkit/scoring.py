@@ -106,7 +106,7 @@ def score_trials(trials, store: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def build_cohort(store: dict, manifest: Manifest, top_k: int = 600) -> Cohort:
+def build_cohort(store: dict, manifest: Manifest, top_k: int) -> Cohort:
     """One unit-normalized mean embedding per training speaker."""
     if not store:
         raise DataError("embedding store is empty")
@@ -390,6 +390,8 @@ def save_embeddings(store: dict, path):
         if vec.size != dim:
             raise DataError(f"embedding {uid} has dim {vec.size}, expected {dim}")
         enc = uid.encode("utf-8")
+        if len(enc) > 0xFFFF:
+            raise FormatError(f"embedding id too long for SVEB (over 65535 UTF-8 bytes): {uid}")
         out.append(struct.pack("<H", len(enc)))
         out.append(enc)
         out.append(vec.tobytes())

@@ -23,6 +23,8 @@ from .upstream import Manifest, ManifestRow, save_manifest
 _FORMANT_RANGE_HZ = (300.0, 3500.0)
 _BANDWIDTH_RANGE_HZ = (50.0, 200.0)
 _PITCH_RANGE_HZ = (80.0, 300.0)
+_N_FORMANTS = 4
+_FORMANT_JITTER = 0.02  # per-utterance relative shift of each formant, at most
 _NOISE_FLOOR = 0.01  # relative to pre-normalization RMS
 
 
@@ -32,8 +34,6 @@ class SynthSpec:
     utts_per_speaker: int
     utt_seconds: float
     seed: int = 0
-    n_formants: int = 4
-    formant_jitter: float = 0.02
 
     def __post_init__(self):
         if self.n_speakers < 2:
@@ -42,8 +42,6 @@ class SynthSpec:
             raise ConfigError("synth corpus needs at least two utterances per speaker")
         if self.utt_seconds < 1:
             raise ConfigError("utterances must be at least one second long")
-        if self.n_formants < 1 or self.formant_jitter < 0:
-            raise ConfigError("invalid formant settings")
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,8 @@ def synth_speaker(spec: SynthSpec, speaker_index: int) -> SpeakerProfile:
     if not 0 <= speaker_index < spec.n_speakers:
         raise DataError(f"speaker index {speaker_index} out of range 0..{spec.n_speakers - 1}")
     rng = child_rng(spec.seed, f"speaker:{speaker_index}")
-    formants = tuple(sorted(rng.uniform(*_FORMANT_RANGE_HZ, size=spec.n_formants)))
-    bandwidths = tuple(rng.uniform(*_BANDWIDTH_RANGE_HZ, size=spec.n_formants))
+    formants = tuple(sorted(rng.uniform(*_FORMANT_RANGE_HZ, size=_N_FORMANTS)))
+    bandwidths = tuple(rng.uniform(*_BANDWIDTH_RANGE_HZ, size=_N_FORMANTS))
     pitch = float(rng.uniform(*_PITCH_RANGE_HZ))
     return SpeakerProfile(
         speaker_id=f"spk{speaker_index:03d}",
@@ -80,22 +78,15 @@ def synth_speaker(spec: SynthSpec, speaker_index: int) -> SpeakerProfile:
     )
 
 
-def synth_utterance(
-    profile: SpeakerProfile,
-    utt_index: int,
-    seconds: float,
-    rng: np.random.Generator | None = None,
-    jitter: float = 0.02,
-) -> Waveform:
+def synth_utterance(profile: SpeakerProfile, utt_index: int, seconds: float) -> Waveform:
     """Pulse train at the speaker pitch through jittered resonators, peak 0.5.
 
-    All randomness derives from (profile, utt_index) unless an explicit rng
-    is supplied, so regeneration is bit-identical.
+    All randomness derives from (profile, utt_index), so regeneration is
+    bit-identical.
     """
     if seconds < 1:
         raise DataError("utterances must be at least one second long")
-    if rng is None:
-        rng = np.random.default_rng(derive_seed(profile.seed, f"utt:{utt_index}"))
+    rng = np.random.default_rng(derive_seed(profile.seed, f"utt:{utt_index}"))
     n = int(round(seconds * SAMPLE_RATE))
     period = SAMPLE_RATE / profile.pitch_hz
     pulses = np.zeros(n)
@@ -104,7 +95,7 @@ def synth_utterance(
 
     out = pulses
     for f0, bw in zip(profile.formants_hz, profile.bandwidths_hz):
-        f_jit = f0 * (1.0 + jitter * rng.uniform(-1.0, 1.0))
+        f_jit = f0 * (1.0 + _FORMANT_JITTER * rng.uniform(-1.0, 1.0))
         r = np.exp(-np.pi * bw / SAMPLE_RATE)
         omega = 2.0 * np.pi * f_jit / SAMPLE_RATE
         out = lfilter([1.0], [1.0, -2.0 * r * np.cos(omega), r * r], out)
@@ -131,7 +122,7 @@ def synth_corpus(spec: SynthSpec, out_dir) -> CorpusLayout:
     for s in range(spec.n_speakers):
         profile = synth_speaker(spec, s)
         for u in range(spec.utts_per_speaker):
-            wav = synth_utterance(profile, u, spec.utt_seconds, jitter=spec.formant_jitter)
+            wav = synth_utterance(profile, u, spec.utt_seconds)
             utt_id = f"{profile.speaker_id}_u{u:03d}"
             rel = f"wav/{utt_id}.wav"
             write_wav(out_dir / rel, wav)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from . import ecapa as ecapa_mod
 from .aggregator import aggregate_graph
-from .audio import AugmentBanks, AugmentConfig, Waveform, augment, read_wav
+from .audio import SAMPLE_RATE, AugmentBanks, AugmentConfig, Waveform, augment, read_wav
 from .ecapa import EcapaConfig
 from .errors import ConfigError, DataError
 from .rng import child_rng
@@ -46,14 +46,13 @@ def check_aam(margin_key: str, margin: float, scale: float = 1.0):
 
 @dataclass(frozen=True)
 class AamConfig:
-    n_classes: int
+    """The `aam` config section; the class count is the number of anchors."""
+
     margin: float = 0.2
     scale: float = 30.0
 
     def __post_init__(self):
         check_aam("aam.margin", self.margin, self.scale)
-        if self.n_classes < 2:
-            raise ConfigError("aam needs at least two classes")
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,9 @@ def aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Ten
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != embeddings.shape[0]:
         raise DataError("labels must align with the embedding batch")
-    if labels.min() < 0 or labels.max() >= cfg.n_classes:
-        raise DataError(f"label out of range [0, {cfg.n_classes})")
-    b = embeddings.shape[0]
+    b, n_classes = embeddings.shape[0], anchors.shape[0]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"label out of range [0, {n_classes})")
 
     e_norms = np.sqrt((embeddings.data**2).sum(axis=1))
     if np.any(e_norms == 0):
@@ -128,7 +127,7 @@ def aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Ten
     a_unit = anchors / (anchors * anchors).sum(axis=1, keepdims=True).sqrt()
 
     cos = (e_unit @ a_unit.transpose()).clip(-1.0 + 1e-7, 1.0 - 1e-7)
-    onehot = np.zeros((b, cfg.n_classes))
+    onehot = np.zeros((b, n_classes))
     onehot[np.arange(b), labels] = 1.0
     oh = Tensor(onehot)
 
@@ -152,7 +151,7 @@ def aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Ten
 
 def crop_random(wav: Waveform, seconds: float, rng: np.random.Generator) -> Waveform:
     """Uniform-random contiguous crop; shorter utterances are tiled to length."""
-    target = int(round(seconds * wav.sample_rate))
+    target = int(round(seconds * SAMPLE_RATE))
     if target < 1:
         raise DataError("crop length must be at least one sample")
     n = len(wav)
@@ -166,10 +165,11 @@ def crop_random(wav: Waveform, seconds: float, rng: np.random.Generator) -> Wave
 class Adam:
     """Adaptive-moment gradient descent over a fixed list of tensors."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -184,11 +184,11 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            m_hat = self.m[i] / (1 - self.BETA1**self.t)
+            v_hat = self.v[i] / (1 - self.BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,7 @@ def train(
     *,
     upstream_cfg: MockUpstreamConfig,
     ecapa_cfg: EcapaConfig,
-    margin: float = 0.2,
-    scale: float = 30.0,
+    aam: AamConfig = AamConfig(),
     augment_cfg: AugmentConfig = AugmentConfig(),
     banks: AugmentBanks | None = None,
     plant: PlantSpec | None = None,
@@ -244,12 +243,13 @@ def train(
     rows = list(manifest.rows)
     has_wav = not all(is_stack_file(row.path) for row in rows)
     stages = [
-        (1, schedule.stage1_epochs, schedule.lr_stage1, margin, schedule.crop_seconds, False),
-        (2, schedule.stage2_epochs, schedule.lr_stage2, margin, schedule.crop_seconds, True),
-        (3, schedule.lmft_epochs, schedule.lr_lmft, schedule.lmft_margin, schedule.lmft_crop_seconds, True),
+        (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),
+        (2, schedule.stage2_epochs, schedule.lr_stage2, aam, schedule.crop_seconds, True),
+        (3, schedule.lmft_epochs, schedule.lr_lmft, replace(aam, margin=schedule.lmft_margin),
+         schedule.lmft_crop_seconds, True),
     ]
     epoch_counter = 0
-    for stage, n_epochs, lr, stage_margin, crop_s, tune_upstream in stages:
+    for stage, n_epochs, lr, aam_cfg, crop_s, tune_upstream in stages:
         if n_epochs == 0:
             continue
         if tune_upstream and not has_wav:
@@ -257,7 +257,6 @@ def train(
             logger.info(notice)
             result.notices.append(notice)
             tune_upstream = False
-        aam_cfg = AamConfig(n_classes=len(speakers), margin=stage_margin, scale=scale)
         trainable = [logits, anchors] + [params[k] for k in sorted(params)]
         if tune_upstream:
             up_params = upstream.as_tensors()
@@ -416,7 +415,7 @@ def _gc_ecapa(rng):
 
 def _gc_aam(rng):
     b, e, n = 4, 6, 5
-    cfg = AamConfig(n_classes=n, margin=0.2, scale=30.0)
+    cfg = AamConfig()
     emb = Tensor(rng.standard_normal((b, e)), requires_grad=True)
     anchors = Tensor(rng.standard_normal((n, e)), requires_grad=True)
     labels = rng.integers(0, n, size=b)

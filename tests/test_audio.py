@@ -97,8 +97,6 @@ def test_waveform_invariants():
         Waveform(np.array([]))
     with pytest.raises(ValueError):
         Waveform(np.array([0.0, np.nan]))
-    with pytest.raises(ValueError):
-        Waveform(np.zeros(10), sample_rate=8000)
     wav = Waveform(np.zeros(10))
     with pytest.raises(ValueError):
         wav.samples[0] = 1.0  # immutable after construction

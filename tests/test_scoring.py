@@ -177,7 +177,7 @@ def test_cohort_single_embedding_is_unit_mean():
 def test_cohort_duplicate_embeddings_idempotent():
     store = {"u1": np.array([3.0, 4.0]), "u2": np.array([3.0, 4.0]), "u3": np.array([1.0, 0.0])}
     manifest = manifest_for([("u1", "a"), ("u2", "a"), ("u3", "b")])
-    cohort = build_cohort(store, manifest)
+    cohort = build_cohort(store, manifest, top_k=600)
     np.testing.assert_allclose(cohort.members[0], [0.6, 0.8])
 
 
@@ -185,7 +185,7 @@ def test_cohort_missing_speaker_embeddings():
     store = {"u1": np.array([1.0, 0.0])}
     manifest = manifest_for([("u1", "a"), ("u2", "b")])
     with pytest.raises(DataError, match="no embeddings"):
-        build_cohort(store, manifest)
+        build_cohort(store, manifest, top_k=600)
 
 
 def test_cohort_needs_two_speakers():
@@ -597,6 +597,16 @@ def test_embedding_store_roundtrip(tmp_path):
     assert set(loaded) == set(store)
     for k in store:
         np.testing.assert_array_equal(loaded[k], store[k])
+
+
+def test_embedding_store_rejects_an_id_its_length_field_cannot_hold(tmp_path):
+    longest = "é" * (0xFFFF // 2) + "u"  # 65535 UTF-8 bytes: the largest id a u16 length holds
+    save_embeddings({longest: np.ones(2)}, tmp_path / "ok.sveb")
+    assert set(load_embeddings(tmp_path / "ok.sveb")) == {longest}
+    path = tmp_path / "long.sveb"
+    with pytest.raises(FormatError, match="embedding id too long"):
+        save_embeddings({"short": np.ones(2), longest + "x": np.ones(2)}, path)
+    assert not path.exists()
 
 
 def test_embedding_store_bad_magic(tmp_path):

@@ -33,10 +33,10 @@ def test_speaker_index_out_of_range():
 
 def test_utterance_deterministic_per_index():
     profile = synth_speaker(SPEC, 0)
-    a = synth_utterance(profile, 3, 1.0, jitter=0.0)
-    b = synth_utterance(profile, 3, 1.0, jitter=0.0)
+    a = synth_utterance(profile, 3, 1.0)
+    b = synth_utterance(profile, 3, 1.0)
     np.testing.assert_array_equal(a.samples, b.samples)
-    c = synth_utterance(profile, 4, 1.0, jitter=0.0)
+    c = synth_utterance(profile, 4, 1.0)
     assert np.any(c.samples != a.samples)
 
 
@@ -51,7 +51,7 @@ def test_utterance_spectral_peak_near_a_formant():
     # nearest formant center (bin width 250 Hz >= half the maximum pitch)
     for idx in range(SPEC.n_speakers):
         profile = synth_speaker(SPEC, idx)
-        wav = synth_utterance(profile, 0, 1.0, jitter=0.0)
+        wav = synth_utterance(profile, 0, 1.0)
         freqs, power = welch(wav.samples, fs=16000, nperseg=64)
         peak_hz = freqs[np.argmax(power)]
         nearest = min(abs(peak_hz - f) for f in profile.formants_hz)

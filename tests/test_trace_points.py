@@ -1,10 +1,14 @@
-"""Guards for the benchmark's span tracer (`perfbench/tracing.py`).
+"""Guards for the benchmark's use of the svkit API (`perfbench/`).
 
-The tracer replaces svkit functions by attribute name, so a rename or a call
-that bypasses one of those attributes breaks or blinds `--trace 1` runs.
+The span tracer (`perfbench/tracing.py`) replaces svkit functions by attribute
+name, so a rename or a call that bypasses one of those attributes breaks or
+blinds `--trace 1` runs. The workloads call svkit by module attribute with
+keyword arguments, so a renamed function or keyword breaks every benchmark run.
 """
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,8 @@ from svkit.pipeline import System, extract_embeddings
 from svkit.synthcorpus import SynthSpec, synth_corpus
 from svkit.upstream import Manifest, ManifestRow, MockUpstreamConfig, mock_forward, save_stack
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +97,55 @@ def test_feature_path_calls_through_the_wrapped_names(tracing, tmp_path):
         "upstream.load_stack", "pipeline.stack_for", "pipeline.embed_row", "aggregator.aggregate",
     }
     assert expected - names == set()
+
+
+def parse(name):
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def svkit_uses(tree):
+    """(dotted name, object or None, node) for each `<svkit module>.<name>...` chain in a tree."""
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"svkit.{alias.name}")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "svkit"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        parts, base = [], node
+        while isinstance(base, ast.Attribute):
+            parts.insert(0, base.attr)
+            base = base.value
+        if not parts or not isinstance(base, ast.Name) or base.id not in modules:
+            continue
+        obj = modules[base.id]
+        for part in parts:
+            obj = getattr(obj, part, None)
+        yield ".".join([base.id, *parts]), obj, node
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "tracing.py"])
+def test_every_svkit_name_the_benchmark_uses_resolves(name):
+    uses = list(svkit_uses(parse(name)))
+    assert uses
+    assert [dotted for dotted, obj, _ in uses if obj is None] == []
+
+
+def test_every_svkit_call_in_the_workloads_binds_its_arguments():
+    tree = parse("workloads.py")
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    checked, unbound = set(), []
+    for dotted, obj, node in svkit_uses(tree):
+        call = calls.get(id(node))
+        if call is None or obj is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        try:
+            inspect.signature(obj).bind_partial(
+                *([] if starred else [None] * len(call.args)),
+                **{kw.arg: None for kw in call.keywords if kw.arg is not None},
+            )
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {dotted}: {exc}")
+        checked.add(dotted)
+    assert unbound == []
+    assert {"training.train", "scoring.build_cohort", "synthcorpus.SynthSpec", "ecapa.EcapaConfig"} <= checked

@@ -35,7 +35,7 @@ def test_aam_zero_margin_unit_scale_is_softmax_ce():
     emb = rng.standard_normal((b, e))
     anchors = rng.standard_normal((n, e))
     labels = rng.integers(0, n, b)
-    cfg = AamConfig(n_classes=n, margin=0.0, scale=1.0)
+    cfg = AamConfig(margin=0.0, scale=1.0)
     loss = aam_loss(Tensor(emb), labels, Tensor(anchors), cfg).item()
 
     eu = emb / np.linalg.norm(emb, axis=1, keepdims=True)
@@ -50,7 +50,7 @@ def test_aam_closed_form_perfectly_aligned_pair():
     # one sample, two classes, cos(theta_y)=1, cos(theta_other)=-1, m=0.2, s=30
     emb = Tensor(np.array([[2.0, 0.0]]))
     anchors = Tensor(np.array([[5.0, 0.0], [-3.0, 0.0]]))
-    cfg = AamConfig(n_classes=2, margin=0.2, scale=30.0)
+    cfg = AamConfig(margin=0.2, scale=30.0)
     loss = aam_loss(emb, [0], anchors, cfg).item()
     cos_y = 1.0 - 1e-7  # clamp
     cos_o = -1.0 + 1e-7
@@ -63,7 +63,7 @@ def test_aam_margin_fallback_branch():
     # nearly antipodal target: theta + m past pi must use the monotonic fallback
     emb = Tensor(np.array([[-1.0, 1e-4]]))
     anchors = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    cfg = AamConfig(n_classes=2, margin=0.2, scale=30.0)
+    cfg = AamConfig(margin=0.2, scale=30.0)
     loss = aam_loss(emb, [0], anchors, cfg).item()
     eu = emb.data[0] / np.linalg.norm(emb.data[0])
     cos_y = float(np.clip(eu @ anchors.data[0] / np.linalg.norm(anchors.data[0]), -1 + 1e-7, 1 - 1e-7))
@@ -76,9 +76,11 @@ def test_aam_margin_fallback_branch():
 
 def test_aam_rejects_bad_labels_and_zero_embeddings():
     anchors = Tensor(np.eye(3))
-    cfg = AamConfig(n_classes=3)
-    with pytest.raises(DataError, match="label out of range"):
+    cfg = AamConfig()
+    # the class count is the anchor count
+    with pytest.raises(DataError, match=r"label out of range \[0, 3\)"):
         aam_loss(Tensor(np.ones((2, 3))), [0, 3], anchors, cfg)
+    assert np.isfinite(aam_loss(Tensor(np.ones((2, 3))), [0, 3], Tensor(np.eye(4, 3) + 0.1), cfg).item())
     with pytest.raises(DataError, match="zero-norm"):
         aam_loss(Tensor(np.zeros((1, 3))), [0], anchors, cfg)
 
@@ -88,7 +90,7 @@ def test_aam_invariant_to_embedding_rescale():
     emb = rng.standard_normal((4, 6))
     anchors = Tensor(rng.standard_normal((3, 6)))
     labels = [0, 1, 2, 1]
-    cfg = AamConfig(n_classes=3)
+    cfg = AamConfig()
     base = aam_loss(Tensor(emb), labels, anchors, cfg).item()
     scaled = emb.copy()
     scaled[2] *= 37.5
@@ -100,7 +102,7 @@ def test_aam_gradient_step_decreases_separable_toy():
     emb = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     anchors = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     labels = [0, 1, 0, 1, 0, 1]
-    cfg = AamConfig(n_classes=2, margin=0.0, scale=10.0)
+    cfg = AamConfig(margin=0.0, scale=10.0)
     loss = aam_loss(emb, labels, anchors, cfg)
     loss.backward()
     before = loss.item()
@@ -112,11 +114,9 @@ def test_aam_gradient_step_decreases_separable_toy():
 
 def test_aam_config_validation():
     with pytest.raises(ConfigError):
-        AamConfig(n_classes=2, margin=2.0)
+        AamConfig(margin=2.0)
     with pytest.raises(ConfigError):
-        AamConfig(n_classes=2, scale=0.0)
-    with pytest.raises(ConfigError):
-        AamConfig(n_classes=1)
+        AamConfig(scale=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,21 @@ def test_lmft_stage_uses_larger_margin_crop(tiny_corpus):
     stages = [row[1] for row in res.log]
     assert stages == [1, 3]
     assert res.log[1][3] == sched.lr_lmft
+
+
+def test_aam_config_sets_stages_1_and_2_and_lmft_keeps_its_scale(tiny_corpus, monkeypatch):
+    seen = []
+
+    def spy(embeddings, labels, anchors, cfg):
+        seen.append((cfg.margin, cfg.scale))
+        return aam_loss(embeddings, labels, anchors, cfg)
+
+    monkeypatch.setattr("svkit.training.aam_loss", spy)
+    sched = tiny_schedule(stage2_epochs=1, lmft_epochs=1)
+    res = train(tiny_corpus.train, sched, upstream_cfg=UP, ecapa_cfg=EC,
+                aam=AamConfig(margin=0.1, scale=10.0), seed=2)
+    assert [row[1] for row in res.log] == [1, 2, 3]
+    assert seen == [(0.1, 10.0), (0.1, 10.0), (sched.lmft_margin, 10.0)]  # one batch per epoch
 
 
 def test_import_mode_stage2_freezes_and_notices(tiny_corpus, tmp_path):
