@@ -10,7 +10,6 @@ from .audio import (
     AugmentBanks,
     AugmentConfig,
     FbankConfig,
-    FeatureMatrix,
     Waveform,
     apply_rir,
     augment,

@@ -43,26 +43,31 @@ class Waveform:
         return float(np.sqrt(np.mean(self.samples**2)))
 
 
+# The fixed part of the FBank recipe: Kaldi's pre-emphasis, a 20-7600 Hz mel
+# range (below 8 kHz Nyquist), and the log floor that keeps silence finite.
+PREEMPH = 0.97
+MEL_LOW_HZ, MEL_HIGH_HZ = 20.0, 7600.0
+LOG_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class FbankConfig:
     n_mels: int = 40
     win_ms: float = 25.0
     hop_ms: float = 10.0
-    fft_size: int = 512
-    preemph: float = 0.97
-    mel_low_hz: float = 20.0
-    mel_high_hz: float = 7600.0
-    log_floor: float = 1e-10
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError("fbank.n_mels must be >= 1")
-        if not (self.win_ms > self.hop_ms > 0):
-            raise ConfigError("fbank window must be longer than hop, both positive")
-        if self.fft_size < self.win_samples:
-            raise ConfigError("fbank.fft_size must cover one window")
-        if not (0 < self.mel_low_hz < self.mel_high_hz <= SAMPLE_RATE / 2):
-            raise ConfigError("fbank mel range must satisfy 0 < low < high <= 8000")
+        if not math.isfinite(self.win_ms * SAMPLE_RATE):  # also a window whose sample count overflows
+            raise ConfigError(f"fbank.win_ms must be finite, got {self.win_ms}")
+        if not 0 < self.hop_ms < self.win_ms:
+            raise ConfigError(f"fbank.hop_ms must lie in (0, fbank.win_ms = {self.win_ms}), got {self.hop_ms}")
+        if not self.win_samples > self.hop_samples >= 1:
+            raise ConfigError(
+                f"fbank.win_ms = {self.win_ms} and fbank.hop_ms = {self.hop_ms} give {self.win_samples}- and "
+                f"{self.hop_samples}-sample frames at {SAMPLE_RATE} Hz; need window > hop >= 1 sample"
+            )
 
     @property
     def win_samples(self) -> int:
@@ -72,31 +77,10 @@ class FbankConfig:
     def hop_samples(self) -> int:
         return int(round(self.hop_ms * SAMPLE_RATE / 1000.0))
 
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """T x F frame-level features."""
-
-    frames: np.ndarray
-    frame_rate_hz: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("features must be a T x F matrix with T >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("features contain non-finite entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "frames", arr)
-
     @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
+    def fft_size(self) -> int:
+        """The smallest power of two that covers one window."""
+        return 1 << (self.win_samples - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -199,7 +183,7 @@ def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin centers, shape (n_mels, fft/2+1)."""
     n_bins = cfg.fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * SAMPLE_RATE / cfg.fft_size
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.mel_low_hz), hz_to_mel(cfg.mel_high_hz), cfg.n_mels + 2))
+    pts = mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), cfg.n_mels + 2))
     fb = np.zeros((cfg.n_mels, n_bins))
     for m in range(cfg.n_mels):
         left, center, right = pts[m], pts[m + 1], pts[m + 2]
@@ -209,30 +193,24 @@ def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     return fb
 
 
-def mel_filter_centers(cfg: FbankConfig) -> np.ndarray:
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.mel_low_hz), hz_to_mel(cfg.mel_high_hz), cfg.n_mels + 2))
-    return pts[1:-1]
-
-
-def fbank(wav: Waveform, cfg: FbankConfig = FbankConfig()) -> FeatureMatrix:
-    """Log mel filterbank energies.
+def fbank(wav: Waveform, cfg: FbankConfig = FbankConfig()) -> np.ndarray:
+    """Log mel filterbank energies, a float64 (T, n_mels) array.
 
     Pipeline: pre-emphasis -> Hamming window -> |FFT|^2 -> triangular mel
-    filterbank -> log(max(energy, log_floor)). Frame count is
+    filterbank -> log(max(energy, LOG_FLOOR)). Frame count is
     floor((N - win) / hop) + 1; trailing samples short of a window are dropped.
     """
     win, hop = cfg.win_samples, cfg.hop_samples
     x = wav.samples
     if x.size < win:
         raise DataError(f"waveform of {x.size} samples is shorter than one {win}-sample window")
-    emph = np.concatenate(([x[0]], x[1:] - cfg.preemph * x[:-1]))
+    emph = np.concatenate(([x[0]], x[1:] - PREEMPH * x[:-1]))
     n_frames = (x.size - win) // hop + 1
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = emph[idx] * np.hamming(win)
     power = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1)) ** 2
     energies = power @ mel_filterbank(cfg).T
-    out = np.log(np.maximum(energies, cfg.log_floor))
-    return FeatureMatrix(out, frame_rate_hz=SAMPLE_RATE / hop)
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
 # ---------------------------------------------------------------------------

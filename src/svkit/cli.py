@@ -175,8 +175,8 @@ def _cmd_synth_data(args, cfg: RunConfig):
 
 def _cmd_fbank(args, cfg: RunConfig):
     feats = fbank(read_wav(args.wav), cfg.fbank)
-    np.save(args.out, feats.frames)
-    return [("frames", feats.num_frames), ("dim", feats.dim)]
+    np.save(args.out, feats)
+    return [("frames", feats.shape[0]), ("dim", feats.shape[1])]
 
 
 def _cmd_upstream_export(args, cfg: RunConfig):
@@ -297,7 +297,10 @@ def _cmd_ensemble(args, cfg: RunConfig):
     trials = scoring.load_trials(args.trials)
     sets = [scoring.load_scores(p, trials) for p in args.scores]
     if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ConfigError(f"--weights expects comma-separated numbers, got {args.weights!r}") from None
     elif trials[0].label is not None:
         labels = scoring.trial_labels(trials)
         weights = [1.0 / max(scoring.eer(s, labels)[0], 1e-6) for s in sets]

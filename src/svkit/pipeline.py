@@ -44,12 +44,7 @@ class System:
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
         self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
         self.plant = plant
-        params = (
-            {k: np.asarray(v, dtype=np.float64) for k, v in upstream_params.items()}
-            if upstream_params
-            else None
-        )
-        self.upstream = MockUpstream(upstream_cfg, params=params)
+        self.upstream = MockUpstream(upstream_cfg, params=upstream_params or None)
 
     @classmethod
     def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant=None) -> "System":

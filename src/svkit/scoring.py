@@ -255,8 +255,8 @@ def ensemble(score_sets, weights) -> np.ndarray:
     if not sets or any(s.shape != sets[0].shape for s in sets):
         raise DataError("ensemble needs aligned, equally sized score sets")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(sets),) or np.any(w < 0) or w.sum() == 0:
-        raise DataError("ensemble weights must be nonnegative, not all zero, one per system")
+    if w.shape != (len(sets),) or not np.all(w >= 0) or not 0 < w.sum() < np.inf:
+        raise DataError("ensemble weights must be finite and nonnegative, not all zero, one per system")
     w = w / w.sum()
     out = np.zeros_like(sets[0])
     for wi, s in zip(w, sets):

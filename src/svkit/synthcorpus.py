@@ -8,6 +8,7 @@ therefore spectrally encoded and survives filterbank and encoder front ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,8 @@ class SynthSpec:
             raise ConfigError("synth corpus needs at least two speakers")
         if self.utts_per_speaker < 2:
             raise ConfigError("synth corpus needs at least two utterances per speaker")
-        if self.utt_seconds < 1:
-            raise ConfigError("utterances must be at least one second long")
+        if not 1 <= self.utt_seconds < math.inf:
+            raise ConfigError(f"utterances must be at least one second long and finite, got {self.utt_seconds}")
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,15 @@ class MockUpstreamConfig:
 class MockUpstream:
     """Seeded random encoder: strided conv stack then tanh mixing layers.
 
-    Parameters are fixed by the seed, never trained at construction; training
-    may update them in the joint fine-tuning stage. Forward passes are pure.
+    Parameters are fixed by the seed (or given) and held as frozen float64
+    tensors; `as_tensors` makes them trainable for the joint fine-tuning
+    stage. Forward passes are pure.
     """
 
     def __init__(self, cfg: MockUpstreamConfig, params: dict | None = None):
         self.cfg = cfg
-        self.params = params if params is not None else self._init_params(cfg)
+        arrays = params if params is not None else self._init_params(cfg)
+        self.params = {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
 
     @staticmethod
     def _init_params(cfg: MockUpstreamConfig) -> dict:
@@ -125,39 +127,29 @@ class MockUpstream:
         # compose the conv stack into one (HOP, D) weight and (1, D) bias: conv i
         # reads `stride` frames of conv i-1, so its weight stacks the previous one
         # times each (D, D) tap, and the previous bias passes through the taps' sum
-        d = cfg.dim
-        w, b = self._p("conv0.w"), self._p("conv0.b").reshape(1, d)
+        d, p = cfg.dim, self.params
+        w, b = p["conv0.w"], p["conv0.b"].reshape(1, d)
         for i, stride in enumerate(CONV_STRIDES[1:], 1):
-            wi = self._p(f"conv{i}.w")
+            wi = p[f"conv{i}.w"]
             w = ad.concat([w @ wi[k * d : (k + 1) * d] for k in range(stride)])
-            b = b @ wi.reshape(stride, d, d).sum(axis=0) + self._p(f"conv{i}.b")
+            b = b @ wi.reshape(stride, d, d).sum(axis=0) + p[f"conv{i}.b"]
         t = samples.data.size // HOP
         x = samples[: t * HOP].reshape(t, HOP) @ w + b
         layers = [x]
         for l in range(1, cfg.n_layers + 1):
-            z = (x @ self._p(f"mix{l}.w") + self._p(f"mix{l}.b")).tanh()
+            z = (x @ p[f"mix{l}.w"] + p[f"mix{l}.b"]).tanh()
             x = _smooth(z)
             layers.append(x)
         return layers
 
-    def _p(self, name: str) -> ad.Tensor:
-        p = self.params[name]
-        return p if isinstance(p, ad.Tensor) else ad.Tensor(p)
-
     def as_tensors(self) -> dict:
-        """Promote parameters to trainable tensors in place; returns them."""
-        for name, p in list(self.params.items()):
-            if not isinstance(p, ad.Tensor):
-                self.params[name] = ad.Tensor(p, requires_grad=True)
-            else:
-                p.requires_grad = True
+        """Mark the parameters trainable; returns them."""
+        for p in self.params.values():
+            p.requires_grad = True
         return self.params
 
     def param_arrays(self) -> dict:
-        return {
-            name: (p.data if isinstance(p, ad.Tensor) else p).copy()
-            for name, p in self.params.items()
-        }
+        return {name: p.data.copy() for name, p in self.params.items()}
 
 
 def _smooth(x: ad.Tensor) -> ad.Tensor:

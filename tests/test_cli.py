@@ -193,6 +193,36 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert "augment.noise_snr_db_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--set", "fbank.hop_ms=0.01", "fbank", "--wav", "w.wav", "--out", "f.npy"], "fbank.hop_ms"),
+    (["--set", "fbank.win_ms=inf", "fbank", "--wav", "w.wav", "--out", "f.npy"], "fbank.win_ms"),
+    (["--set", "fbank.fft_size=512", "fbank", "--wav", "w.wav", "--out", "f.npy"], "unknown config key"),
+    (["synth-data", "--out-dir", "d", "--seconds", "nan"], "finite"),
+    (["synth-data", "--out-dir", "d", "--seconds", "inf"], "finite"),
+])
+def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert expected in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ensemble_weights_must_parse_and_be_finite(tmp_path, capsys):
+    trials = tmp_path / "t.txt"
+    scores = tmp_path / "s.txt"
+    trials.write_text("1 a b\n0 c d\n")
+    scores.write_text("a b 0.900000\nc d 0.100000\n")
+    argv = ["ensemble", "--scores", str(scores), "--scores", str(scores), "--trials", str(trials),
+            "--out", str(tmp_path / "fused.txt")]
+    assert main(argv + ["--weights", "1,x"]) == 2
+    assert "--weights expects comma-separated numbers" in capsys.readouterr().err
+    assert main(argv + ["--weights", "nan,1"]) == 4
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "fused.txt").exists()
+    run_ok(capsys, argv + ["--weights", "3,1"])
+    assert (tmp_path / "fused.txt").read_text() == scores.read_text()
+
+
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):
     code = main(["train", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -269,8 +299,7 @@ def test_option_tripwire():
     keys = [line.split(" = ")[0] for line in dump_config(RunConfig()).splitlines()]
     assert keys == [
         "seed",
-        "fbank.n_mels", "fbank.win_ms", "fbank.hop_ms", "fbank.fft_size", "fbank.preemph",
-        "fbank.mel_low_hz", "fbank.mel_high_hz", "fbank.log_floor",
+        "fbank.n_mels", "fbank.win_ms", "fbank.hop_ms",
         "upstream.n_layers", "upstream.dim", "upstream.seed",
         "ecapa.in_dim", "ecapa.channels", "ecapa.res2_scale", "ecapa.dilations", "ecapa.se_bottleneck",
         "ecapa.attention_channels", "ecapa.embed_dim",

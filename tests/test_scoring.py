@@ -469,6 +469,9 @@ def test_ensemble_validation():
         ensemble([np.zeros(3)], [0.0])
     with pytest.raises(DataError):
         ensemble([np.zeros(3), np.zeros(3)], [1.0, -1.0])
+    for weights in ([np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]):  # the last sum overflows
+        with pytest.raises(DataError, match="finite"):
+            ensemble([np.zeros(3), np.zeros(3)], weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Synthetic corpus generator tests."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import welch
@@ -65,6 +67,9 @@ def test_spec_validation():
         SynthSpec(n_speakers=2, utts_per_speaker=1, utt_seconds=1)
     with pytest.raises(ConfigError):
         SynthSpec(n_speakers=2, utts_per_speaker=2, utt_seconds=0.5)
+    for seconds in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            SynthSpec(n_speakers=2, utts_per_speaker=2, utt_seconds=seconds)
 
 
 def test_corpus_layout_and_cardinality(tmp_path):
@@ -110,7 +115,7 @@ def test_fbank_nearest_neighbor_speaker_accuracy_above_chance(tmp_path):
     means, speakers = [], []
     for row in layout.manifest.rows:
         feats = fbank(read_wav(layout.manifest.resolve(row)))
-        means.append(feats.frames.mean(axis=0))
+        means.append(feats.mean(axis=0))
         speakers.append(row.speaker_id)
     means = np.asarray(means)
     correct = 0

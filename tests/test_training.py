@@ -211,12 +211,21 @@ def test_training_deterministic_given_seed(tiny_corpus):
     assert a.log == b.log
 
 
-def test_lmft_stage_uses_larger_margin_crop(tiny_corpus):
+def test_lmft_stage_uses_larger_margin_crop(tiny_corpus, monkeypatch):
+    seen = []
+
+    def spy(wav, seconds, rng):
+        seen.append(seconds)
+        return crop_random(wav, seconds, rng)
+
+    monkeypatch.setattr("svkit.training.crop_random", spy)
     sched = tiny_schedule(stage1_epochs=1, lmft_epochs=1)
     res = train(tiny_corpus.train, sched, upstream_cfg=UP, ecapa_cfg=EC, seed=2)
     stages = [row[1] for row in res.log]
     assert stages == [1, 3]
     assert res.log[1][3] == sched.lr_lmft
+    n = len(tiny_corpus.train)  # one crop per row per epoch
+    assert seen == [sched.crop_seconds] * n + [sched.lmft_crop_seconds] * n
 
 
 def test_aam_config_sets_stages_1_and_2_and_lmft_keeps_its_scale(tiny_corpus, monkeypatch):
@@ -274,7 +283,7 @@ def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
     assert [row[1] for row in res.log] == [1, 2]
     initial = MockUpstream(UP).params
     assert set(res.upstream) == set(initial)
-    assert any(np.any(res.upstream[k] != v) for k, v in initial.items())
+    assert any(np.any(res.upstream[k] != v.data) for k, v in initial.items())
 
 
 def test_single_speaker_manifest_rejected(tmp_path):

@@ -58,8 +58,8 @@ def test_mock_forward_zero_input_bias_only():
     # direct formula oracle: fold the biases through the linear conv stack
     c = np.zeros(1)
     for i, stride in enumerate(CONV_STRIDES):
-        w = model.params[f"conv{i}.w"]
-        b = model.params[f"conv{i}.b"]
+        w = model.params[f"conv{i}.w"].data
+        b = model.params[f"conv{i}.b"].data
         c = np.tile(c, stride) @ w + b
     np.testing.assert_allclose(h0[0], c, atol=1e-12)
 
@@ -93,7 +93,9 @@ def test_mock_graph_matches_array_path():
 def test_mock_graph_parameters_receive_gradients():
     cfg = MockUpstreamConfig(n_layers=2, dim=8, seed=4)
     model = MockUpstream(cfg)
+    assert all(isinstance(p, Tensor) and not p.requires_grad for p in model.params.values())
     params = model.as_tensors()
+    assert params is model.params
     layers = model.forward_graph(Tensor(rand_wav(1600, seed=6).samples))
     sum(h.sum() for h in layers).backward()
     for name, p in params.items():
