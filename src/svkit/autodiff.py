@@ -1,9 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Eager tensors: every operation computes its value immediately and records
-a backward closure. ``Tensor.backward()`` walks the recorded graph in
-reverse topological order and accumulates gradients into ``.grad`` of every
-tensor on a path to a ``requires_grad`` leaf.
+Eager tensors: every operation computes its value immediately and records it
+through ``Tensor._op``, with its parents and one vector-Jacobian product (VJP)
+per parent: the function that turns the output's gradient into that parent's.
+``Tensor.backward()`` walks the recorded graph in reverse topological order
+and, for each parent on a path to a ``requires_grad`` leaf, runs that parent's
+VJP, sums the result down to the parent's shape where numpy broadcasting
+widened it, and accumulates it into the parent's ``.grad``. A parent that
+needs no gradient never has its VJP run.
 
 The op set is deliberately small: elementwise arithmetic with numpy
 broadcasting, 2-D matmul, reductions, a few nonlinearities, slicing,
@@ -13,6 +17,8 @@ is composed from these.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,8 +33,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _same(g):
+    return g
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # an ndarray on the left of an operator defers to the Tensor's reflected op
+    __array_ufunc__ = None
+    __hash__ = object.__hash__
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -50,35 +63,35 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
+    def __eq__(self, other):
+        raise TypeError("Tensor does not support == or !=; compare .data")
+
+    __ne__ = __eq__
+
     # -- graph plumbing ----------------------------------------------------
 
     @staticmethod
-    def _child(data: np.ndarray, parents, backward) -> "Tensor":
+    def _op(data: np.ndarray, parents: tuple, vjps: tuple) -> "Tensor":
+        """Record a node: its value and one VJP per parent. A node none of
+        whose parents needs a gradient is a constant and records no graph."""
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+            out._parents = parents
+            out._backward = vjps
         else:
             out._parents = ()
             out._backward = None
         return out
 
-    @staticmethod
-    def _accum(parent: "Tensor", grad: np.ndarray):
-        if not parent.requires_grad:
-            return
-        if parent.grad is None:
-            parent.grad = grad.copy()
-        else:
-            parent.grad += grad
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar")
+        if not self.requires_grad:
+            return
 
         # iterative post-order over the requires_grad subgraph
         topo = []
@@ -97,10 +110,20 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
 
-        Tensor._accum(self, np.ones_like(self.data))
+        self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1.0
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, vjp in zip(node._parents, node._backward):
+                if not parent.requires_grad:
+                    continue
+                grad = vjp(node.grad)
+                if grad.shape != parent.data.shape:
+                    grad = _unbroadcast(grad, parent.data.shape)
+                if parent.grad is None:
+                    parent.grad = grad.copy()
+                else:
+                    parent.grad += grad
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -110,87 +133,49 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, Tensor._coerce(other)
-        data = a.data + b.data
-
-        def back(g):
-            Tensor._accum(a, _unbroadcast(g, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g, b.data.shape))
-
-        return Tensor._child(data, (a, b), back)
+        return Tensor._op(a.data + b.data, (a, b), (_same, _same))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def back(g):
-            Tensor._accum(a, -g)
-
-        return Tensor._child(-a.data, (a,), back)
+        return Tensor._op(-self.data, (self,), (np.negative,))
 
     def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
+        a, b = self, Tensor._coerce(other)
+        return Tensor._op(a.data - b.data, (a, b), (_same, np.negative))
 
     def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
+        return Tensor._coerce(other) - self
 
     def __mul__(self, other):
         a, b = self, Tensor._coerce(other)
-        data = a.data * b.data
-
-        def back(g):
-            Tensor._accum(a, _unbroadcast(g * b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor._child(data, (a, b), back)
+        return Tensor._op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, Tensor._coerce(other)
-        data = a.data / b.data
-
-        def back(g):
-            Tensor._accum(a, _unbroadcast(g / b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._child(data, (a, b), back)
+        return Tensor._op(a.data / b.data, (a, b),
+                          (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
     def __matmul__(self, other):
         a, b = self, Tensor._coerce(other)
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul supports 2-D operands only")
-        data = a.data @ b.data
-
-        def back(g):
-            Tensor._accum(a, g @ b.data.T)
-            Tensor._accum(b, a.data.T @ g)
-
-        return Tensor._child(data, (a, b), back)
+        return Tensor._op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
     # -- shapes ----------------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        orig = a.data.shape
-        data = a.data.reshape(shape)
-
-        def back(g):
-            Tensor._accum(a, g.reshape(orig))
-
-        return Tensor._child(data, (a,), back)
+        orig = self.data.shape
+        return Tensor._op(self.data.reshape(shape), (self,), (lambda g: g.reshape(orig),))
 
     def transpose(self):
-        a = self
-        if a.data.ndim != 2:
+        if self.data.ndim != 2:
             raise ValueError("transpose supports 2-D tensors only")
-
-        def back(g):
-            Tensor._accum(a, g.T)
-
-        return Tensor._child(a.data.T.copy(), (a,), back)
+        return Tensor._op(self.data.T.copy(), (self,), (np.transpose,))
 
     def __getitem__(self, key):
         # integer and slice keys only: `full[key] += g` would drop repeated array indices
@@ -201,27 +186,20 @@ class Tensor:
         if np.isscalar(data) or data.ndim == 0:
             data = np.asarray(data).reshape(())
 
-        def back(g):
+        def vjp(g):
             full = np.zeros_like(a.data)
             full[key] += g
-            Tensor._accum(a, full)
+            return full
 
-        return Tensor._child(np.ascontiguousarray(data), (a,), back)
+        return Tensor._op(np.ascontiguousarray(data), (a,), (vjp,))
 
     # -- reductions --------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def back(g):
-            if axis is None:
-                Tensor._accum(a, np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                Tensor._accum(a, np.broadcast_to(gg, a.data.shape).copy())
-
-        return Tensor._child(np.asarray(data), (a,), back)
+        shape = self.data.shape
+        keep = keepdims or axis is None  # the gradient already broadcasts against `shape`
+        return Tensor._op(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), (self,),
+                          (lambda g: np.broadcast_to(g if keep else np.expand_dims(g, axis), shape),))
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -230,87 +208,49 @@ class Tensor:
     # -- nonlinearities --------------------------------------------------------
 
     def exp(self):
-        a = self
-        data = np.exp(a.data)
-
-        def back(g):
-            Tensor._accum(a, g * data)
-
-        return Tensor._child(data, (a,), back)
+        data = np.exp(self.data)
+        return Tensor._op(data, (self,), (lambda g: g * data,))
 
     def log(self):
         a = self
-
-        def back(g):
-            Tensor._accum(a, g / a.data)
-
-        return Tensor._child(np.log(a.data), (a,), back)
+        return Tensor._op(np.log(a.data), (a,), (lambda g: g / a.data,))
 
     def sqrt(self):
-        a = self
-        data = np.sqrt(a.data)
-
-        def back(g):
-            Tensor._accum(a, g * 0.5 / data)
-
-        return Tensor._child(data, (a,), back)
+        data = np.sqrt(self.data)
+        return Tensor._op(data, (self,), (lambda g: g * 0.5 / data,))
 
     def tanh(self):
-        a = self
-        data = np.tanh(a.data)
-
-        def back(g):
-            Tensor._accum(a, g * (1.0 - data * data))
-
-        return Tensor._child(data, (a,), back)
+        data = np.tanh(self.data)
+        return Tensor._op(data, (self,), (lambda g: g * (1.0 - data * data),))
 
     def sigmoid(self):
-        a = self
-        z = np.exp(-np.abs(a.data))
-        data = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-        def back(g):
-            Tensor._accum(a, g * data * (1.0 - data))
-
-        return Tensor._child(data, (a,), back)
+        z = np.exp(-np.abs(self.data))
+        data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return Tensor._op(data, (self,), (lambda g: g * data * (1.0 - data),))
 
     def relu(self):
         a = self
-        data = np.maximum(a.data, 0.0)
-
-        def back(g):
-            Tensor._accum(a, g * (a.data > 0))
-
-        return Tensor._child(data, (a,), back)
+        return Tensor._op(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0),))
 
     def clip(self, lo=None, hi=None):
-        a = self
-        data = np.clip(a.data, lo, hi)
-        mask = np.ones_like(a.data)
+        mask = np.ones_like(self.data)
         if lo is not None:
-            mask *= a.data >= lo
+            mask *= self.data >= lo
         if hi is not None:
-            mask *= a.data <= hi
-
-        def back(g):
-            Tensor._accum(a, g * mask)
-
-        return Tensor._child(data, (a,), back)
+            mask *= self.data <= hi
+        return Tensor._op(np.clip(self.data, lo, hi), (self,), (lambda g: g * mask,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [Tensor._coerce(t) for t in tensors]
+    ts = tuple(Tensor._coerce(t) for t in tensors)
     data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            Tensor._accum(t, g[tuple(idx)])
-
-    return Tensor._child(data, ts, back)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
+    vjps = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * data.ndim
+        idx[axis] = slice(lo, hi)
+        vjps.append(itemgetter(tuple(idx)))  # bound now: each part reads its own slice
+    return Tensor._op(data, ts, tuple(vjps))
 
 
 def stack_rows(tensors) -> Tensor:
@@ -330,14 +270,13 @@ def time_patches(x: Tensor, width: int, dilation: int = 1) -> Tensor:
     t = a.data.shape[0]
     offs = (np.arange(width) - width // 2) * dilation
     idx = np.clip(np.arange(t)[:, None] + offs[None, :], 0, t - 1)
-    data = a.data[idx]
 
-    def back(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         np.add.at(full, idx, g)
-        Tensor._accum(a, full)
+        return full
 
-    return Tensor._child(data, (a,), back)
+    return Tensor._op(a.data[idx], (a,), (vjp,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .binfile import Reader
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 
 _NORM_EPS = 1e-5
@@ -227,11 +227,16 @@ _SVCK_MAGIC = b"SVCK"
 
 
 def save_checkpoint(tensors: dict, path):
-    """Write named tensors sorted by name: SVCK, version, then records."""
+    """Write named tensors sorted by name: SVCK, version, then records.
+
+    A tensor that is not finite in float32 is a DataError, and nothing is written.
+    """
     out = [_SVCK_MAGIC, struct.pack("<I", 1)]
     for name in sorted(tensors):
         data = tensors[name]
         arr = np.asarray(data.data if isinstance(data, Tensor) else data, dtype="<f4")
+        if not np.isfinite(arr).all():  # load_checkpoint would reject the file
+            raise DataError(f"tensor {name} is not finite in float32; no checkpoint written")
         enc = name.encode("utf-8")
         if len(enc) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name}")

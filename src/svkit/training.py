@@ -214,7 +214,9 @@ def train(
     augmentation) and frozen in every stage. Every other row is a WAV that is
     cropped, augmented when `banks` is given, and run through the seeded mock
     upstream. With no WAV row there is no upstream to tune: stage 2 logs a
-    notice and the result exports no upstream tensors.
+    notice and the result exports no upstream tensors. A non-finite loss, or a
+    non-finite parameter after an optimizer step, is a DataError that names
+    the stage, epoch and batch.
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
@@ -266,7 +268,7 @@ def train(
             epoch_counter += 1
             perm = rng_order.permutation(len(rows))
             losses = []
-            for start in range(0, len(perm), schedule.batch_size):
+            for batch_no, start in enumerate(range(0, len(perm), schedule.batch_size), 1):
                 batch = [rows[i] for i in perm[start : start + schedule.batch_size]]
                 embs, labels = [], []
                 for row in batch:
@@ -277,10 +279,17 @@ def train(
                     embs.append(ecapa_mod.forward(feats, params, ecapa_cfg))
                     labels.append(spk_index[row.speaker_id])
                 loss = aam_loss(ad.stack_rows(embs), labels, anchors, aam_cfg)
+                value = loss.item()
+                where = f"stage {stage} epoch {epoch_counter} batch {batch_no}"
+                if not math.isfinite(value):
+                    raise DataError(f"training diverged at {where}: non-finite loss; lower the learning rate")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-                losses.append(loss.item())
+                if not all(np.isfinite(p.data).all() for p in trainable):
+                    raise DataError(f"training diverged at {where}: non-finite parameter after the "
+                                    "optimizer step; lower the learning rate")
+                losses.append(value)
             epoch_loss = float(np.mean(losses))
             result.log.append((epoch_counter, stage, epoch_loss, lr))
             logger.info("epoch %d stage %d loss %.6f lr %g", epoch_counter, stage, epoch_loss, lr)

@@ -1,5 +1,7 @@
 """Finite-difference and structural checks for the autodiff engine."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -35,26 +37,42 @@ def check_op(build, shape, seed, atol=1e-7):
     np.testing.assert_allclose(t.grad, fd_grad(f, x.copy()), atol=atol, rtol=1e-5)
 
 
-@pytest.mark.parametrize(
-    "name,build",
-    [
-        ("exp", lambda t: t.exp()),
-        ("log", lambda t: (t * t + 1.0).log()),
-        ("sqrt", lambda t: (t * t + 0.5).sqrt()),
-        ("tanh", lambda t: t.tanh()),
-        ("sigmoid", lambda t: t.sigmoid()),
-        ("relu", lambda t: (t + 0.05).relu()),
-        ("mean", lambda t: (t.mean(axis=0, keepdims=True) * t)),
-        ("clip", lambda t: t.clip(-0.5, 0.5) * 3.0),
-        ("slice", lambda t: t[1:3, :2] * 2.0),
-        ("reshape", lambda t: t.reshape(2, -1).tanh()),
-        ("transpose", lambda t: (t.transpose() @ t)),
-        ("div", lambda t: t / (t * t + 2.0)),
-        ("softmax", lambda t: ad.softmax(t, axis=1) * np.arange(12.0).reshape(4, 3)),
-        ("logsumexp", lambda t: ad.logsumexp(t, axis=1)),
-        ("patches", lambda t: ad.time_patches(t, 3, 2).sum(axis=1).tanh()),
-    ],
-)
+# fixed weights for ops whose plain sum has a constant gradient
+W = np.arange(12.0).reshape(4, 3) / 6.0 - 1.0
+
+# every engine op is called on a gradient-carrying tensor by at least one case
+# (test_every_op_has_a_finite_difference_case)
+OP_CASES = [
+    ("exp", lambda t: t.exp()),
+    ("log", lambda t: (t * t + 1.0).log()),
+    ("sqrt", lambda t: (t * t + 0.5).sqrt()),
+    ("tanh", lambda t: t.tanh()),
+    ("sigmoid", lambda t: t.sigmoid()),
+    ("relu", lambda t: (t + 0.05).relu()),
+    ("mean", lambda t: (t.mean(axis=0, keepdims=True) * t)),
+    ("clip", lambda t: t.clip(-0.5, 0.5) * 3.0),
+    ("slice", lambda t: t[1:3, :2] * 2.0),
+    ("reshape", lambda t: t.reshape(2, -1).tanh()),
+    ("transpose", lambda t: (t.transpose() @ t)),
+    ("div", lambda t: t / (t * t + 2.0)),
+    ("softmax", lambda t: ad.softmax(t, axis=1) * np.arange(12.0).reshape(4, 3)),
+    ("logsumexp", lambda t: ad.logsumexp(t, axis=1)),
+    ("patches", lambda t: ad.time_patches(t, 3, 2).sum(axis=1).tanh()),
+    ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),
+    ("rsub", lambda t: 1.0 - t * t),
+    ("neg", lambda t: -t * W),
+    ("add_column", lambda t: (t + t[:, :1]).tanh()),
+    ("radd", lambda t: (0.5 + t).tanh()),
+    ("mul_column", lambda t: t * t[:, 1:2]),
+    ("rmul", lambda t: (2.0 * t).tanh()),
+    ("div_column", lambda t: t / (t[:, 2:] * t[:, 2:] + 1.0)),
+    ("sum_all", lambda t: t * (t * t).sum()),
+    ("concat_axis1", lambda t: ad.concat([t.tanh(), t[:, :1] * 2.0], axis=1) * np.arange(16.0).reshape(4, 4)),
+    ("stack_rows", lambda t: ad.stack_rows([t[0], t[1] * t[2]]).tanh()),
+]
+
+
+@pytest.mark.parametrize("name,build", OP_CASES)
 def test_op_gradients(name, build):
     check_op(build, (4, 3), seed=hash(name) % 2**31)
 
@@ -140,3 +158,69 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     s = ad.softmax(Tensor(rng.standard_normal((6, 5)) * 10), axis=1)
     np.testing.assert_allclose(s.data.sum(axis=1), np.ones(6), atol=1e-12)
+
+
+def engine_ops():
+    """The public Tensor methods, the arithmetic dunders and the module's public functions."""
+    not_ops = {"__init__", "__repr__", "__eq__", "__ne__", "item", "backward"}
+    methods = [n for n, f in vars(Tensor).items()
+               if inspect.isfunction(f) and n not in not_ops and (n.startswith("__") or not n.startswith("_"))]
+    functions = [n for n, f in vars(ad).items()
+                 if inspect.isfunction(f) and f.__module__ == ad.__name__ and not n.startswith("_")]
+    return methods, functions
+
+
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    methods, functions = engine_ops()
+    assert {"__add__", "__rsub__", "__matmul__", "__getitem__", "sum", "clip"} <= set(methods)
+    assert {"concat", "time_patches", "softmax", "logsumexp"} <= set(functions)
+    exercised = set()
+
+    def record(owner, name):
+        original = vars(owner)[name]
+
+        def wrapper(*args, **kwargs):
+            flat = [x for a in args for x in (a if isinstance(a, (list, tuple)) else (a,))]
+            if any(isinstance(x, Tensor) and x.requires_grad for x in flat):
+                exercised.add(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in methods:
+        record(Tensor, name)
+    for name in functions:
+        record(ad, name)
+    for _, build in OP_CASES:
+        build(Tensor(np.ones((4, 3)), requires_grad=True))
+    assert sorted(set(methods + functions) - exercised) == []
+
+
+def test_backward_never_runs_the_vjp_of_a_parent_that_needs_no_gradient():
+    ran = []
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.full(3, 2.0))
+    out = Tensor._op(x.data * c.data, (x, c),
+                     (lambda g: ran.append("x") or g * c.data, lambda g: ran.append("c") or g * x.data))
+    out.sum().backward()
+    assert ran == ["x"] and c.grad is None
+    np.testing.assert_array_equal(x.grad, c.data)
+
+
+def test_ndarray_on_the_left_reaches_the_reflected_op():
+    t = Tensor(np.arange(3.0), requires_grad=True)
+    for out, expected in ((np.ones(3) + t, [1.0, 2.0, 3.0]), (np.ones(3) - t, [1.0, 0.0, -1.0]),
+                          (np.full(3, 2.0) * t, [0.0, 2.0, 4.0])):
+        assert isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, expected)
+    (np.full(3, 2.0) * t).sum().backward()
+    np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
+
+
+def test_equality_raises_and_hash_is_identity():
+    t = Tensor(np.ones(3))
+    for compare in (lambda: t == t, lambda: t != Tensor(np.ones(3)), lambda: np.ones(3) != t,
+                    lambda: np.ones(3) == t, lambda: t != np.ones(3)):
+        with pytest.raises(TypeError, match=r"compare \.data"):
+            compare()
+    assert {t: 1}[t] == 1 and hash(t) == object.__hash__(t)

@@ -369,3 +369,24 @@ def test_exit_code_4_on_stack_that_does_not_fit(workspace, capsys, tmp_path, com
     assert code == 4, err
     assert f"({tmp_path / 'u'}" in err and ".svhs): stack has" in err
     assert f"stack has {shape[0]} layers of dim {shape[2]}, expected 4 layers of dim 12" in err
+
+
+# at lr 1e150 the second epoch's loss is NaN; after one epoch the anchors are
+# still finite in float64 but past float32's range, which the checkpoint refuses
+@pytest.mark.parametrize("epochs,message", [
+    ("2", "training diverged at stage 1 epoch 2 batch 1: non-finite loss"),
+    ("1", "tensor aam.anchors is not finite in float32; no checkpoint written"),
+])
+def test_exit_code_4_on_diverged_training_writes_no_checkpoint(tmp_path, capsys, epochs, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG)
+    run_ok(capsys, ["--config", str(cfg), "synth-data", "--out-dir", str(tmp_path / "data"),
+                    "--speakers", "3", "--utts", "3", "--seconds", "1"])
+    run_dir = tmp_path / "run"
+    code = main(["--config", str(cfg), "--set", "schedule.lr_stage1=1e150",
+                 "--set", f"schedule.stage1_epochs={epochs}", "train",
+                 "--manifest", str(tmp_path / "data" / "train.tsv"), "--out-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert message in err and "Traceback" not in err
+    assert not (run_dir / "checkpoint.svck").exists()

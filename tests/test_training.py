@@ -200,6 +200,21 @@ def test_training_loss_decreases(tiny_corpus):
     assert losses[-1] < losses[0]
 
 
+def test_non_finite_parameter_after_the_last_step_raises(tiny_corpus, monkeypatch):
+    # no loss follows the last step, so the parameters themselves are checked
+    last = -(-len(tiny_corpus.train) // 3)
+    step = Adam.step
+
+    def poisoned(self):
+        step(self)
+        if self.t == last:
+            self.params[-1].data = np.full_like(self.params[-1].data, np.inf)
+
+    monkeypatch.setattr(Adam, "step", poisoned)
+    with pytest.raises(DataError, match=f"diverged at stage 1 epoch 1 batch {last}: non-finite parameter"):
+        train(tiny_corpus.train, tiny_schedule(batch_size=3), upstream_cfg=UP, ecapa_cfg=EC, seed=1)
+
+
 def test_training_deterministic_given_seed(tiny_corpus):
     kw = dict(upstream_cfg=UP, ecapa_cfg=EC, seed=9)
     a = train(tiny_corpus.train, tiny_schedule(), **kw)
