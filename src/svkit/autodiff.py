@@ -11,9 +11,8 @@ needs no gradient never has its VJP run.
 
 The op set is deliberately small: elementwise arithmetic with numpy
 broadcasting, 2-D matmul, reductions, a few nonlinearities, slicing,
-concatenation, and ``time_patches`` (the gather that backs dilated
-temporal convolutions with replicate padding). Everything higher-level
-is composed from these.
+concatenation, and ``conv1d`` (a dilated temporal convolution with replicate
+padding, the one temporal op). Everything higher-level is composed from these.
 """
 
 from __future__ import annotations
@@ -253,30 +252,27 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._op(data, ts, tuple(vjps))
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack 1-D tensors of equal length into a (len, n) matrix."""
-    return concat([t.reshape(1, -1) for t in tensors], axis=0)
+def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1) -> Tensor:
+    """Dilated temporal convolution of a (T, C) tensor: (T, C_out).
 
-
-def time_patches(x: Tensor, width: int, dilation: int = 1) -> Tensor:
-    """Gather (T, width, C) dilated temporal patches from a (T, C) tensor.
-
+    `w` is (kernel * C, C_out), its rows tap-major, and `b` is (C_out,).
     Padding is replicate ('edge'): out-of-range taps read the first or last
-    frame, so a time-constant input yields time-constant patches.
+    frame, so a time-constant input yields a time-constant output.
     """
-    a = Tensor._coerce(x)
-    if a.data.ndim != 2:
-        raise ValueError("time_patches expects a (T, C) tensor")
-    t = a.data.shape[0]
-    offs = (np.arange(width) - width // 2) * dilation
+    x, w, b = (Tensor._coerce(v) for v in (x, w, b))
+    if x.data.ndim != 2:
+        raise ValueError("conv1d expects a (T, C) tensor")
+    t, c = x.data.shape
+    offs = (np.arange(kernel) - kernel // 2) * dilation
     idx = np.clip(np.arange(t)[:, None] + offs[None, :], 0, t - 1)
+    patches = x.data[idx].reshape(t, kernel * c)
 
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+    def vjp_x(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, idx, (g @ w.data.T).reshape(t, kernel, c))
         return full
 
-    return Tensor._op(a.data[idx], (a,), (vjp,))
+    return Tensor._op(patches @ w.data + b.data, (x, w, b), (vjp_x, lambda g: patches.T @ g, _same))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -123,14 +123,6 @@ def init_params(cfg: EcapaConfig, seed: int = 0, trainable: bool = True) -> dict
 # ---------------------------------------------------------------------------
 
 
-def _conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1) -> Tensor:
-    if kernel == 1:
-        return x @ w + b
-    t = x.shape[0]
-    patches = ad.time_patches(x, kernel, dilation).reshape(t, kernel * x.shape[1])
-    return patches @ w + b
-
-
 def _frame_norm(x: Tensor, g: Tensor, c: Tensor) -> Tensor:
     # per-frame statistics across channels (layer-norm style): batch-independent
     # and, unlike centering over time, keeps time-constant speaker information
@@ -155,13 +147,13 @@ def _res2(x: Tensor, params: dict, prefix: str, scale: int, dilation: int) -> Te
     outs = [groups[0]]
     for i in range(1, scale):
         h = groups[i] + outs[i - 1]
-        outs.append(_conv1d(h, params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"], 3, dilation))
+        outs.append(ad.conv1d(h, params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"], 3, dilation))
     return ad.concat(outs, axis=1)
 
 
 def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilation: int) -> Tensor:
     h = _frame_norm(
-        _conv1d(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"], 1).relu(),
+        (x @ params[f"{prefix}.conv1.w"] + params[f"{prefix}.conv1.b"]).relu(),
         params[f"{prefix}.norm1.g"],
         params[f"{prefix}.norm1.c"],
     )
@@ -172,7 +164,7 @@ def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilati
     )
     # SE pools the raw conv output: the time norm would zero every channel
     # mean and leave the gate blind to the utterance, so it comes after.
-    h = _conv1d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"], 1).relu()
+    h = (h @ params[f"{prefix}.conv2.w"] + params[f"{prefix}.conv2.b"]).relu()
     h = se_gate(
         h,
         params[f"{prefix}.se.w1"],
@@ -200,7 +192,7 @@ def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     if x.shape[1] != cfg.in_dim:
         raise ConfigError(f"feature dim {x.shape[1]} does not match ecapa.in_dim {cfg.in_dim}")
     x = _frame_norm(
-        _conv1d(x, params["stem.w"], params["stem.b"], 5).relu(),
+        ad.conv1d(x, params["stem.w"], params["stem.b"], 5).relu(),
         params["stem.norm.g"],
         params["stem.norm.c"],
     )
@@ -208,7 +200,7 @@ def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     b1 = se_res2_block(b0, params, "block1", cfg, cfg.dilations[1])
     b2 = se_res2_block(b1, params, "block2", cfg, cfg.dilations[2])
     cat = ad.concat([b0, b1, b2], axis=1)
-    h = (_conv1d(cat, params["mfa.w"], params["mfa.b"], 1)).relu()
+    h = (cat @ params["mfa.w"] + params["mfa.b"]).relu()
     pooled = attentive_stats_pool(h, params["asp.w"], params["asp.b"], params["asp.v"])
     emb = pooled.reshape(1, -1) @ params["fc.w"] + params["fc.b"]
     return emb.reshape(-1)

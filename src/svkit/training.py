@@ -278,7 +278,7 @@ def train(
                     )
                     embs.append(ecapa_mod.forward(feats, params, ecapa_cfg))
                     labels.append(spk_index[row.speaker_id])
-                loss = aam_loss(ad.stack_rows(embs), labels, anchors, aam_cfg)
+                loss = aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, aam_cfg)
                 value = loss.item()
                 where = f"stage {stage} epoch {epoch_counter} batch {batch_no}"
                 if not math.isfinite(value):
@@ -345,18 +345,26 @@ def _fd_report(make_loss, params: dict, epsilon: float) -> dict:
     make_loss().backward()
     analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
     numeric = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        fd = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = make_loss().item()
-            flat[i] = orig - epsilon
-            lo = make_loss().item()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2 * epsilon)
-        numeric[name] = fd
+    # the difference loop's forwards need no graph: freeze the parameters, then restore their flags
+    flags = [p.requires_grad for p in params.values()]
+    try:
+        for p in params.values():
+            p.requires_grad = False
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            fd = np.zeros(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                hi = make_loss().item()
+                flat[i] = orig - epsilon
+                lo = make_loss().item()
+                flat[i] = orig
+                fd[i] = (hi - lo) / (2 * epsilon)
+            numeric[name] = fd
+    finally:
+        for p, flag in zip(params.values(), flags):
+            p.requires_grad = flag
     scale = max(
         max((np.max(np.abs(a)) for a in analytic.values()), default=0.0),
         max((np.max(np.abs(f)) for f in numeric.values()), default=0.0),

@@ -61,7 +61,6 @@ class LayerStack:
 # for the mock only: real encoders put GELU and a norm between their convs.
 CONV_STRIDES = (5, 4, 4, 4)
 HOP = math.prod(CONV_STRIDES)
-SMOOTHING = 3
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,10 @@ class MockUpstream:
 
 
 def _smooth(x: ad.Tensor) -> ad.Tensor:
-    return ad.time_patches(x, SMOOTHING, 1).sum(axis=1) * (1.0 / SMOOTHING)
+    """3-frame moving average with replicate padding: each frame averages itself and its neighbours."""
+    prev = ad.concat([x[:1], x[:-1]])
+    nxt = ad.concat([x[1:], x[-1:]])
+    return (prev + x + nxt) * (1.0 / 3)
 
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import svkit.autodiff as ad
 import svkit.ecapa as em
 from svkit.autodiff import Tensor
 from svkit.ecapa import (
@@ -18,6 +19,7 @@ from svkit.ecapa import (
     se_res2_block,
 )
 from svkit.errors import ConfigError, FormatError
+from test_autodiff import time_patches
 
 SMALL = EcapaConfig(
     in_dim=6, channels=16, res2_scale=8, dilations=(2, 3, 4),
@@ -285,6 +287,39 @@ def test_zero_blocks_identity_stem_closed_form():
     sigma = np.sqrt(np.maximum((z**2).mean(axis=0) - mu**2, 1e-8))
     expected = np.concatenate([mu, sigma]) @ params["fc.w"].data + params["fc.b"].data
     np.testing.assert_allclose(emb, expected, atol=1e-10)
+
+
+DESK = EcapaConfig(in_dim=64, channels=64, res2_scale=8, dilations=(2, 3, 4),
+                   se_bottleneck=32, attention_channels=32, embed_dim=64)
+
+
+def composed_conv1d(x, w, b, kernel, dilation=1):
+    """A k-tap conv as four nodes (gather, reshape, matmul, bias): the reference for `ad.conv1d`."""
+    t = x.shape[0]
+    return time_patches(x, kernel, dilation).reshape(t, kernel * x.shape[1]) @ w + b
+
+
+@pytest.mark.parametrize("t", [5, 150])
+def test_conv1d_forward_and_gradients_byte_identical_to_composed_conv(t, monkeypatch):
+    rng = np.random.default_rng(t)
+    feats = rng.standard_normal((t, DESK.in_dim))
+    probe = rng.standard_normal(DESK.embed_dim)
+
+    def run():
+        params = init_params(DESK, seed=t)
+        x = Tensor(feats, requires_grad=True)
+        emb = forward(x, params, DESK)
+        (emb * probe).sum().backward()
+        return emb.data, x.grad, {name: p.grad for name, p in params.items()}
+
+    emb, x_grad, grads = run()
+    monkeypatch.setattr(ad, "conv1d", composed_conv1d)
+    ref_emb, ref_x_grad, ref_grads = run()
+    assert emb.tobytes() == ref_emb.tobytes()
+    assert x_grad.tobytes() == ref_x_grad.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
 
 
 def test_input_dim_mismatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import svkit.ecapa as em
-from svkit.autodiff import Tensor, stack_rows
+from svkit.autodiff import Tensor
 from svkit.audio import Waveform
 from svkit.ecapa import EcapaConfig, save_checkpoint
 from svkit.errors import ConfigError, DataError
@@ -16,6 +16,7 @@ from svkit.training import (
     Adam,
     PlantSpec,
     TrainSchedule,
+    _fd_report,
     aam_loss,
     crop_random,
     grad_check,
@@ -344,6 +345,31 @@ def test_grad_check_components_pass():
     for comp in ("aggregator", "aam", "calibration"):
         report = grad_check(comp, trial_count=2)
         assert max(report.values()) < 1e-4, (comp, report)
+
+
+def test_fd_report_freezes_the_difference_loop_and_restores_requires_grad():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0]))
+    params = {"a": a, "b": b}
+    flags = []
+
+    def make_loss():
+        flags.append((a.requires_grad, b.requires_grad))
+        return (a * a).sum() + (a[:1] * b).sum()
+
+    report = _fd_report(make_loss, params, 1e-5)
+    assert report["a"] < 1e-8
+    assert flags[0] == (True, False) and set(flags[1:]) == {(False, False)}
+    assert (a.requires_grad, b.requires_grad) == (True, False)
+
+    def failing_loss():
+        if not a.requires_grad:
+            raise RuntimeError("loss failed")
+        return (a * a).sum()
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        _fd_report(failing_loss, params, 1e-5)
+    assert (a.requires_grad, b.requires_grad) == (True, False)
 
 
 def test_grad_check_unknown_component():

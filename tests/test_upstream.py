@@ -6,6 +6,7 @@ import pytest
 from svkit.audio import Waveform
 from svkit.autodiff import Tensor
 from svkit.errors import ConfigError, DataError, FormatError
+from svkit.training import _fd_report
 from svkit.upstream import (
     CONV_STRIDES,
     LayerStack,
@@ -23,6 +24,7 @@ from svkit.upstream import (
     save_stack,
     speaker_offset,
 )
+from test_autodiff import time_patches
 
 
 def rand_wav(n, seed=0):
@@ -141,6 +143,35 @@ def test_patch_map_matches_conv_by_conv_reference(n):
     }
     for name, p in params.items():
         assert rel_err(p.grad, ref_params[name].grad) <= 1e-10, name
+
+
+def test_tuned_mock_gradients_match_finite_differences():
+    # the composed conv stack, the mixing layers and the smoothing, all trainable
+    model = MockUpstream(MockUpstreamConfig(n_layers=2, dim=4, seed=2))
+    params = model.as_tensors()
+    samples = Tensor(rand_wav(5 * 320, seed=4).samples)
+    probe = np.random.default_rng(5).standard_normal((3, 5, 4))
+
+    def make_loss():
+        return sum((h * p).sum() for h, p in zip(model.forward_graph(samples), probe))
+
+    report = _fd_report(make_loss, params, 1e-5)
+    assert report.keys() == params.keys()
+    assert max(report.values()) < 1e-4, report
+
+
+@pytest.mark.parametrize("t", [1, 2, 7])
+def test_smooth_matches_time_patches_average(t):
+    rng = np.random.default_rng(t)
+    data = rng.standard_normal((t, 5))
+    x, ref_x = Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)
+    out = _smooth(x)
+    ref = time_patches(ref_x, 3).sum(axis=1) * (1.0 / 3)
+    assert out.data.tobytes() == ref.data.tobytes()
+    probe = rng.standard_normal((t, 5))
+    (out * probe).sum().backward()
+    (ref * probe).sum().backward()
+    assert rel_err(x.grad, ref_x.grad) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
