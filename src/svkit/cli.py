@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError, FormatError
 from .pipeline import System, extract_embeddings, utterance_durations
 from .synthcorpus import SynthSpec, synth_corpus
 from .training import train
-from .upstream import Manifest, ManifestRow, load_manifest, mock_forward, save_manifest, save_stack
+from .upstream import Manifest, ManifestRow, MockUpstream, load_manifest, save_manifest, save_stack
 
 logger = logging.getLogger("svkit")
 
@@ -180,9 +180,10 @@ def _cmd_fbank(args, cfg: RunConfig):
 
 
 def _cmd_upstream_export(args, cfg: RunConfig):
+    upstream = MockUpstream(cfg.upstream)
     if args.wav:
         out = _require(args.out, "out")
-        stack = mock_forward(read_wav(args.wav), cfg.upstream)
+        stack = upstream.stack(read_wav(args.wav), args.wav)
         save_stack(stack, out)
         return [("layers", stack.layers.shape[0]), ("frames", stack.num_frames), ("dim", stack.dim)]
     manifest = load_manifest(_require(args.manifest, "manifest"), check_paths=True)
@@ -190,7 +191,8 @@ def _cmd_upstream_export(args, cfg: RunConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for row in manifest.rows:
-        stack = mock_forward(read_wav(manifest.resolve(row)), cfg.upstream)
+        path = manifest.resolve(row)
+        stack = upstream.stack(read_wav(path), f"{row.utt_id} ({path})")
         rel = f"{row.utt_id}.svhs"
         save_stack(stack, out_dir / rel)
         rows.append(ManifestRow(row.utt_id, row.speaker_id, rel))

@@ -86,7 +86,7 @@ class System:
         path = manifest.resolve(row)
         if is_stack_file(path):
             return load_stack(path)
-        return self.upstream.stack(read_wav(path))
+        return self.upstream.stack(read_wav(path), f"{row.utt_id} ({path})")
 
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
         layers = self.stack_for(manifest, row).layers.astype(np.float64)

@@ -383,12 +383,16 @@ def save_embeddings(store: dict, path):
     if not store:
         raise DataError("refusing to write an empty embedding store")
     ids = sorted(store)
-    dim = int(np.asarray(store[ids[0]]).size)
-    out = [_SVEB_MAGIC, struct.pack("<III", 1, dim, len(ids))]
-    for uid in ids:
-        vec = np.asarray(store[uid], dtype="<f4").reshape(-1)
+    vecs = [np.asarray(store[uid], dtype="<f4").reshape(-1) for uid in ids]
+    dim = vecs[0].size
+    for uid, vec in zip(ids, vecs):
         if vec.size != dim:
             raise DataError(f"embedding {uid} has dim {vec.size}, expected {dim}")
+    finite = np.isfinite(np.stack(vecs)).all(axis=1)
+    if not finite.all():  # load_embeddings would reject the file
+        raise DataError(f"embedding {ids[int(np.argmin(finite))]} is not finite in float32; no store written")
+    out = [_SVEB_MAGIC, struct.pack("<III", 1, dim, len(ids))]
+    for uid, vec in zip(ids, vecs):
         enc = uid.encode("utf-8")
         if len(enc) > 0xFFFF:
             raise FormatError(f"embedding id too long for SVEB (over 65535 UTF-8 bytes): {uid}")

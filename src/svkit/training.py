@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import ecapa as ecapa_mod
+from . import scoring
 from .aggregator import aggregate_graph
 from .audio import SAMPLE_RATE, AugmentBanks, AugmentConfig, Waveform, augment, read_wav
 from .ecapa import EcapaConfig
@@ -89,8 +90,8 @@ class TrainResult:
     anchors: np.ndarray
     upstream: dict
     speakers: list
-    log: list = field(default_factory=list)
-    notices: list = field(default_factory=list)
+    log: list
+    notices: list
 
     def checkpoint_tensors(self) -> dict:
         out = {f"ecapa.{k}": v for k, v in self.ecapa.items()}
@@ -213,10 +214,10 @@ def train(
     A `.svhs` row is an imported layer stack, used whole (no crop or
     augmentation) and frozen in every stage. Every other row is a WAV that is
     cropped, augmented when `banks` is given, and run through the seeded mock
-    upstream. With no WAV row there is no upstream to tune: stage 2 logs a
-    notice and the result exports no upstream tensors. A non-finite loss, or a
-    non-finite parameter after an optimizer step, is a DataError that names
-    the stage, epoch and batch.
+    upstream. With no WAV row there is no upstream to tune: stages 2 and 3
+    each log a notice and the result exports no upstream tensors. A non-finite
+    loss, or a non-finite parameter after an optimizer step, is a DataError
+    that names the stage, epoch and batch.
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
@@ -226,61 +227,70 @@ def train(
         raise ConfigError("ecapa.in_dim must equal the upstream dim")
 
     upstream = MockUpstream(upstream_cfg)
-    n_layers_plus_1 = upstream_cfg.n_layers + 1
-    logits = Tensor(np.zeros(n_layers_plus_1), requires_grad=True)
+    logits = Tensor(np.zeros(upstream_cfg.n_layers + 1), requires_grad=True)
     params = ecapa_mod.init_params(ecapa_cfg, seed=seed)
     anchors = Tensor(
         child_rng(seed, "aam-anchors").normal(0.0, 1.0, (len(speakers), ecapa_cfg.embed_dim)),
         requires_grad=True,
     )
-    result = TrainResult(
-        ecapa={}, agg_logits=np.zeros(0), anchors=np.zeros(0),
-        upstream={}, speakers=speakers,
-    )
-
     rng_order = child_rng(seed, "batch-order")
     rng_crop = child_rng(seed, "crop")
     rng_aug = child_rng(seed, "augment")
+
+    def features(row, crop_s: float, tune_upstream: bool) -> Tensor:
+        """Aggregated (T, D) features for one training utterance.
+
+        Stored float32 layers become float64 once, before the plant: the frozen
+        stages compute `pipeline.System`'s features bit for bit. Fine-tuning
+        keeps the upstream's float64 graph instead, so that gradients reach it.
+        """
+        path = manifest.resolve(row)
+        if is_stack_file(path):
+            layers = load_stack(path).layers.astype(np.float64)
+            check_row_stack(layers, manifest, row, logits.data.size, upstream_cfg.dim)
+        else:
+            wav = crop_random(read_wav(path), crop_s, rng_crop)
+            if banks is not None:
+                wav = augment(wav, banks, augment_cfg, rng_aug)
+            if tune_upstream:
+                layers = upstream.forward_graph(Tensor(wav.samples))
+            else:
+                layers = upstream.stack(wav, f"{row.utt_id} ({path})").layers.astype(np.float64)
+        if plant is not None:
+            plant_speaker_info(layers, row.speaker_id, plant)
+        return aggregate_graph(layers, logits)
 
     rows = list(manifest.rows)
     has_wav = not all(is_stack_file(row.path) for row in rows)
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),
-        (2, schedule.stage2_epochs, schedule.lr_stage2, aam, schedule.crop_seconds, True),
+        (2, schedule.stage2_epochs, schedule.lr_stage2, aam, schedule.crop_seconds, has_wav),
         (3, schedule.lmft_epochs, schedule.lr_lmft, replace(aam, margin=schedule.lmft_margin),
-         schedule.lmft_crop_seconds, True),
+         schedule.lmft_crop_seconds, has_wav),
     ]
-    epoch_counter = 0
+    log, notices = [], []
     for stage, n_epochs, lr, aam_cfg, crop_s, tune_upstream in stages:
         if n_epochs == 0:
             continue
-        if tune_upstream and not has_wav:
-            notice = f"stage {stage}: imported stacks are frozen; training downstream only"
-            logger.info(notice)
-            result.notices.append(notice)
-            tune_upstream = False
+        if stage > 1 and not has_wav:
+            notices.append(f"stage {stage}: imported stacks are frozen; training downstream only")
+            logger.info(notices[-1])
         trainable = [logits, anchors] + [params[k] for k in sorted(params)]
         if tune_upstream:
             up_params = upstream.as_tensors()
             trainable += [up_params[k] for k in sorted(up_params)]
         opt = Adam(trainable, lr=lr)
         for _ in range(n_epochs):
-            epoch_counter += 1
+            epoch = len(log) + 1
             perm = rng_order.permutation(len(rows))
             losses = []
             for batch_no, start in enumerate(range(0, len(perm), schedule.batch_size), 1):
                 batch = [rows[i] for i in perm[start : start + schedule.batch_size]]
-                embs, labels = [], []
-                for row in batch:
-                    feats = _utterance_features(
-                        row, manifest, upstream, tune_upstream, logits,
-                        crop_s, plant, rng_crop, rng_aug, augment_cfg, banks,
-                    )
-                    embs.append(ecapa_mod.forward(feats, params, ecapa_cfg))
-                    labels.append(spk_index[row.speaker_id])
+                embs = [ecapa_mod.forward(features(row, crop_s, tune_upstream), params, ecapa_cfg) for row in batch]
+                labels = [spk_index[row.speaker_id] for row in batch]
                 loss = aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, aam_cfg)
                 value = loss.item()
-                where = f"stage {stage} epoch {epoch_counter} batch {batch_no}"
+                where = f"stage {stage} epoch {epoch} batch {batch_no}"
                 if not math.isfinite(value):
                     raise DataError(f"training diverged at {where}: non-finite loss; lower the learning rate")
                 opt.zero_grad()
@@ -290,43 +300,14 @@ def train(
                     raise DataError(f"training diverged at {where}: non-finite parameter after the "
                                     "optimizer step; lower the learning rate")
                 losses.append(value)
-            epoch_loss = float(np.mean(losses))
-            result.log.append((epoch_counter, stage, epoch_loss, lr))
-            logger.info("epoch %d stage %d loss %.6f lr %g", epoch_counter, stage, epoch_loss, lr)
+            log.append((epoch, stage, float(np.mean(losses)), lr))
+            logger.info("epoch %d stage %d loss %.6f lr %g", *log[-1])
 
-    result.ecapa = {k: v.data.copy() for k, v in params.items()}
-    result.agg_logits = logits.data.copy()
-    result.anchors = anchors.data.copy()
-    if has_wav:
-        result.upstream = upstream.param_arrays()
-    return result
-
-
-def _utterance_features(
-    row, manifest, upstream, tune_upstream, logits,
-    crop_s, plant, rng_crop, rng_aug, augment_cfg, banks,
-) -> Tensor:
-    """Aggregated (T, D) features for one training utterance.
-
-    Stored float32 layers become float64 once, before the plant: the frozen
-    stages compute `pipeline.System`'s features bit for bit. Fine-tuning keeps
-    the upstream's float64 graph instead, so that gradients reach it.
-    """
-    path = manifest.resolve(row)
-    if is_stack_file(path):
-        layers = load_stack(path).layers.astype(np.float64)
-        check_row_stack(layers, manifest, row, logits.data.size, upstream.cfg.dim)
-    else:
-        wav = crop_random(read_wav(path), crop_s, rng_crop)
-        if banks is not None:
-            wav = augment(wav, banks, augment_cfg, rng_aug)
-        if tune_upstream:
-            layers = upstream.forward_graph(Tensor(wav.samples))
-        else:
-            layers = upstream.stack(wav).layers.astype(np.float64)
-    if plant is not None:
-        plant_speaker_info(layers, row.speaker_id, plant)
-    return aggregate_graph(layers, logits)
+    return TrainResult(
+        ecapa={k: v.data.copy() for k, v in params.items()}, agg_logits=logits.data.copy(),
+        anchors=anchors.data.copy(), upstream=upstream.param_arrays() if has_wav else {},
+        speakers=speakers, log=log, notices=notices,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +426,13 @@ def _gc_aam(rng):
 
 def _gc_calibration(rng):
     n = 32
-    x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n), np.ones(n)])  # bias column last
-    y = (rng.random(n) < 0.5).astype(np.float64)[:, None]
+    x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
+    y = (rng.random(n) < 0.5).astype(np.float64)
     theta = Tensor(rng.standard_normal(3) * 0.5, requires_grad=True)
 
     def make_loss():
-        # mean BCE of scoring.fit_calibration's model; log(1 + exp(-|z|)) never overflows
-        z = Tensor(x) @ theta.reshape(3, 1)
-        return (z.relu() + (1.0 + (-(z.relu() + (-z).relu())).exp()).log() - z * y).mean()
+        # the objective and gradient that scoring.fit_calibration descends, as one node
+        value, grad = scoring._bce_value_grad(theta.data, x, y)
+        return Tensor._op(np.asarray(value), (theta,), (lambda g: g * grad,))
 
     return make_loss, {"theta": theta}

@@ -111,9 +111,16 @@ class MockUpstream:
         graph = self.forward_graph(ad.Tensor(wav.samples))
         return np.stack([h.data for h in graph])
 
-    def stack(self, wav: Waveform) -> LayerStack:
-        """The forward pass stored as a float32 LayerStack, like an imported SVHS stack."""
-        return LayerStack(self.forward_array(wav), frame_rate_hz=self.cfg.frame_rate_hz)
+    def stack(self, wav: Waveform, source: str) -> LayerStack:
+        """The forward pass stored as a float32 LayerStack, like an imported SVHS stack.
+
+        An output that overflows float32 is a DataError naming `source`.
+        """
+        layers = self.forward_array(wav)
+        try:
+            return LayerStack(layers, frame_rate_hz=self.cfg.frame_rate_hz)
+        except ValueError as exc:  # a forward's shape and rate are valid, so its values are not finite
+            raise DataError(f"{source}: mock upstream output does not fit float32: {exc}") from None
 
     def forward_graph(self, samples: ad.Tensor) -> list:
         """Differentiable forward: list of (T, D) tensors for layers 0..L."""
@@ -160,7 +167,7 @@ def _smooth(x: ad.Tensor) -> ad.Tensor:
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:
     """Run the seeded mock encoder on one waveform."""
-    return MockUpstream(cfg).stack(wav)
+    return MockUpstream(cfg).stack(wav, "waveform")
 
 
 def is_stack_file(path) -> bool:

@@ -390,3 +390,54 @@ def test_exit_code_4_on_diverged_training_writes_no_checkpoint(tmp_path, capsys,
     assert code == 4, err
     assert message in err and "Traceback" not in err
     assert not (run_dir / "checkpoint.svck").exists()
+
+
+def test_upstream_export_builds_the_mock_once(workspace, capsys, tmp_path, monkeypatch):
+    from svkit.audio import read_wav
+    from svkit.config import load_config
+    from svkit.upstream import MockUpstream, load_manifest, mock_forward, save_stack
+
+    root, cfg_path = workspace
+    manifest = load_manifest(root / "data" / "train.tsv")
+    init = MockUpstream._init_params
+    calls = []
+    monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda cfg: calls.append(cfg) or init(cfg)))
+    run_ok(capsys, ["--config", cfg_path, "upstream-export",
+                    "--manifest", str(root / "data" / "train.tsv"), "--out-dir", str(tmp_path / "stacks")])
+    assert len(calls) == 1 < len(manifest)
+    for row in manifest.rows:  # byte-equal to one fresh mock per row
+        save_stack(mock_forward(read_wav(manifest.resolve(row)), load_config(cfg_path).upstream), tmp_path / "ref.svhs")
+        assert (tmp_path / "stacks" / f"{row.utt_id}.svhs").read_bytes() == (tmp_path / "ref.svhs").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["embed", "export-manifest", "export-wav"])
+def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys, tmp_path, monkeypatch, command):
+    from svkit.audio import Waveform, write_wav
+    from svkit.config import load_config
+    from svkit.ecapa import init_params, save_checkpoint
+    from svkit.upstream import MockUpstream
+
+    _, cfg_path = workspace
+    cfg = load_config(cfg_path)
+    up = MockUpstream(cfg.upstream).param_arrays()
+    up["conv0.w"] = np.full_like(up["conv0.w"], 3e38)  # finite in float32; the layer-0 output is not
+    wav = tmp_path / "u0.wav"
+    write_wav(wav, Waveform(np.random.default_rng(3).uniform(-0.5, 0.5, 8000)))
+    (tmp_path / "m.tsv").write_text("u0\ts0\tu0.wav\n")
+    if command == "embed":
+        tensors = {f"ecapa.{k}": v for k, v in init_params(cfg.ecapa, seed=0).items()}
+        tensors["agg.logits"] = np.zeros(cfg.upstream.n_layers + 1)
+        tensors.update({f"upstream.{k}": v for k, v in up.items()})
+        save_checkpoint(tensors, tmp_path / "c.svck")
+        argv = ["embed", "--checkpoint", str(tmp_path / "c.svck"), "--manifest", str(tmp_path / "m.tsv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda _cfg: up))
+        argv = (["upstream-export", "--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "out")]
+                if command == "export-manifest" else ["upstream-export", "--wav", str(wav), "--out", str(tmp_path / "out")])
+    code = main(["--config", cfg_path] + argv)
+    err = capsys.readouterr().err
+    assert code == 4, err
+    source = str(wav) if command == "export-wav" else f"u0 ({wav})"
+    assert f"{source}: mock upstream output does not fit float32" in err and "Traceback" not in err
+    assert not (tmp_path / "out").is_file() and not (tmp_path / "out" / "u0.svhs").exists()

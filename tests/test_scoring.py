@@ -612,6 +612,14 @@ def test_embedding_store_rejects_an_id_its_length_field_cannot_hold(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39])  # 1e39 is finite in float64, inf in float32
+def test_embedding_store_refuses_a_vector_its_reader_rejects(tmp_path, bad):
+    path = tmp_path / "e.sveb"
+    with pytest.raises(DataError, match="embedding b is not finite in float32; no store written"):
+        save_embeddings({"a": np.ones(3), "b": np.array([1.0, bad, 2.0]), "c": np.ones(3)}, path)
+    assert not path.exists()
+
+
 def test_embedding_store_bad_magic(tmp_path):
     path = tmp_path / "bad.sveb"
     path.write_bytes(b"JUNK" + b"\x00" * 20)

@@ -259,27 +259,49 @@ def test_aam_config_sets_stages_1_and_2_and_lmft_keeps_its_scale(tiny_corpus, mo
     assert seen == [(0.1, 10.0), (0.1, 10.0), (sched.lmft_margin, 10.0)]  # one batch per epoch
 
 
-def test_import_mode_stage2_freezes_and_notices(tiny_corpus, tmp_path):
-    from svkit.upstream import Manifest, ManifestRow, MockUpstream, save_stack
-    from svkit.upstream import LayerStack
-
-    model = MockUpstream(UP)
-    rows = []
+@pytest.fixture(scope="module")
+def imported_corpus(tiny_corpus, tmp_path_factory):
+    """The tiny training manifest with every row replaced by its exported mock stack."""
     from svkit.audio import read_wav
+    from svkit.upstream import Manifest, ManifestRow, mock_forward, save_stack
 
+    out = tmp_path_factory.mktemp("imported")
+    rows = []
     for row in tiny_corpus.train.rows:
-        wav = read_wav(tiny_corpus.train.resolve(row))
-        stack = LayerStack(model.forward_array(wav), frame_rate_hz=UP.frame_rate_hz)
-        rel = f"{row.utt_id}.svhs"
-        save_stack(stack, tmp_path / rel)
-        rows.append(ManifestRow(row.utt_id, row.speaker_id, rel))
-    manifest = Manifest(tuple(rows), base_dir=tmp_path)
+        save_stack(mock_forward(read_wav(tiny_corpus.train.resolve(row)), UP), out / f"{row.utt_id}.svhs")
+        rows.append(ManifestRow(row.utt_id, row.speaker_id, f"{row.utt_id}.svhs"))
+    return Manifest(tuple(rows), base_dir=out)
 
-    res = train(manifest, tiny_schedule(stage1_epochs=1, stage2_epochs=1),
+
+def test_import_mode_stage2_freezes_and_notices(imported_corpus):
+    res = train(imported_corpus, tiny_schedule(stage1_epochs=1, stage2_epochs=1),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert res.upstream == {}
     assert any("frozen" in n for n in res.notices)
     assert [row[1] for row in res.log] == [1, 2]
+
+
+@pytest.mark.parametrize("stage2,lmft", [(0, 1), (2, 0), (2, 1)])
+def test_import_mode_gives_one_notice_per_stage_2_or_3_that_runs(imported_corpus, stage2, lmft):
+    res = train(imported_corpus, tiny_schedule(stage1_epochs=0, stage2_epochs=stage2, lmft_epochs=lmft),
+                upstream_cfg=UP, ecapa_cfg=EC, seed=4)
+    stages = [2] * (stage2 > 0) + [3] * (lmft > 0)
+    assert res.notices == [f"stage {s}: imported stacks are frozen; training downstream only" for s in stages]
+    assert [row[:2] for row in res.log] == list(enumerate([2] * stage2 + [3] * lmft, 1))
+
+
+def test_stage_2_divergence_names_the_global_epoch(tiny_corpus, monkeypatch):
+    step = Adam.step
+
+    def poisoned(self):  # stage 2's first step
+        step(self)
+        if self.lr == 2e-3 and self.t == 1:
+            self.params[-1].data = np.full_like(self.params[-1].data, np.inf)
+
+    monkeypatch.setattr(Adam, "step", poisoned)
+    with pytest.raises(DataError, match="diverged at stage 2 epoch 2 batch 1: non-finite parameter"):
+        train(tiny_corpus.train, tiny_schedule(stage2_epochs=1, lr_stage2=2e-3),
+              upstream_cfg=UP, ecapa_cfg=EC, seed=1)
 
 
 def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
@@ -370,6 +392,20 @@ def test_fd_report_freezes_the_difference_loop_and_restores_requires_grad():
     with pytest.raises(RuntimeError, match="loss failed"):
         _fd_report(failing_loss, params, 1e-5)
     assert (a.requires_grad, b.requires_grad) == (True, False)
+
+
+def test_grad_check_calibration_differences_the_shipped_objective(monkeypatch):
+    from svkit import scoring
+
+    shipped = scoring._bce_value_grad
+
+    def flipped_bias(theta, x, y):
+        value, grad = shipped(theta, x, y)
+        return value, np.concatenate([grad[:-1], -grad[-1:]])
+
+    assert grad_check("calibration")["theta"] < 1e-6
+    monkeypatch.setattr(scoring, "_bce_value_grad", flipped_bias)
+    assert grad_check("calibration")["theta"] > 0.1
 
 
 def test_grad_check_unknown_component():
