@@ -42,15 +42,9 @@ def main(argv=None) -> int:
         overrides = [_split_override(s) for s in args.set or []]
         cfg = load_config(args.config, overrides=overrides)
         summary = args.func(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     print("status=ok " + " ".join(f"{k}={v}" for k, v in summary))
     return 0
 
@@ -203,12 +197,10 @@ def _cmd_upstream_export(args, cfg: RunConfig):
 def _cmd_train(args, cfg: RunConfig):
     manifest_path = _require(args.manifest, "manifest")
     manifest = load_manifest(manifest_path, check_paths=True)
-    banks = None
-    if cfg.paths.noise_dir or cfg.paths.rir_dir:
-        banks = AugmentBanks(
-            noises=load_bank(cfg.paths.noise_dir) if cfg.paths.noise_dir else (),
-            rirs=load_bank(cfg.paths.rir_dir) if cfg.paths.rir_dir else (),
-        )
+    banks = AugmentBanks(
+        noises=load_bank(cfg.paths.noise_dir) if cfg.paths.noise_dir else (),
+        rirs=load_bank(cfg.paths.rir_dir) if cfg.paths.rir_dir else (),
+    )
     result = train(
         manifest,
         cfg.schedule,

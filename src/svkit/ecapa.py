@@ -226,7 +226,8 @@ def save_checkpoint(tensors: dict, path):
     out = [_SVCK_MAGIC, struct.pack("<I", 1)]
     for name in sorted(tensors):
         data = tensors[name]
-        arr = np.asarray(data.data if isinstance(data, Tensor) else data, dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is a non-finite tensor, refused below
+            arr = np.asarray(data.data if isinstance(data, Tensor) else data, dtype="<f4")
         if not np.isfinite(arr).all():  # load_checkpoint would reject the file
             raise DataError(f"tensor {name} is not finite in float32; no checkpoint written")
         enc = name.encode("utf-8")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ecapa as ecapa_mod
+from . import upstream as upstream_mod
 from .aggregator import aggregate, normalized_weights
 from .audio import read_wav, read_wav_duration
 from .autodiff import Tensor
@@ -37,14 +38,14 @@ class System:
         ecapa_cfg: EcapaConfig,
         ecapa_params: dict,
         agg_logits: np.ndarray,
-        upstream_params: dict | None = None,
+        upstream_params: dict,
         plant: PlantSpec | None = None,
     ):
         self.ecapa_cfg = ecapa_cfg
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
         self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
         self.plant = plant
-        self.upstream = MockUpstream(upstream_cfg, params=upstream_params or None)
+        self.upstream = MockUpstream(upstream_cfg, upstream_params)
 
     @classmethod
     def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant=None) -> "System":
@@ -62,7 +63,7 @@ class System:
         expected = {f"ecapa.{k}": tuple(s) for k, s in ecapa_mod.param_shapes(ecapa_cfg).items()}
         expected["agg.logits"] = (upstream_cfg.n_layers + 1,)
         if upstream_params:
-            expected.update({f"upstream.{k}": v.shape for k, v in MockUpstream(upstream_cfg).params.items()})
+            expected.update({f"upstream.{k}": s for k, s in upstream_mod.param_shapes(upstream_cfg).items()})
         found = {
             k: np.shape(v) for k, v in tensors.items() if k == "agg.logits" or k.startswith(("ecapa.", "upstream."))
         }
@@ -72,14 +73,7 @@ class System:
                     f"checkpoint tensors do not match the configured system: {name}: checkpoint has "
                     f"{found.get(name, 'no such tensor')}, config expects {expected.get(name, 'no such tensor')}"
                 )
-        return cls(
-            upstream_cfg,
-            ecapa_cfg,
-            ecapa_params,
-            tensors["agg.logits"],
-            upstream_params=upstream_params or None,
-            plant=plant,
-        )
+        return cls(upstream_cfg, ecapa_cfg, ecapa_params, tensors["agg.logits"], upstream_params, plant=plant)
 
     def stack_for(self, manifest: Manifest, row) -> LayerStack:
         """The row's stored float32 stack: a `.svhs` file, else the mock upstream's output."""

@@ -255,9 +255,11 @@ def ensemble(score_sets, weights) -> np.ndarray:
     if not sets or any(s.shape != sets[0].shape for s in sets):
         raise DataError("ensemble needs aligned, equally sized score sets")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(sets),) or not np.all(w >= 0) or not 0 < w.sum() < np.inf:
+    with np.errstate(over="ignore"):  # an overflowing sum is refused as non-finite
+        total = w.sum()
+    if w.shape != (len(sets),) or not np.all(w >= 0) or not 0 < total < np.inf:
         raise DataError("ensemble weights must be finite and nonnegative, not all zero, one per system")
-    w = w / w.sum()
+    w = w / total
     out = np.zeros_like(sets[0])
     for wi, s in zip(w, sets):
         out += wi * s
@@ -347,8 +349,8 @@ def trial_labels(trials) -> np.ndarray:
     return np.asarray(labels)
 
 
-def load_scores(path, trials=None) -> np.ndarray:
-    """Score file 'enroll test score'; when trials are given, order must match."""
+def load_scores(path, trials) -> np.ndarray:
+    """Score file 'enroll test score', one row per trial in the trial list's order."""
     rows = []
     for lineno, parts in Reader(path).rows():
         if len(parts) != 3:
@@ -360,12 +362,11 @@ def load_scores(path, trials=None) -> np.ndarray:
         if not math.isfinite(score):
             raise FormatError(f"{path}:{lineno}: bad score value {parts[2]!r}")
         rows.append((parts[0], parts[1], score))
-    if trials is not None:
-        if len(rows) != len(trials):
-            raise FormatError(f"{path}: {len(rows)} scores for {len(trials)} trials")
-        for (e, t, _), trial in zip(rows, trials):
-            if (e, t) != (trial.enroll_id, trial.test_id):
-                raise FormatError(f"{path}: score rows do not match the trial list order")
+    if len(rows) != len(trials):
+        raise FormatError(f"{path}: {len(rows)} scores for {len(trials)} trials")
+    for (e, t, _), trial in zip(rows, trials):
+        if (e, t) != (trial.enroll_id, trial.test_id):
+            raise FormatError(f"{path}: score rows do not match the trial list order")
     return np.asarray([r[2] for r in rows])
 
 
@@ -383,7 +384,8 @@ def save_embeddings(store: dict, path):
     if not store:
         raise DataError("refusing to write an empty embedding store")
     ids = sorted(store)
-    vecs = [np.asarray(store[uid], dtype="<f4").reshape(-1) for uid in ids]
+    with np.errstate(over="ignore"):  # an overflow is a non-finite vector, refused below
+        vecs = [np.asarray(store[uid], dtype="<f4").reshape(-1) for uid in ids]
     dim = vecs[0].size
     for uid, vec in zip(ids, vecs):
         if vec.size != dim:

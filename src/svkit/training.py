@@ -205,7 +205,7 @@ def train(
     ecapa_cfg: EcapaConfig,
     aam: AamConfig = AamConfig(),
     augment_cfg: AugmentConfig = AugmentConfig(),
-    banks: AugmentBanks | None = None,
+    banks: AugmentBanks = AugmentBanks(),
     plant: PlantSpec | None = None,
     seed: int = 0,
 ) -> TrainResult:
@@ -213,11 +213,11 @@ def train(
 
     A `.svhs` row is an imported layer stack, used whole (no crop or
     augmentation) and frozen in every stage. Every other row is a WAV that is
-    cropped, augmented when `banks` is given, and run through the seeded mock
-    upstream. With no WAV row there is no upstream to tune: stages 2 and 3
-    each log a notice and the result exports no upstream tensors. A non-finite
-    loss, or a non-finite parameter after an optimizer step, is a DataError
-    that names the stage, epoch and batch.
+    cropped, augmented from `banks` (empty banks add nothing), and run through
+    the seeded mock upstream. With no WAV row there is no upstream to tune:
+    stages 2 and 3 each log a notice and the result exports no upstream
+    tensors. A non-finite loss, or a non-finite parameter after an optimizer
+    step, is a DataError that names the stage, epoch and batch.
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
@@ -249,9 +249,7 @@ def train(
             layers = load_stack(path).layers.astype(np.float64)
             check_row_stack(layers, manifest, row, logits.data.size, upstream_cfg.dim)
         else:
-            wav = crop_random(read_wav(path), crop_s, rng_crop)
-            if banks is not None:
-                wav = augment(wav, banks, augment_cfg, rng_aug)
+            wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
             if tune_upstream:
                 layers = upstream.forward_graph(Tensor(wav.samples))
             else:

@@ -33,7 +33,8 @@ class LayerStack:
     frame_rate_hz: float
 
     def __post_init__(self):
-        arr = np.asarray(self.layers, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow is a non-finite entry, refused below
+            arr = np.asarray(self.layers, dtype=np.float32)
         if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
         if not np.all(np.isfinite(arr)):
@@ -78,6 +79,19 @@ class MockUpstreamConfig:
         return SAMPLE_RATE / HOP
 
 
+def param_shapes(cfg: MockUpstreamConfig) -> dict:
+    """Shapes of every mock tensor, in initialization order: conv0-3, then mix1..L, each weight then bias."""
+    d = cfg.dim
+    shapes = {}
+    for i, stride in enumerate(CONV_STRIDES):
+        shapes[f"conv{i}.w"] = (stride * (d if i else 1), d)
+        shapes[f"conv{i}.b"] = (d,)
+    for l in range(1, cfg.n_layers + 1):
+        shapes[f"mix{l}.w"] = (d, d)
+        shapes[f"mix{l}.b"] = (d,)
+    return shapes
+
+
 class MockUpstream:
     """Seeded random encoder: strided conv stack then tanh mixing layers.
 
@@ -86,25 +100,19 @@ class MockUpstream:
     stage. Forward passes are pure.
     """
 
-    def __init__(self, cfg: MockUpstreamConfig, params: dict | None = None):
+    def __init__(self, cfg: MockUpstreamConfig, params: dict = {}):
         self.cfg = cfg
-        arrays = params if params is not None else self._init_params(cfg)
+        arrays = params or self._init_params(cfg)  # no given parameters: seeded from cfg
         self.params = {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
 
     @staticmethod
     def _init_params(cfg: MockUpstreamConfig) -> dict:
+        """Draw `param_shapes(cfg)` in order: N(0, 1/sqrt(rows)) weights, N(0, 0.1) biases."""
         rng = child_rng(cfg.seed, "mock-upstream-init")
-        params = {}
-        c_in = 1
-        for i, stride in enumerate(CONV_STRIDES):
-            fan = stride * c_in
-            params[f"conv{i}.w"] = rng.normal(0.0, 1.0 / np.sqrt(fan), (fan, cfg.dim))
-            params[f"conv{i}.b"] = rng.normal(0.0, 0.1, cfg.dim)
-            c_in = cfg.dim
-        for l in range(1, cfg.n_layers + 1):
-            params[f"mix{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(cfg.dim), (cfg.dim, cfg.dim))
-            params[f"mix{l}.b"] = rng.normal(0.0, 0.1, cfg.dim)
-        return params
+        return {
+            name: rng.normal(0.0, 1.0 / np.sqrt(shape[0]) if name.endswith(".w") else 0.1, shape)
+            for name, shape in param_shapes(cfg).items()
+        }
 
     def forward_array(self, wav: Waveform) -> np.ndarray:
         """Float64 (L+1) x T x D stack; the float32 LayerStack is a storage view."""

@@ -78,7 +78,7 @@ DEFECTS = [
     ("wav_duration_rate_zero", wav(rate=0), read_wav_duration, "unsupported sample rate"),
     ("wav_duration_stereo_8k", wav(channels=2, rate=8000), read_wav_duration, "channel count"),
     ("trials_invalid_utf8", b"1 a b\n0 a \xff\n", load_trials, "UTF-8"),
-    ("scores_invalid_utf8", b"a \xff 0.5\n", load_scores, "UTF-8"),
+    ("scores_invalid_utf8", b"a \xff 0.5\n", lambda path: load_scores(path, []), "UTF-8"),
     ("manifest_invalid_utf8", b"u\ts\t\xff.wav\n", load_manifest, "UTF-8"),
 ]
 

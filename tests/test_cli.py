@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from svkit.cli import main
+from svkit.errors import ConfigError, DataError, FormatError, ToolkitError
 
 TINY_CFG = """
 seed = 13
@@ -269,6 +270,23 @@ def test_exit_code_3_on_invalid_utf8_embedding_id(tmp_path, capsys):
     assert code == 3
     assert "not valid UTF-8" in capsys.readouterr().err
 
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (FormatError, 3), (DataError, 4), (ToolkitError, None)])
+def test_exit_code_comes_from_the_error_class(monkeypatch, capsys, error, code):
+    import svkit.cli as cli
+
+    def fail(args, cfg):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_eval", fail)
+    argv = ["eval", "--scores", "s.txt", "--trials", "t.txt"]
+    if code is None:  # the base class is no user-facing failure: it propagates as a bug
+        with pytest.raises(ToolkitError, match="boom"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
 def test_exit_code_4_on_degenerate_data(tmp_path, capsys):
     trials = tmp_path / "t.txt"
     scores = tmp_path / "s.txt"
@@ -372,9 +390,12 @@ def test_exit_code_4_on_stack_that_does_not_fit(workspace, capsys, tmp_path, com
 
 
 # at lr 1e150 the second epoch's loss is NaN; after one epoch the anchors are
-# still finite in float64 but past float32's range, which the checkpoint refuses
+# still finite in float64 but past float32's range, which the checkpoint refuses.
+# The NaN case's autodiff ops overflow before the divergence check fires, which
+# warns; an earlier divergence rule is ROADMAP item 7.
 @pytest.mark.parametrize("epochs,message", [
-    ("2", "training diverged at stage 1 epoch 2 batch 1: non-finite loss"),
+    pytest.param("2", "training diverged at stage 1 epoch 2 batch 1: non-finite loss",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ("1", "tensor aam.anchors is not finite in float32; no checkpoint written"),
 ])
 def test_exit_code_4_on_diverged_training_writes_no_checkpoint(tmp_path, capsys, epochs, message):

@@ -58,6 +58,29 @@ def test_from_checkpoint_rejects_mismatched_config(trained, tmp_path):
         System.from_checkpoint(no_logits, UP, EC)
 
 
+def test_from_checkpoint_reads_upstream_shapes_without_building_a_mock(trained, tmp_path, monkeypatch):
+    from svkit.ecapa import load_checkpoint
+    from svkit.upstream import MockUpstream
+
+    _, result = trained
+    path = tmp_path / "ck.svck"
+    save_checkpoint(result.checkpoint_tensors(), path)
+    tensors = load_checkpoint(path)
+    assert "upstream.conv0.w" in tensors
+
+    def no_seeded_mock(cfg):
+        raise AssertionError("from_checkpoint drew a seeded mock upstream")
+
+    monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(no_seeded_mock))
+    system = System.from_checkpoint(tensors, UP, EC)
+    assert all(np.array_equal(p.data, tensors[f"upstream.{k}"]) for k, p in system.upstream.params.items())
+    tensors["upstream.conv0.w"] = tensors["upstream.conv0.w"][:, :-1]
+    with pytest.raises(FormatError) as info:
+        System.from_checkpoint(tensors, UP, EC)
+    assert "upstream.conv0.w: checkpoint has (5, 11), config expects (5, 12)" in str(info.value)
+    assert info.value.exit_code == 3
+
+
 def test_embeddings_deterministic(trained):
     corpus, result = trained
     system = System.from_result(result, UP, EC, plant=PlantSpec(layer=1, strength=2.0))

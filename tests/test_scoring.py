@@ -588,7 +588,7 @@ def test_scores_roundtrip_and_alignment(tmp_path):
     for bad in ("nan", "inf", "-Infinity"):
         path.write_text(f"a b 0.5\nc d {bad}\n")
         with pytest.raises(FormatError, match=f"2: bad score value '{bad}'"):
-            load_scores(path)
+            load_scores(path, trials)
 
 
 def test_embedding_store_roundtrip(tmp_path):

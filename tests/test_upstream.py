@@ -6,6 +6,7 @@ import pytest
 from svkit.audio import Waveform
 from svkit.autodiff import Tensor
 from svkit.errors import ConfigError, DataError, FormatError
+from svkit.rng import child_rng
 from svkit.training import _fd_report
 from svkit.upstream import (
     CONV_STRIDES,
@@ -19,6 +20,7 @@ from svkit.upstream import (
     load_manifest,
     load_stack,
     mock_forward,
+    param_shapes,
     plant_speaker_info,
     save_manifest,
     save_stack,
@@ -48,6 +50,41 @@ def test_mock_forward_deterministic():
     a = mock_forward(wav, cfg)
     b = mock_forward(wav, cfg)
     np.testing.assert_array_equal(a.layers, b.layers)
+
+
+def loop_init_params(cfg):
+    """The mock's initializer as an explicit loop: the reference for the table-driven one."""
+    rng = child_rng(cfg.seed, "mock-upstream-init")
+    params = {}
+    c_in = 1
+    for i, stride in enumerate(CONV_STRIDES):
+        fan = stride * c_in
+        params[f"conv{i}.w"] = rng.normal(0.0, 1.0 / np.sqrt(fan), (fan, cfg.dim))
+        params[f"conv{i}.b"] = rng.normal(0.0, 0.1, cfg.dim)
+        c_in = cfg.dim
+    for l in range(1, cfg.n_layers + 1):
+        params[f"mix{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(cfg.dim), (cfg.dim, cfg.dim))
+        params[f"mix{l}.b"] = rng.normal(0.0, 0.1, cfg.dim)
+    return params
+
+
+@pytest.mark.parametrize("cfg", [MockUpstreamConfig(), MockUpstreamConfig(n_layers=1, dim=1, seed=9),
+                                 MockUpstreamConfig(n_layers=3, dim=12, seed=2)])
+def test_param_table_initializer_matches_the_explicit_loop(cfg):
+    want = loop_init_params(cfg)
+    got = MockUpstream(cfg).params
+    assert list(got) == list(want) == list(param_shapes(cfg))
+    for name, shape in param_shapes(cfg).items():
+        assert got[name].shape == shape
+        assert got[name].data.tobytes() == want[name].tobytes(), name
+
+
+def test_given_parameters_replace_the_seeded_ones():
+    cfg = MockUpstreamConfig(n_layers=1, dim=2, seed=1)
+    given = {name: np.full(shape, 0.5) for name, shape in param_shapes(cfg).items()}
+    assert all(np.array_equal(p.data, given[k]) for k, p in MockUpstream(cfg, given).params.items())
+    seeded = MockUpstream(cfg, {}).params
+    assert all(np.array_equal(p.data, loop_init_params(cfg)[k]) for k, p in seeded.items())
 
 
 def test_mock_forward_zero_input_bias_only():
