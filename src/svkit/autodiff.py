@@ -7,7 +7,10 @@ per parent: the function that turns the output's gradient into that parent's.
 and, for each parent on a path to a ``requires_grad`` leaf, runs that parent's
 VJP, sums the result down to the parent's shape where numpy broadcasting
 widened it, and accumulates it into the parent's ``.grad``. A parent that
-needs no gradient never has its VJP run.
+needs no gradient never has its VJP run. The walk frees the graph as it goes:
+once a node's VJPs have run it drops its gradient, parents and VJPs, so only
+leaves (tensors no op recorded, such as parameters) keep ``.grad``, and a
+released graph cannot be backpropagated again.
 
 The op set is deliberately small: elementwise arithmetic with numpy
 broadcasting, 2-D matmul, reductions, a few nonlinearities, slicing,
@@ -34,6 +37,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _same(g):
     return g
+
+
+# the `_backward` of a node whose VJPs have run and whose graph `backward` has dropped
+_RELEASED = object()
 
 
 class Tensor:
@@ -86,7 +93,15 @@ class Tensor:
         return out
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf, releasing the graph.
+
+        Each interior node drops its gradient, parents and VJPs as soon as its
+        VJPs have run, so only leaves (tensors no op recorded) keep `.grad`, and
+        the graph's memory is freed during the walk rather than when the caller
+        drops the loss. A released graph cannot be backpropagated again: a
+        second `backward()` on the same loss, or on a loss that shares a
+        released node, raises ValueError before any gradient changes.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar")
         if not self.requires_grad:
@@ -106,12 +121,16 @@ class Tensor:
                     advanced = True
                     break
             if not advanced:
+                if node._backward is _RELEASED:
+                    raise ValueError("backward() reached a graph node that an earlier backward() released; "
+                                     "rebuild the graph to backpropagate through it again")
                 topo.append(node)
                 stack.pop()
 
         self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1.0
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its gradient
                 continue
             for parent, vjp in zip(node._parents, node._backward):
                 if not parent.requires_grad:
@@ -120,9 +139,14 @@ class Tensor:
                 if grad.shape != parent.data.shape:
                     grad = _unbroadcast(grad, parent.data.shape)
                 if parent.grad is None:
-                    parent.grad = grad.copy()
+                    # a fresh result is the parent's alone; a view, or the node's own gradient
+                    # (from `_same`), still aliases another array and is copied
+                    parent.grad = grad if grad.base is None and grad is not node.grad else grad.copy()
                 else:
                     parent.grad += grad
+            node.grad = None
+            node._parents = ()
+            node._backward = _RELEASED
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -6,6 +6,8 @@ exercise the exact same inference path.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import ecapa as ecapa_mod
@@ -45,7 +47,12 @@ class System:
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
         self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
         self.plant = plant
-        self.upstream = MockUpstream(upstream_cfg, upstream_params)
+        self._upstream_args = (upstream_cfg, upstream_params)
+
+    @cached_property
+    def upstream(self) -> MockUpstream:
+        """The mock upstream, built when the first WAV row needs it: `.svhs` rows never run one."""
+        return MockUpstream(*self._upstream_args)
 
     @classmethod
     def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant=None) -> "System":

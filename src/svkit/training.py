@@ -226,7 +226,9 @@ def train(
     if ecapa_cfg.in_dim != upstream_cfg.dim:
         raise ConfigError("ecapa.in_dim must equal the upstream dim")
 
-    upstream = MockUpstream(upstream_cfg)
+    rows = list(manifest.rows)
+    has_wav = not all(is_stack_file(row.path) for row in rows)
+    upstream = MockUpstream(upstream_cfg) if has_wav else None  # an import-only run never runs one
     logits = Tensor(np.zeros(upstream_cfg.n_layers + 1), requires_grad=True)
     params = ecapa_mod.init_params(ecapa_cfg, seed=seed)
     anchors = Tensor(
@@ -258,8 +260,6 @@ def train(
             plant_speaker_info(layers, row.speaker_id, plant)
         return aggregate_graph(layers, logits)
 
-    rows = list(manifest.rows)
-    has_wav = not all(is_stack_file(row.path) for row in rows)
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),
         (2, schedule.stage2_epochs, schedule.lr_stage2, aam, schedule.crop_seconds, has_wav),

@@ -1,6 +1,7 @@
 """Finite-difference and structural checks for the autodiff engine."""
 
 import inspect
+import weakref
 import zlib
 
 import numpy as np
@@ -162,6 +163,74 @@ def test_array_index_keys_rejected():
             x[key]
     x[1:, 0].sum().backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+
+
+def retaining_backward(root: Tensor):
+    """`Tensor.backward` before it released the graph: every node keeps its `.grad`,
+    parents and VJPs until the caller drops it. The reference the releasing backward
+    is checked against."""
+    topo = []
+    seen = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, it = stack[-1]
+        advanced = False
+        for p in it:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                advanced = True
+                break
+        if not advanced:
+            topo.append(node)
+            stack.pop()
+
+    root.grad = np.ones_like(root.data) if root.grad is None else root.grad + 1.0
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, vjp in zip(node._parents, node._backward):
+            if not parent.requires_grad:
+                continue
+            grad = vjp(node.grad)
+            if grad.shape != parent.data.shape:
+                grad = ad._unbroadcast(grad, parent.data.shape)
+            if parent.grad is None:
+                parent.grad = grad.copy()
+            else:
+                parent.grad += grad
+
+
+def test_backward_frees_interior_nodes_while_the_loss_is_held():
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+
+    def build():
+        h = (x * 3.0).tanh()
+        return (h * h).sum(), weakref.ref(h.data)
+
+    loss, interior = build()
+    retaining_backward(loss)
+    assert interior() is not None  # the retaining walk keeps the whole graph
+    expected = x.grad
+    x.grad = None
+    loss, interior = build()
+    loss.backward()
+    assert interior() is None
+    assert loss.grad is None and loss._parents == ()
+    assert x.grad.tobytes() == expected.tobytes()  # a leaf keeps its gradient
+
+
+@pytest.mark.parametrize("again", ["same loss", "loss sharing a released node"])
+def test_backward_through_a_released_graph_raises(again):
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    h = (x * x).tanh()
+    first, other = h.sum(), (h * 2.0).sum()
+    first.backward()
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="released"):
+        (first if again == "same loss" else other).backward()
+    # the walk raised before any VJP ran: no gradient was partly accumulated
+    assert x.grad.tobytes() == grad.tobytes() and other.grad is None
 
 
 def test_backward_requires_scalar():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import svkit.autodiff as ad
 import svkit.ecapa as em
+from svkit.aggregator import aggregate_graph
 from svkit.autodiff import Tensor
 from svkit.audio import Waveform
 from svkit.ecapa import EcapaConfig, save_checkpoint
@@ -22,7 +24,8 @@ from svkit.training import (
     grad_check,
     train,
 )
-from svkit.upstream import MockUpstreamConfig
+from svkit.upstream import MockUpstream, MockUpstreamConfig
+from test_autodiff import retaining_backward
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +325,45 @@ def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
     initial = MockUpstream(UP).params
     assert set(res.upstream) == set(initial)
     assert any(np.any(res.upstream[k] != v.data) for k, v in initial.items())
+
+
+def test_import_only_run_never_draws_a_mock_upstream(imported_corpus, monkeypatch):
+    from svkit.pipeline import System, extract_embeddings
+
+    def no_seeded_mock(cfg):
+        raise AssertionError("an import-only run drew a seeded mock upstream")
+
+    monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(no_seeded_mock))
+    res = train(imported_corpus, tiny_schedule(stage2_epochs=1), upstream_cfg=UP, ecapa_cfg=EC, seed=4)
+    embs = extract_embeddings(System.from_result(res, UP, EC), imported_corpus)
+    assert set(embs) == {row.utt_id for row in imported_corpus.rows}
+
+
+def stage2_step():
+    """The loss of one tuned stage-2 step from fresh parameters, and those parameters by
+    checkpoint name: per utterance a `forward_graph` crop, `aggregate_graph` and
+    `ecapa.forward`, then `aam_loss` over the batch."""
+    upstream = MockUpstream(UP)
+    params = {f"upstream.{k}": p for k, p in upstream.as_tensors().items()}
+    ecapa = em.init_params(EC, seed=3)
+    logits = Tensor(np.linspace(-0.5, 0.5, UP.n_layers + 1), requires_grad=True)
+    anchors = Tensor(np.random.default_rng(4).standard_normal((2, EC.embed_dim)), requires_grad=True)
+    crops = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 8 * 320))
+    embs = [em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), logits), ecapa, EC) for c in crops]
+    loss = aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), [0, 1, 0], anchors, AamConfig())
+    params.update({f"ecapa.{k}": p for k, p in ecapa.items()})
+    params.update({"agg.logits": logits, "aam.anchors": anchors})
+    return loss, params
+
+
+def test_tuned_stage_2_gradients_equal_the_retaining_backward():
+    loss, params = stage2_step()
+    loss.backward()
+    ref_loss, ref_params = stage2_step()
+    retaining_backward(ref_loss)
+    assert params.keys() == ref_params.keys()
+    for name, p in params.items():
+        assert p.grad is not None and p.grad.tobytes() == ref_params[name].grad.tobytes(), name
 
 
 def test_single_speaker_manifest_rejected(tmp_path):
