@@ -14,8 +14,10 @@ released graph cannot be backpropagated again.
 
 The op set is deliberately small: elementwise arithmetic with numpy
 broadcasting, 2-D matmul, reductions, a few nonlinearities, slicing,
-concatenation, and ``conv1d`` (a dilated temporal convolution with replicate
-padding, the one temporal op). Everything higher-level is composed from these.
+concatenation, ``conv1d`` (a dilated temporal convolution with replicate
+padding, the one temporal op) and ``frame_norm`` (per-frame normalization
+across channels, with a closed-form backward). Everything higher-level is
+composed from these.
 """
 
 from __future__ import annotations
@@ -292,11 +294,53 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1) -> T
     patches = x.data[idx].reshape(t, kernel * c)
 
     def vjp_x(g):
+        gp = (g @ w.data.T).reshape(t, kernel, c)
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, (g @ w.data.T).reshape(t, kernel, c))
+        # An interior frame j (0 < j < t-1) is read unclipped, by tap k from frame j - offs[k].
+        # Adding the taps in descending order sums those reads in the order `np.add.at`
+        # over `idx` would (row-major, frame j - offs[k] ascending), so the result is the same bytes.
+        for k in range(kernel - 1, -1, -1):
+            o = offs[k]
+            lo, hi = max(1, o), min(t - 1, t + o)
+            if lo < hi:
+                full[lo:hi] += gp[lo - o : hi - o, k]
+        # the two edge frames also take every clipped read
+        edge = (idx == 0) | (idx == t - 1)
+        np.add.at(full, idx[edge], gp[edge])
         return full
 
     return Tensor._op(patches @ w.data + b.data, (x, w, b), (vjp_x, lambda g: patches.T @ g, _same))
+
+
+def frame_norm(x: Tensor, g: Tensor, c: Tensor, eps: float) -> Tensor:
+    """Normalize each frame of a (T, C) tensor across its channels, then scale by
+    `g` and shift by `c` (both (C,)): `(x - mean) / sqrt(var + eps) * g + c`.
+
+    One node. Its forward runs, in order, the numpy ops of the same norm built
+    from `Tensor` ops (`mean`, `-`, `*`, `sqrt`, `/`, `+`), so its values equal
+    that composition's to the byte. Its backward is the closed-form layer-norm
+    gradient (Ba et al., 2016): with `xhat` the normalized input and `s` the
+    per-frame deviation, the input gradient of `gy` is
+    `(gx - mean(gx) - xhat * mean(gx * xhat)) / s` for `gx = gy * g`, the
+    means over channels.
+    """
+    x, g, c = (Tensor._coerce(v) for v in (x, g, c))
+    if x.data.ndim != 2:
+        raise ValueError("frame_norm expects a (T, C) tensor")
+    inv_n = 1.0 / x.data.shape[1]
+    xhat = x.data - x.data.sum(axis=1, keepdims=True) * inv_n
+    s = np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) * inv_n + eps)
+    xhat /= s  # in place, as is `y += c`: the same values with fewer (T, C) arrays alive
+    y = xhat * g.data
+    y += c.data
+
+    def vjp_x(gy):
+        gx = gy * g.data
+        return (gx - gx.sum(axis=1, keepdims=True) * inv_n
+                - xhat * ((gx * xhat).sum(axis=1, keepdims=True) * inv_n)) / s
+
+    return Tensor._op(y, (x, g, c),
+                      (vjp_x, lambda gy: (gy * xhat).sum(axis=0), lambda gy: gy.sum(axis=0)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -127,10 +127,7 @@ def _frame_norm(x: Tensor, g: Tensor, c: Tensor) -> Tensor:
     # per-frame statistics across channels (layer-norm style): batch-independent
     # and, unlike centering over time, keeps time-constant speaker information
     # alive on its way to the pooling layer
-    mu = x.mean(axis=1, keepdims=True)
-    d = x - mu
-    var = (d * d).mean(axis=1, keepdims=True)
-    return d / (var + _NORM_EPS).sqrt() * g + c
+    return ad.frame_norm(x, g, c, _NORM_EPS)
 
 
 def se_gate(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -155,12 +155,16 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
 
 
 def quality_features(trial: Trial, durations: dict) -> np.ndarray:
-    """Duration-based pair features: [log(min(d_e, d_t)), log(d_e) + log(d_t)]."""
+    """Duration-based pair features: [log(min(d_e, d_t)), log(d_e) + log(d_t)].
+
+    Each duration must be positive and finite; a missing, nonpositive, NaN or
+    infinite one is a DataError naming the utterance.
+    """
     for uid in (trial.enroll_id, trial.test_id):
         if uid not in durations:
             raise DataError(f"no duration recorded for {uid}")
-        if durations[uid] <= 0:
-            raise DataError(f"nonpositive duration for {uid}")
+        if not 0 < durations[uid] < math.inf:
+            raise DataError(f"nonpositive or non-finite duration {durations[uid]} for {uid}")
     de, dt = durations[trial.enroll_id], durations[trial.test_id]
     return np.array([np.log(min(de, dt)), np.log(de) + np.log(dt)])
 
@@ -241,6 +245,9 @@ def apply_calibration(model: CalibrationModel, scores, quality=None) -> np.ndarr
     quality = np.atleast_2d(np.asarray(quality, dtype=np.float64))
     if quality.shape[1] != model.arity:
         raise DataError(f"model expects {model.arity} quality features, got {quality.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(quality).all(axis=1))
+    if bad.size:
+        raise DataError(f"quality features of row {bad[0]} are not finite: {quality[bad[0]].tolist()}")
     return model.score_weight * scores + quality @ np.asarray(model.quality_weights) + model.bias
 
 

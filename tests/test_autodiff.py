@@ -61,6 +61,8 @@ OP_CASES = [
     ("logsumexp", lambda t: ad.logsumexp(t, axis=1)),
     # dilation 2 on T=4: taps clip at both edges; w and b are built from t, so all three VJPs are checked
     ("conv1d", lambda t: ad.conv1d(t, ad.concat([t[:3], t[1:], t[:3] * t[1:]]), t[3], 3, 2).tanh()),
+    # g and c are built from t, so the x, g and c VJPs are all checked
+    ("frame_norm", lambda t: ad.frame_norm(t, t[0] * t[1], t[2], 1e-5) * W),
     ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),
     ("rsub", lambda t: 1.0 - t * t),
     ("neg", lambda t: -t * W),
@@ -147,6 +149,35 @@ def test_conv1d_replicate_padding():
     rng = np.random.default_rng(0)
     c = ad.conv1d(Tensor(np.full((5, 3), 7.0)), rng.standard_normal((15, 4)), rng.standard_normal(4), 5, 2)
     np.testing.assert_allclose(c.data, np.tile(c.data[0], (5, 1)), rtol=1e-14)
+
+
+def composed_frame_norm(x, g, c, eps):
+    """Per-frame norm as eleven nodes (mean, center, variance, sqrt, scale, shift):
+    the reference for `ad.frame_norm`."""
+    mu = x.mean(axis=1, keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axis=1, keepdims=True)
+    return d / (var + eps).sqrt() * g + c
+
+
+@pytest.mark.parametrize("t", [1, 5, 150])
+def test_frame_norm_matches_the_composed_form(t):
+    rng = np.random.default_rng(t)
+    x = rng.standard_normal((t, 64)) * 3.0 + 1.0
+    x[0] = 0.7  # a constant frame: its variance is 0 and `eps` alone sets the scale
+    g, c, probe = 1.0 + rng.standard_normal(64), rng.standard_normal(64), rng.standard_normal((t, 64))
+
+    def run(norm):
+        ts = [Tensor(v.copy(), requires_grad=True) for v in (x, g, c)]
+        y = norm(*ts, 1e-5)
+        (y * probe).sum().backward()
+        return y.data, [v.grad for v in ts]
+
+    y, grads = run(ad.frame_norm)
+    ref_y, ref_grads = run(composed_frame_norm)
+    assert y.tobytes() == ref_y.tobytes()
+    for name, got, ref in zip("xgc", grads, ref_grads):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
 def test_constant_subgraphs_carry_no_graph():
@@ -258,7 +289,7 @@ def engine_ops():
 def test_every_op_has_a_finite_difference_case(monkeypatch):
     methods, functions = engine_ops()
     assert {"__add__", "__rsub__", "__matmul__", "__getitem__", "sum", "clip"} <= set(methods)
-    assert {"concat", "conv1d", "softmax", "logsumexp"} <= set(functions)
+    assert {"concat", "conv1d", "frame_norm", "softmax", "logsumexp"} <= set(functions)
     exercised = set()
 
     def record(owner, name):

@@ -299,7 +299,8 @@ def composed_conv1d(x, w, b, kernel, dilation=1):
     return time_patches(x, kernel, dilation).reshape(t, kernel * x.shape[1]) @ w + b
 
 
-@pytest.mark.parametrize("t", [5, 150])
+# T <= 3 clips every tap of the stem's kernel 5 and of the res2 convs at dilation 4
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 150])
 def test_conv1d_forward_and_gradients_byte_identical_to_composed_conv(t, monkeypatch):
     rng = np.random.default_rng(t)
     feats = rng.standard_normal((t, DESK.in_dim))
@@ -320,6 +321,22 @@ def test_conv1d_forward_and_gradients_byte_identical_to_composed_conv(t, monkeyp
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_desk_forward_graph_size_is_pinned():
+    # the tensors one desk crop's forward records (parameters, input, op nodes and
+    # constants): a change that grows the graph again fails here
+    params = init_params(DESK, seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((150, DESK.in_dim)))
+    out = forward(x, params, DESK)
+    reached, todo = {id(out)}, [out]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in reached:
+                reached.add(id(p))
+                todo.append(p)
+    assert {id(p) for p in params.values()} | {id(x)} <= reached
+    assert len(reached) == 259  # 95 parameters, the input, 159 op nodes and 4 constants
 
 
 def test_input_dim_mismatch():

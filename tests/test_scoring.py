@@ -443,6 +443,21 @@ def test_quality_features_values_and_errors():
         quality_features(trial, {"e": 1.0, "t": 0.0})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quality_features_non_finite_duration_rejected(bad):
+    with pytest.raises(DataError, match="non-finite duration .* for t$"):
+        quality_features(Trial("e", "t"), {"e": 2.0, "t": bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_calibration_non_finite_quality_rejected(bad):
+    model = CalibrationModel(score_weight=1.0, quality_weights=(0.5, 0.25), bias=0.0)
+    quality = np.ones((3, 2))
+    quality[1, 0] = bad
+    with pytest.raises(DataError, match="row 1 are not finite"):
+        apply_calibration(model, np.array([0.1, 0.2, 0.3]), quality)
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 # ---------------------------------------------------------------------------
