@@ -30,6 +30,8 @@ from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 
+# frame norm's eps: its per-frame statistics are batch-independent and, unlike centering
+# over time, keep time-constant speaker information alive on its way to the pooling layer
 _NORM_EPS = 1e-5
 _STD_EPS = 1e-8
 
@@ -123,13 +125,6 @@ def init_params(cfg: EcapaConfig, seed: int = 0, trainable: bool = True) -> dict
 # ---------------------------------------------------------------------------
 
 
-def _frame_norm(x: Tensor, g: Tensor, c: Tensor) -> Tensor:
-    # per-frame statistics across channels (layer-norm style): batch-independent
-    # and, unlike centering over time, keeps time-constant speaker information
-    # alive on its way to the pooling layer
-    return ad.frame_norm(x, g, c, _NORM_EPS)
-
-
 def se_gate(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Squeeze-excitation: sigmoid-gated channel rescaling from time-mean statistics."""
     s = x.mean(axis=0, keepdims=True)
@@ -149,15 +144,17 @@ def _res2(x: Tensor, params: dict, prefix: str, scale: int, dilation: int) -> Te
 
 
 def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilation: int) -> Tensor:
-    h = _frame_norm(
+    h = ad.frame_norm(
         (x @ params[f"{prefix}.conv1.w"] + params[f"{prefix}.conv1.b"]).relu(),
         params[f"{prefix}.norm1.g"],
         params[f"{prefix}.norm1.c"],
+        _NORM_EPS,
     )
-    h = _frame_norm(
+    h = ad.frame_norm(
         _res2(h, params, f"{prefix}.res2", cfg.res2_scale, dilation).relu(),
         params[f"{prefix}.norm2.g"],
         params[f"{prefix}.norm2.c"],
+        _NORM_EPS,
     )
     # SE pools the raw conv output: the time norm would zero every channel
     # mean and leave the gate blind to the utterance, so it comes after.
@@ -169,7 +166,7 @@ def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilati
         params[f"{prefix}.se.w2"],
         params[f"{prefix}.se.b2"],
     )
-    h = _frame_norm(h, params[f"{prefix}.norm3.g"], params[f"{prefix}.norm3.c"])
+    h = ad.frame_norm(h, params[f"{prefix}.norm3.g"], params[f"{prefix}.norm3.c"], _NORM_EPS)
     return x + h
 
 
@@ -188,10 +185,11 @@ def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
     if x.shape[1] != cfg.in_dim:
         raise ConfigError(f"feature dim {x.shape[1]} does not match ecapa.in_dim {cfg.in_dim}")
-    x = _frame_norm(
+    x = ad.frame_norm(
         ad.conv1d(x, params["stem.w"], params["stem.b"], 5).relu(),
         params["stem.norm.g"],
         params["stem.norm.c"],
+        _NORM_EPS,
     )
     b0 = se_res2_block(x, params, "block0", cfg, cfg.dilations[0])
     b1 = se_res2_block(b0, params, "block1", cfg, cfg.dilations[1])

@@ -65,15 +65,6 @@ class CalibrationModel:
 # ---------------------------------------------------------------------------
 
 
-def cosine_score(e1, e2) -> float:
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DataError("cosine score of a zero-norm embedding is undefined")
-    return float(np.clip(np.dot(e1, e2) / (n1 * n2), -1.0, 1.0))
-
-
 def _trial_rows(trials, store: dict, zero_norm: str):
     """Unit rows of the trials' distinct ids, in trial order, and each trial's enroll and test row."""
     sides = [uid for t in trials for uid in (t.enroll_id, t.test_id)]
@@ -169,6 +160,17 @@ def quality_features(trial: Trial, durations: dict) -> np.ndarray:
     return np.array([np.log(min(de, dt)), np.log(de) + np.log(dt)])
 
 
+def _quality_rows(quality, n: int) -> np.ndarray:
+    """Quality features as a 2-D array of n finite rows, one per score; a DataError names the first bad row."""
+    quality = np.atleast_2d(np.asarray(quality, dtype=np.float64))
+    if quality.shape[0] != n:
+        raise DataError("quality feature rows must align with scores")
+    bad = np.flatnonzero(~np.isfinite(quality).all(axis=1))
+    if bad.size:
+        raise DataError(f"quality features of row {bad[0]} are not finite: {quality[bad[0]].tolist()}")
+    return quality
+
+
 def _bce_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy of a logistic model and its gradient.
 
@@ -198,12 +200,9 @@ def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
     if quality is None:
         x = scores[:, None]
     else:
-        quality = np.atleast_2d(np.asarray(quality, dtype=np.float64))
-        if quality.shape[0] != scores.size:
-            raise DataError("quality feature rows must align with scores")
-        x = np.column_stack([scores, quality])
-    if not (np.isfinite(x).all() and np.isfinite(labels).all()):
-        raise DataError("calibration needs finite scores, labels and quality features")
+        x = np.column_stack([scores, _quality_rows(quality, scores.size)])
+    if not (np.isfinite(scores).all() and np.isfinite(labels).all()):
+        raise DataError("calibration needs finite scores and labels")
 
     xb = np.column_stack([x, np.ones(len(labels))])
     theta = np.zeros(xb.shape[1])
@@ -242,12 +241,9 @@ def apply_calibration(model: CalibrationModel, scores, quality=None) -> np.ndarr
         if model.arity != 0:
             raise DataError(f"model expects {model.arity} quality features, got none")
         return model.score_weight * scores + model.bias
-    quality = np.atleast_2d(np.asarray(quality, dtype=np.float64))
+    quality = _quality_rows(quality, scores.size)
     if quality.shape[1] != model.arity:
         raise DataError(f"model expects {model.arity} quality features, got {quality.shape[1]}")
-    bad = np.flatnonzero(~np.isfinite(quality).all(axis=1))
-    if bad.size:
-        raise DataError(f"quality features of row {bad[0]} are not finite: {quality[bad[0]].tolist()}")
     return model.score_weight * scores + quality @ np.asarray(model.quality_weights) + model.bias
 
 

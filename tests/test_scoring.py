@@ -14,7 +14,6 @@ from svkit.scoring import (
     adaptive_snorm,
     apply_calibration,
     build_cohort,
-    cosine_score,
     eer,
     ensemble,
     fit_calibration,
@@ -65,6 +64,15 @@ def snorm_oracle(score, e_scores, t_scores, top_k):
 
 # The per-trial loop implementations that the whole-array scoring code
 # replaced, kept as references for it.
+
+
+def cosine_score(e1, e2) -> float:
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise DataError("cosine score of a zero-norm embedding is undefined")
+    return float(np.clip(np.dot(e1, e2) / (n1 * n2), -1.0, 1.0))
 
 
 def loop_score_trials(trials, store):
@@ -423,6 +431,16 @@ def test_apply_calibration_preserves_eer_when_positive():
     labels[:2] = [0, 1]
     model = CalibrationModel(score_weight=1.7, quality_weights=(), bias=0.3)
     assert eer(scores, labels)[0] == eer(apply_calibration(model, scores), labels)[0]
+
+
+@pytest.mark.parametrize("n_scores, rows", [(1, 3), (3, 1)])
+def test_calibration_quality_rows_must_align_with_scores(n_scores, rows):
+    # numpy would broadcast either shape into a silently wrong result
+    model = CalibrationModel(score_weight=1.0, quality_weights=(0.5, 0.5), bias=0.0)
+    with pytest.raises(DataError, match="quality feature rows must align with scores"):
+        apply_calibration(model, np.full(n_scores, 0.1), np.ones((rows, 2)))
+    with pytest.raises(DataError, match="quality feature rows must align with scores"):
+        fit_calibration(np.array([0.1, 0.9]), np.array([0.0, 1.0]), np.ones((rows, 2)))
 
 
 def test_apply_calibration_arity_mismatch():
