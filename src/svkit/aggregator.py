@@ -33,20 +33,15 @@ def aggregate(layers: np.ndarray, weights) -> np.ndarray:
 
 
 def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
-    """Differentiable aggregation.
+    """Differentiable aggregation of a sequence of (T, D) layers.
 
-    `layers` is either a constant (L+1, T, D) array or a list of (T, D)
-    tensors (when the upstream itself is being fine-tuned). Gradients flow
-    to the logits and, in the latter case, to the layer tensors.
+    The layers are constant arrays (a float64 (L+1, T, D) stack iterates as
+    its layers) or, while the upstream is fine-tuned, tensors. Gradients flow
+    to the logits and to any layer tensor; constant rows record no graph.
     """
     w = ad.softmax(logits.reshape(1, -1), axis=1)
-    if isinstance(layers, np.ndarray):
-        n, t, d = layers.shape
-        flat = ad.Tensor(layers.reshape(n, t * d))
-    else:
-        t, d = layers[0].shape
-        n = len(layers)
-        flat = ad.concat([h.reshape(1, t * d) for h in layers], axis=0)
+    t, d = layers[0].shape
+    flat = ad.concat([h.reshape(1, t * d) for h in layers])
     return (w @ flat).reshape(t, d)
 
 

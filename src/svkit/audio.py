@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import convolve
 
 from .binfile import Reader
 from .errors import ConfigError, DataError, FormatError
@@ -245,6 +244,8 @@ def apply_rir(wav: Waveform, ir: Waveform) -> Waveform:
     """Convolve with an impulse response, truncate to the input length, match RMS.
 
     scipy's size rule picks FFT for a room response, direct (exact) for a unit impulse."""
+    from scipy.signal import convolve  # here, not at module load: ~1.5 s of every fresh interpreter
+
     h = ir.samples
     if not np.any(h != 0.0):
         raise DataError("impulse response has zero energy")

@@ -209,7 +209,7 @@ def _cmd_train(args, cfg: RunConfig):
         aam=cfg.aam,
         augment_cfg=cfg.augment,
         banks=banks,
-        plant=cfg.plant.spec(),
+        plant=cfg.plant,
         seed=cfg.seed,
     )
     out_dir = Path(args.out_dir)
@@ -226,7 +226,7 @@ def _cmd_embed(args, cfg: RunConfig):
     tensors = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest, check_paths=True)
     try:
-        system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=cfg.plant.spec())
+        system = System.from_checkpoint(tensors, cfg.upstream, cfg.ecapa, plant=cfg.plant)
     except FormatError as exc:
         raise FormatError(f"{args.checkpoint}: {exc}") from None
     store = extract_embeddings(system, manifest)

@@ -28,20 +28,6 @@ class ScoringConfig:
 
 
 @dataclass(frozen=True)
-class PlantSettings:
-    """Speaker-information injection for controlled experiments; layer -1 disables."""
-
-    layer: int = -1
-    strength: float = 0.0
-
-    def __post_init__(self):
-        self.spec()  # a bad strength fails at config load, before any data is read
-
-    def spec(self) -> PlantSpec | None:
-        return PlantSpec(self.layer, self.strength) if self.layer >= 0 else None
-
-
-@dataclass(frozen=True)
 class PathSettings:
     noise_dir: str = ""
     rir_dir: str = ""
@@ -57,7 +43,7 @@ class RunConfig:
     schedule: TrainSchedule = field(default_factory=TrainSchedule)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    plant: PlantSettings = field(default_factory=PlantSettings)
+    plant: PlantSpec = field(default_factory=PlantSpec)
     paths: PathSettings = field(default_factory=PathSettings)
 
 

@@ -41,7 +41,7 @@ class System:
         ecapa_params: dict,
         agg_logits: np.ndarray,
         upstream_params: dict,
-        plant: PlantSpec | None = None,
+        plant: PlantSpec = PlantSpec(),
     ):
         self.ecapa_cfg = ecapa_cfg
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
@@ -55,11 +55,11 @@ class System:
         return MockUpstream(*self._upstream_args)
 
     @classmethod
-    def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant=None) -> "System":
+    def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant: PlantSpec = PlantSpec()) -> "System":
         return cls.from_checkpoint(result.checkpoint_tensors(), upstream_cfg, ecapa_cfg, plant=plant)
 
     @classmethod
-    def from_checkpoint(cls, tensors: dict, upstream_cfg, ecapa_cfg, plant=None) -> "System":
+    def from_checkpoint(cls, tensors: dict, upstream_cfg, ecapa_cfg, plant: PlantSpec = PlantSpec()) -> "System":
         """Build a system, checking each tensor it reads by name and shape against the configs.
 
         Upstream tensors are optional: without them the mock upstream is
@@ -92,8 +92,7 @@ class System:
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
         layers = self.stack_for(manifest, row).layers.astype(np.float64)
         check_row_stack(layers, manifest, row, self.weights.size, self.ecapa_cfg.in_dim)
-        if self.plant is not None:
-            plant_speaker_info(layers, row.speaker_id, self.plant)
+        plant_speaker_info(layers, row.speaker_id, self.plant)
         return ecapa_mod.embed(aggregate(layers, self.weights), self.ecapa_params, self.ecapa_cfg)
 
 

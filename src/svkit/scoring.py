@@ -60,6 +60,14 @@ class CalibrationModel:
         return len(self.quality_weights)
 
 
+def _finite_scores(scores, what: str) -> np.ndarray:
+    """Scores as a finite float64 1-D array, else a DataError naming `what`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or not np.isfinite(scores).all():
+        raise DataError(f"{what} scores must be 1-D with no non-finite values")
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # Cosine scoring
 # ---------------------------------------------------------------------------
@@ -123,11 +131,9 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
     s' = ((s - mu_e)/sigma_e + (s - mu_t)/sigma_t) / 2, with mu/sigma taken
     over the top_k highest cosine scores between that side and the cohort.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores, "s-norm input")
     if scores.shape != (len(trials),):
         raise DataError("score set does not align with the trial list")
-    if not np.isfinite(scores).all():
-        raise DataError("s-norm input scores contain non-finite values")
     if not trials:
         return scores.copy()
     unit, e, t = _trial_rows(trials, store, "zero-norm embedding for {uid}")
@@ -161,7 +167,9 @@ def quality_features(trial: Trial, durations: dict) -> np.ndarray:
 
 
 def _quality_rows(quality, n: int) -> np.ndarray:
-    """Quality features as a 2-D array of n finite rows, one per score; a DataError names the first bad row."""
+    """Quality features as n finite rows, one per score; None is (n, 0). A DataError names the first bad row."""
+    if quality is None:
+        return np.empty((n, 0))
     quality = np.atleast_2d(np.asarray(quality, dtype=np.float64))
     if quality.shape[0] != n:
         raise DataError("quality feature rows must align with scores")
@@ -189,20 +197,15 @@ def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
 
     Damped Newton (IRLS): the step solves the Hessian system by least squares,
     so separable data's near-singular Hessian does not raise, and is halved
-    until the loss does not rise. Single-class labels and non-finite inputs raise.
+    until the loss does not rise. Empty or single-class labels and non-finite inputs raise.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores, "calibration")
     labels = np.asarray(labels, dtype=np.float64)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise DataError("scores and labels must be aligned 1-D arrays")
-    if np.all(labels == labels[0]):
-        raise DataError("calibration labels are degenerate (single class)")
-    if quality is None:
-        x = scores[:, None]
-    else:
-        x = np.column_stack([scores, _quality_rows(quality, scores.size)])
-    if not (np.isfinite(scores).all() and np.isfinite(labels).all()):
-        raise DataError("calibration needs finite scores and labels")
+    if labels.shape != scores.shape or not np.isfinite(labels).all():
+        raise DataError("calibration labels must be finite and aligned with the scores")
+    if not labels.size or np.all(labels == labels[0]):
+        raise DataError("calibration labels are degenerate (none, or a single class)")
+    x = np.column_stack([scores, _quality_rows(quality, scores.size)])
 
     xb = np.column_stack([x, np.ones(len(labels))])
     theta = np.zeros(xb.shape[1])
@@ -236,11 +239,7 @@ def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
 
 def apply_calibration(model: CalibrationModel, scores, quality=None) -> np.ndarray:
     """Affine log-odds transform a*s + b.q + c (no sigmoid; EER sweeps thresholds)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if quality is None:
-        if model.arity != 0:
-            raise DataError(f"model expects {model.arity} quality features, got none")
-        return model.score_weight * scores + model.bias
+    scores = _finite_scores(scores, "calibration")
     quality = _quality_rows(quality, scores.size)
     if quality.shape[1] != model.arity:
         raise DataError(f"model expects {model.arity} quality features, got {quality.shape[1]}")
@@ -254,7 +253,7 @@ def apply_calibration(model: CalibrationModel, scores, quality=None) -> np.ndarr
 
 def ensemble(score_sets, weights) -> np.ndarray:
     """Per-trial weighted mean, weights renormalized to sum one."""
-    sets = [np.asarray(s, dtype=np.float64) for s in score_sets]
+    sets = [_finite_scores(s, "ensemble") for s in score_sets]
     if not sets or any(s.shape != sets[0].shape for s in sets):
         raise DataError("ensemble needs aligned, equally sized score sets")
     w = np.asarray(weights, dtype=np.float64)
@@ -281,12 +280,10 @@ def eer(scores, labels) -> tuple:
     the threshold, fa = fraction of nontargets at or above it) and linearly
     interpolates between the adjacent points where miss and fa cross.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores, "EER")
     labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
+    if scores.shape != labels.shape:
         raise DataError("scores and labels must be aligned 1-D arrays")
-    if not np.isfinite(scores).all():
-        raise DataError("EER needs finite scores")
     tar = np.sort(scores[labels == 1])
     non = np.sort(scores[labels == 0])
     if tar.size == 0 or non.size == 0:

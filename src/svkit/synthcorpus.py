@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import SAMPLE_RATE, Waveform, write_wav
 from .errors import ConfigError, DataError
@@ -85,6 +84,8 @@ def synth_utterance(profile: SpeakerProfile, utt_index: int, seconds: float) -> 
     All randomness derives from (profile, utt_index), so regeneration is
     bit-identical.
     """
+    from scipy.signal import lfilter  # here, not at module load: ~1.5 s of every fresh interpreter
+
     if seconds < 1:
         raise DataError("utterances must be at least one second long")
     rng = np.random.default_rng(derive_seed(profile.seed, f"utt:{utt_index}"))

@@ -206,7 +206,7 @@ def train(
     aam: AamConfig = AamConfig(),
     augment_cfg: AugmentConfig = AugmentConfig(),
     banks: AugmentBanks = AugmentBanks(),
-    plant: PlantSpec | None = None,
+    plant: PlantSpec = PlantSpec(),
     seed: int = 0,
 ) -> TrainResult:
     """Run the staged training pipeline on a manifest.
@@ -256,8 +256,7 @@ def train(
                 layers = upstream.forward_graph(Tensor(wav.samples))
             else:
                 layers = upstream.stack(wav, f"{row.utt_id} ({path})").layers.astype(np.float64)
-        if plant is not None:
-            plant_speaker_info(layers, row.speaker_id, plant)
+        plant_speaker_info(layers, row.speaker_id, plant)
         return aggregate_graph(layers, logits)
 
     stages = [

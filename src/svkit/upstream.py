@@ -200,12 +200,14 @@ def check_row_stack(layers, manifest: Manifest, row: ManifestRow, n_layers_plus_
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """Inject a fixed per-speaker offset into one upstream layer (test fixture)."""
+    """The `plant` config section: a fixed per-speaker offset in one upstream layer; layer -1 is off."""
 
-    layer: int
-    strength: float
+    layer: int = -1
+    strength: float = 0.0
 
     def __post_init__(self):
+        if self.layer < -1:
+            raise ConfigError(f"plant.layer must be -1 (off) or a layer index, got {self.layer}")
         if not 0.0 <= self.strength < math.inf:
             raise ConfigError(f"plant.strength must be finite and >= 0, got {self.strength}")
 
@@ -218,12 +220,14 @@ def speaker_offset(speaker_id, dim: int) -> np.ndarray:
 
 
 def plant_speaker_info(layers, speaker_id, plant: PlantSpec):
-    """Add strength * unit_vector(speaker_id) to every frame of the planted layer, in place.
+    """Add strength * unit_vector(speaker_id) to every frame of the planted layer, in place; -1 is off.
 
     `layers` is a float64 (L+1, T, D) array or, while the upstream is fine-tuned, a list of (T, D) tensors.
     """
     k = plant.layer
-    if not 0 <= k < len(layers):
+    if k == -1:
+        return
+    if k >= len(layers):
         raise DataError(f"plant layer {k} out of range 0..{len(layers) - 1}")
     layers[k] = layers[k] + plant.strength * speaker_offset(speaker_id, layers[k].shape[-1])
 

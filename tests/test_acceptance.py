@@ -220,7 +220,7 @@ def test_criterion_6_one_hot_reduction(desk_run):
     one_hot[DESK_PLANT.layer] = 40.0
     result = desk_run["result"]
     system = System(DESK_UPSTREAM, DESK_ECAPA, result.ecapa, one_hot,
-                    upstream_params=result.upstream or None, plant=DESK_PLANT)
+                    upstream_params=result.upstream, plant=DESK_PLANT)
     store = extract_embeddings(system, desk_run["corpus"].heldout)
     onehot_eer, _ = eer(score_trials(desk_run["corpus"].trials, store), desk_run["labels"])
     diff = abs(onehot_eer - learned_eer)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svkit import autodiff as ad
 from svkit.aggregator import aggregate, aggregate_graph, export_weights, normalized_weights, write_weights_csv
 from svkit.autodiff import Tensor
 from svkit.errors import DataError
@@ -103,6 +104,22 @@ def test_aggregate_graph_matches_numpy():
     out = aggregate_graph(layers, Tensor(logits))
     ref = np.tensordot(normalized_weights(logits), layers, axes=(0, 0))
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
+
+
+def test_aggregate_graph_of_a_stack_equals_its_former_constant_matrix():
+    # a stack iterates as its layers; the former array path, one (n, T*D) constant, is the byte reference
+    rng = np.random.default_rng(7)
+    layers = rng.standard_normal((5, 6, 4))
+    probe = rng.standard_normal((6, 4))
+    logits = Tensor(rng.standard_normal(5), requires_grad=True)
+    out = aggregate_graph(layers, logits)
+    (out * probe).sum().backward()
+    ref_logits = Tensor(logits.data.copy(), requires_grad=True)
+    w = ad.softmax(ref_logits.reshape(1, -1), axis=1)
+    ref = (w @ Tensor(layers.reshape(5, 6 * 4))).reshape(6, 4)
+    (ref * probe).sum().backward()
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert logits.grad.tobytes() == ref_logits.grad.tobytes()
 
 
 def test_aggregate_graph_gradient_flows_to_layers():

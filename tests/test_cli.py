@@ -166,6 +166,15 @@ def test_eval_perfect_separation_fixture(tmp_path, capsys):
     assert summary["eer"] == "0.000000"
 
 
+@pytest.mark.parametrize("key, value", [("plant.layer", "-2"), ("plant.strength", "nan")])
+def test_exit_code_2_on_plant_below_off_or_bad_strength_while_off(tmp_path, capsys, key, value):
+    # layer -1 (the default) is the plant's one "off" value; a lower layer is refused, and so is a
+    # bad strength while the plant is off
+    code = main(["--set", f"{key}={value}", "train", "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_exit_code_2_on_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("fbank.bogus = 1\n")

@@ -35,3 +35,10 @@ def test_each_module_imports_first(module):
     # no module relies on another having been imported before it (an import cycle would)
     proc = run_fresh(f"import svkit.{module}")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes ~1.5 s to import; only the functions that filter audio load it
+    proc = run_fresh("import sys, svkit.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -96,7 +96,7 @@ def test_durations(trained):
     assert all(abs(d - 1.0) < 1e-9 for d in durations.values())
 
 
-@pytest.mark.parametrize("plant", [None, PlantSpec(layer=1, strength=2.0)])
+@pytest.mark.parametrize("plant", [PlantSpec(), PlantSpec(layer=1, strength=2.0)])
 def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, plant):
     """Full-length, unaugmented rows: WAV rows and their SVHS twins reach the
     aggregator with the same float64 layers in training and in `System`."""

@@ -11,6 +11,7 @@ from svkit.scoring import (
     CalibrationModel,
     Cohort,
     Trial,
+    _quality_rows,
     adaptive_snorm,
     apply_calibration,
     build_cohort,
@@ -374,6 +375,8 @@ def test_fit_calibration_null_labels():
 def test_fit_calibration_degenerate_labels():
     with pytest.raises(DataError, match="single class"):
         fit_calibration(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+    with pytest.raises(DataError, match="degenerate"):
+        fit_calibration([], [])  # no trial at all
 
 
 def test_fit_calibration_gradient_tolerance_reached():
@@ -445,7 +448,7 @@ def test_calibration_quality_rows_must_align_with_scores(n_scores, rows):
 
 def test_apply_calibration_arity_mismatch():
     model = CalibrationModel(score_weight=1.0, quality_weights=(0.5,), bias=0.0)
-    with pytest.raises(DataError, match="quality features"):
+    with pytest.raises(DataError, match="expects 1 quality features, got 0$"):
         apply_calibration(model, np.array([0.1]))
     with pytest.raises(DataError, match="quality features"):
         apply_calibration(model, np.array([0.1]), quality=np.zeros((1, 2)))
@@ -465,6 +468,27 @@ def test_quality_features_values_and_errors():
 def test_quality_features_non_finite_duration_rejected(bad):
     with pytest.raises(DataError, match="non-finite duration .* for t$"):
         quality_features(Trial("e", "t"), {"e": 2.0, "t": bad})
+
+
+def test_no_quality_features_is_a_zero_column_matrix():
+    # the former no-quality forms, x = scores[:, None] and a*s + b, are the byte references
+    rng = np.random.default_rng(13)
+    scores = rng.standard_normal(200)
+    labels = (scores + rng.standard_normal(200) > 0).astype(float)
+    assert _quality_rows(None, scores.size).shape == (200, 0)
+    x = np.column_stack([scores, _quality_rows(None, scores.size)])
+    assert x.tobytes() == scores[:, None].tobytes()
+    model = fit_calibration(scores, labels)
+    assert model.quality_weights == ()
+    a, b = model.score_weight, model.bias
+    assert apply_calibration(model, scores).tobytes() == (a * scores + b).tobytes()
+
+
+@pytest.mark.parametrize("scores", [[np.nan, 0.5], [0.5, -np.inf], [[0.1, 0.2]]])
+def test_apply_calibration_non_finite_or_misshaped_scores_rejected(scores):
+    model = CalibrationModel(score_weight=1.0, quality_weights=(), bias=0.0)
+    with pytest.raises(DataError, match="1-D with no non-finite"):
+        apply_calibration(model, scores)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -505,6 +529,12 @@ def test_ensemble_validation():
     for weights in ([np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]):  # the last sum overflows
         with pytest.raises(DataError, match="finite"):
             ensemble([np.zeros(3), np.zeros(3)], weights)
+
+
+@pytest.mark.parametrize("score_sets", [[[np.nan, 1.0], [0.0, np.inf]], [[[0.1, 0.2]], [[0.3, 0.4]]]])
+def test_ensemble_non_finite_or_misshaped_scores_rejected(score_sets):
+    with pytest.raises(DataError, match="ensemble scores must be 1-D with no non-finite"):
+        ensemble(score_sets, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

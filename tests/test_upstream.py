@@ -248,9 +248,24 @@ def test_plant_same_speaker_same_offset():
 
 def test_plant_out_of_range_layer_errors():
     layers = layers_fixture()
-    for layer in (-1, layers.shape[0], layers.shape[0] + 2):
+    for layer in (layers.shape[0], layers.shape[0] + 2):
         with pytest.raises(DataError, match="out of range"):
             planted(layers, "spk1", layer, 1.0)
+
+
+def test_plant_off_leaves_layers_unchanged():
+    layers = layers_fixture()
+    assert PlantSpec() == PlantSpec(layer=-1, strength=0.0)
+    assert planted(layers, "spk1", -1, 3.0).tobytes() == layers.tobytes()
+    tensors = [Tensor(h) for h in layers]
+    plant_speaker_info(tensors, "spk1", PlantSpec())
+    assert np.stack([h.data for h in tensors]).tobytes() == layers.tobytes()
+
+
+@pytest.mark.parametrize("layer", [-2, -13])
+def test_plant_layer_below_off_is_config_error(layer):
+    with pytest.raises(ConfigError, match="plant.layer"):
+        PlantSpec(layer, 1.0)
 
 
 def test_plant_touches_only_target_layer():
@@ -281,6 +296,8 @@ def test_plant_tensor_list_matches_array():
 def test_plant_strength_must_be_finite_non_negative(strength):
     with pytest.raises(ConfigError, match="plant.strength"):
         PlantSpec(1, strength)
+    with pytest.raises(ConfigError, match="plant.strength"):
+        PlantSpec(-1, strength)  # also with the plant off
 
 
 # ---------------------------------------------------------------------------
