@@ -26,12 +26,11 @@ class Waveform:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.array(self.samples, dtype=np.float64)  # a copy: the waveform owns its data
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("waveform must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("waveform contains non-finite samples")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

@@ -192,8 +192,6 @@ class Tensor:
     # -- shapes ----------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         orig = self.data.shape
         return Tensor._op(self.data.reshape(shape), (self,), (lambda g: g.reshape(orig),))
 

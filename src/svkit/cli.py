@@ -179,7 +179,7 @@ def _cmd_upstream_export(args, cfg: RunConfig):
         out = _require(args.out, "out")
         stack = upstream.stack(read_wav(args.wav), args.wav)
         save_stack(stack, out)
-        return [("layers", stack.layers.shape[0]), ("frames", stack.num_frames), ("dim", stack.dim)]
+        return list(zip(("layers", "frames", "dim"), stack.layers.shape))
     manifest = load_manifest(_require(args.manifest, "manifest"), check_paths=True)
     out_dir = Path(_require(args.out_dir, "out-dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,23 +255,21 @@ def _cmd_snorm(args, cfg: RunConfig):
 
 
 def _cmd_calibrate(args, cfg: RunConfig):
-    trials = scoring.load_trials(args.trials)
-    scores = scoring.load_scores(args.scores, trials)
-    labels = scoring.trial_labels(trials)
-    quality = None
-    durations = None
-    if args.manifest:
-        durations = utterance_durations(load_manifest(args.manifest, check_paths=True))
-        quality = np.asarray([scoring.quality_features(t, durations) for t in trials])
-    model = scoring.fit_calibration(scores, labels, quality)
+    durations = utterance_durations(load_manifest(args.manifest, check_paths=True)) if args.manifest else {}
+
+    def load(trials_path, scores_path):
+        """A trial list, its scores and their quality rows: duration features with --manifest, else (n, 0)."""
+        trials = scoring.load_trials(trials_path)
+        scores = scoring.load_scores(scores_path, trials)
+        quality = [scoring.quality_features(t, durations) if args.manifest else () for t in trials]
+        return trials, scores, np.array(quality)
+
+    trials, scores, quality = load(args.trials, args.scores)
+    model = scoring.fit_calibration(scores, scoring.trial_labels(trials), quality)
     _save_calibration(model, args.model_out)
     summary = [("a", f"{model.score_weight:.6f}"), ("bias", f"{model.bias:.6f}")]
     if args.apply_scores:
-        apply_trials = scoring.load_trials(_require(args.apply_trials, "apply-trials"))
-        apply_scores = scoring.load_scores(args.apply_scores, apply_trials)
-        apply_quality = None
-        if durations is not None:
-            apply_quality = np.asarray([scoring.quality_features(t, durations) for t in apply_trials])
+        apply_trials, apply_scores, apply_quality = load(_require(args.apply_trials, "apply-trials"), args.apply_scores)
         calibrated = scoring.apply_calibration(model, apply_scores, apply_quality)
         scoring.save_scores(apply_trials, calibrated, _require(args.out, "out"))
         summary.append(("applied", len(apply_trials)))

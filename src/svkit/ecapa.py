@@ -47,12 +47,13 @@ class EcapaConfig:
     embed_dim: int = 192
 
     def __post_init__(self):
+        for key in ("in_dim", "channels", "res2_scale", "embed_dim", "se_bottleneck", "attention_channels"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"ecapa.{key} must be >= 1, got {getattr(self, key)}")
         if self.channels % self.res2_scale != 0:
             raise ConfigError("ecapa.channels must be divisible by res2_scale")
-        if len(self.dilations) != 3:
-            raise ConfigError("ecapa.dilations must list exactly three dilations")
-        if min(self.in_dim, self.embed_dim, self.se_bottleneck, self.attention_channels) < 1:
-            raise ConfigError("ecapa dimensions must be >= 1")
+        if len(self.dilations) != 3 or min(self.dilations) < 1:
+            raise ConfigError(f"ecapa.dilations must list exactly three dilations, each >= 1, got {self.dilations}")
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
 
     @property
@@ -182,11 +183,10 @@ def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
 def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     """Embed a (T, F) feature matrix (array or tensor) into an (E,) tensor."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    if x.shape[1] != cfg.in_dim:
-        raise ConfigError(f"feature dim {x.shape[1]} does not match ecapa.in_dim {cfg.in_dim}")
+    if features.shape[1] != cfg.in_dim:
+        raise ConfigError(f"feature dim {features.shape[1]} does not match ecapa.in_dim {cfg.in_dim}")
     x = ad.frame_norm(
-        ad.conv1d(x, params["stem.w"], params["stem.b"], 5).relu(),
+        ad.conv1d(features, params["stem.w"], params["stem.b"], 5).relu(),
         params["stem.norm.g"],
         params["stem.norm.c"],
         _NORM_EPS,

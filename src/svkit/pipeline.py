@@ -102,4 +102,12 @@ def extract_embeddings(system: System, manifest: Manifest) -> dict:
 
 
 def utterance_durations(manifest: Manifest) -> dict:
-    return {row.utt_id: read_wav_duration(manifest.resolve(row)) for row in manifest.rows}
+    """Seconds per row, by the row source rule: a WAV's from its header, an SVHS stack's as frames / frame rate."""
+    return {row.utt_id: _duration(manifest.resolve(row)) for row in manifest.rows}
+
+
+def _duration(path) -> float:
+    if not is_stack_file(path):
+        return read_wav_duration(path)
+    stack = load_stack(path)
+    return stack.layers.shape[1] / stack.frame_rate_hz

@@ -37,7 +37,6 @@ class Cohort:
     """Unit-norm speaker-mean embeddings used as score-normalization imposters."""
 
     members: np.ndarray
-    speaker_ids: tuple
     top_k: int
 
     def __post_init__(self):
@@ -122,7 +121,7 @@ def build_cohort(store: dict, manifest: Manifest, top_k: int) -> Cohort:
             raise DataError(f"speaker {spk} has a zero-norm mean embedding")
         means.append(m / norm)
     members = np.asarray(means)
-    return Cohort(members, tuple(speakers), top_k=min(top_k, len(speakers)))
+    return Cohort(members, top_k=min(top_k, len(speakers)))
 
 
 def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:

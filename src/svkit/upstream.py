@@ -34,24 +34,15 @@ class LayerStack:
 
     def __post_init__(self):
         with np.errstate(over="ignore"):  # an overflow is a non-finite entry, refused below
-            arr = np.asarray(self.layers, dtype=np.float32)
+            arr = np.array(self.layers, dtype=np.float32)  # a copy: the stack owns its data
         if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("layer stack contains non-finite entries")
         if not 0 < self.frame_rate_hz < np.inf:
             raise ValueError(f"layer stack frame rate must be positive and finite, got {self.frame_rate_hz}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
-
-    @property
-    def num_frames(self) -> int:
-        return self.layers.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.layers.shape[2]
 
 
 # The mock's front end is fixed, like the encoders it stands in for (the

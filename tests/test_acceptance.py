@@ -139,7 +139,7 @@ def test_criterion_3_snorm_oracle_equivalence():
         members = rng.standard_normal((n_cohort, dim))
         members /= np.linalg.norm(members, axis=1, keepdims=True)
         store = {"e": rng.standard_normal(dim), "t": rng.standard_normal(dim)}
-        cohort = Cohort(members, tuple(f"s{i}" for i in range(n_cohort)), top_k=top_k)
+        cohort = Cohort(members, top_k=top_k)
         raw = np.array([float(rng.uniform(-1, 1))])
         try:
             out = adaptive_snorm(raw, [Trial("e", "t")], store, cohort)

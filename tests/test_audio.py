@@ -101,6 +101,17 @@ def test_waveform_invariants():
         wav.samples[0] = 1.0  # immutable after construction
 
 
+@pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i2"])
+def test_waveform_owns_a_read_only_copy(dtype):
+    buf = bytearray(np.arange(-3, 5).astype(dtype).tobytes())
+    # a writable float64 array, or a read-only view of a buffer as read_wav decodes one
+    source = np.frombuffer(buf if dtype == "<f8" else memoryview(buf).toreadonly(), dtype=dtype)
+    wav = Waveform(source)
+    assert wav.samples.dtype == np.float64 and wav.samples.flags.owndata and not wav.samples.flags.writeable
+    buf[:] = bytes(len(buf))  # a later write to the source's memory
+    np.testing.assert_array_equal(wav.samples, np.arange(-3.0, 5.0))
+
+
 # ---------------------------------------------------------------------------
 # Fbank
 # ---------------------------------------------------------------------------

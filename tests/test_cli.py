@@ -139,6 +139,23 @@ def test_upstream_export_manifest_and_import_training(workspace, capsys, tmp_pat
     tensors = load_checkpoint(run_dir / "checkpoint.svck")
     assert not any(k.startswith("upstream.") for k in tensors)  # imported stacks stay frozen
 
+    # calibrate reads SVHS rows' durations from their headers: 1 s WAVs export 50 frames at 50 Hz,
+    # so the quality features, and the model file, equal those of the WAV manifest
+    from svkit import scoring
+    from svkit.upstream import load_manifest
+
+    rows = load_manifest(data / "train.tsv").rows
+    trials = [scoring.Trial(a.utt_id, b.utt_id, int(a.speaker_id == b.speaker_id))
+              for i, a in enumerate(rows) for b in rows[i + 1 :]]
+    scoring.save_trials(trials, tmp_path / "trials.txt")
+    labels = scoring.trial_labels(trials)
+    scores = np.random.default_rng(3).normal(size=len(trials)) + labels
+    scoring.save_scores(trials, scores, tmp_path / "scores.txt")
+    for name, manifest in (("svhs", stacks / "manifest.tsv"), ("wav", data / "train.tsv")):
+        run_ok(capsys, ["calibrate", "--scores", str(tmp_path / "scores.txt"), "--trials", str(tmp_path / "trials.txt"),
+                        "--manifest", str(manifest), "--model-out", str(tmp_path / f"{name}.cal")])
+    assert (tmp_path / "svhs.cal").read_bytes() == (tmp_path / "wav.cal").read_bytes()
+
 
 def test_export_weights_uniform_after_zero_training(workspace, capsys, tmp_path):
     root, cfg = workspace
@@ -201,6 +218,10 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
                  "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "augment.noise_snr_db_range" in capsys.readouterr().err
+    # a zero-width ECAPA stops at config load, not in parameter initialization
+    code = main(["--set", "ecapa.channels=0", "train", "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "ecapa.channels must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -231,6 +252,58 @@ def test_ensemble_weights_must_parse_and_be_finite(tmp_path, capsys):
     assert not (tmp_path / "fused.txt").exists()
     run_ok(capsys, argv + ["--weights", "3,1"])
     assert (tmp_path / "fused.txt").read_text() == scores.read_text()
+
+
+@pytest.mark.parametrize("with_manifest", [False, True])
+def test_calibrate_files_equal_the_library_fit_and_apply(tmp_path, capsys, with_manifest):
+    from svkit import scoring
+    from svkit.audio import Waveform, write_wav
+    from svkit.cli import _save_calibration
+    from svkit.pipeline import utterance_durations
+    from svkit.upstream import Manifest, ManifestRow, save_manifest
+
+    rng = np.random.default_rng(5)
+    ids = [f"u{i}" for i in range(8)]
+    for i, uid in enumerate(ids):
+        write_wav(tmp_path / f"{uid}.wav", Waveform(np.zeros(800 * (i + 2))))
+    manifest = Manifest(tuple(ManifestRow(u, f"s{i % 2}", f"{u}.wav") for i, u in enumerate(ids)), tmp_path)
+    save_manifest(manifest, tmp_path / "m.tsv")
+    pairs = [(a, b, int(i % 2 == j % 2)) for i, a in enumerate(ids) for j, b in enumerate(ids) if i < j]
+    fit_trials = [scoring.Trial(a, b, label) for a, b, label in pairs]
+    apply_trials = [scoring.Trial(b, a) for a, b, _ in pairs[::2]]
+    scoring.save_trials(fit_trials, tmp_path / "fit.txt")
+    scoring.save_trials(apply_trials, tmp_path / "apply.txt")
+    labels = scoring.trial_labels(fit_trials)
+    scoring.save_scores(fit_trials, rng.normal(size=len(pairs)) + labels, tmp_path / "fit_scores.txt")
+    scoring.save_scores(apply_trials, rng.normal(size=len(apply_trials)), tmp_path / "apply_scores.txt")
+
+    argv = ["calibrate", "--scores", str(tmp_path / "fit_scores.txt"), "--trials", str(tmp_path / "fit.txt"),
+            "--model-out", str(tmp_path / "model.txt"), "--apply-scores", str(tmp_path / "apply_scores.txt")]
+    if with_manifest:
+        argv += ["--manifest", str(tmp_path / "m.tsv")]
+    # the model is written before a missing apply setting is refused
+    assert main(argv + ["--out", str(tmp_path / "cal.txt")]) == 2
+    assert "apply-trials" in capsys.readouterr().err
+    assert (tmp_path / "model.txt").is_file() and not (tmp_path / "cal.txt").exists()
+    summary = run_ok(capsys, argv + ["--apply-trials", str(tmp_path / "apply.txt"), "--out", str(tmp_path / "cal.txt")])
+    assert summary["applied"] == str(len(apply_trials))
+
+    durations = utterance_durations(manifest)
+
+    def quality(trials):  # duration features with a manifest, else no quality features: an (n, 0) matrix
+        if not with_manifest:
+            return np.empty((len(trials), 0))
+        return np.array([scoring.quality_features(t, durations) for t in trials])
+
+    fit_scores = scoring.load_scores(tmp_path / "fit_scores.txt", fit_trials)
+    model = scoring.fit_calibration(fit_scores, labels, quality(fit_trials))
+    assert model.arity == (2 if with_manifest else 0)
+    _save_calibration(model, tmp_path / "model_ref.txt")
+    apply_scores = scoring.load_scores(tmp_path / "apply_scores.txt", apply_trials)
+    scoring.save_scores(apply_trials, scoring.apply_calibration(model, apply_scores, quality(apply_trials)),
+                        tmp_path / "cal_ref.txt")
+    assert (tmp_path / "model.txt").read_bytes() == (tmp_path / "model_ref.txt").read_bytes()
+    assert (tmp_path / "cal.txt").read_bytes() == (tmp_path / "cal_ref.txt").read_bytes()
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):

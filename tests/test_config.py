@@ -3,6 +3,7 @@
 import pytest
 
 from svkit.config import RunConfig, dump_config, load_config
+from svkit.ecapa import EcapaConfig
 from svkit.errors import ConfigError
 
 
@@ -84,6 +85,15 @@ def test_bad_values_rejected(tmp_path):
     for value in ("nan,nan", "-inf,5", "0,inf", "nan,5"):
         with pytest.raises(ConfigError, match="augment.noise_snr_db_range must be finite"):
             load_config(overrides=[("augment.noise_snr_db_range", value)])
+    # ECAPA sizes that cannot build a network: zero widths, and dilations whose taps all read one frame
+    for key, value, message in (("channels", "0", "ecapa.channels must be >= 1, got 0"),
+                                ("res2_scale", "0", "ecapa.res2_scale must be >= 1, got 0"),
+                                ("dilations", "0,3,4", r"each >= 1, got \(0, 3, 4\)"),
+                                ("dilations", "2,-1,4", r"each >= 1, got \(2, -1, 4\)")):
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[(f"ecapa.{key}", value)])
+    with pytest.raises(ConfigError, match="ecapa.res2_scale must be >= 1"):
+        EcapaConfig(res2_scale=0)  # refused before the divisibility rule divides by it
     for key in ("crop_seconds", "lmft_crop_seconds"):
         for value in ("nan", "inf", "0.0", "-3.0"):
             with pytest.raises(ConfigError, match=f"schedule.{key} must be finite and > 0"):

@@ -1,5 +1,6 @@
 """The package's import surface: each name has one import path, its submodule."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -42,3 +43,17 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = run_fresh("import sys, svkit.cli; print('scipy.signal' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    # a removal that leaves its import behind shows up here
+    tree = ast.parse((Path(svkit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -96,6 +96,20 @@ def test_durations(trained):
     assert all(abs(d - 1.0) < 1e-9 for d in durations.values())
 
 
+def test_durations_of_exported_stacks_are_frames_over_frame_rate(tmp_path):
+    from svkit.audio import Waveform, write_wav
+    from svkit.upstream import HOP, Manifest, ManifestRow, MockUpstream, save_stack
+
+    upstream, rows, expected = MockUpstream(UP), [], {}
+    for i, n in enumerate((HOP, 8000 + HOP - 1, 16000)):
+        wav = Waveform(np.random.default_rng(i).uniform(-0.1, 0.1, n))
+        save_stack(upstream.stack(wav, f"u{i}"), tmp_path / f"u{i}.svhs")
+        write_wav(tmp_path / f"u{i}.wav", wav)
+        rows += [ManifestRow(f"u{i}", "s", f"u{i}.svhs"), ManifestRow(f"w{i}", "s", f"u{i}.wav")]
+        expected.update({f"u{i}": (n // HOP) / 50.0, f"w{i}": n / 16000})
+    assert utterance_durations(Manifest(tuple(rows), tmp_path)) == expected
+
+
 @pytest.mark.parametrize("plant", [PlantSpec(), PlantSpec(layer=1, strength=2.0)])
 def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, plant):
     """Full-length, unaugmented rows: WAV rows and their SVHS twins reach the

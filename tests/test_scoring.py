@@ -134,7 +134,7 @@ def random_scoring_case(rng):
     members = rng.standard_normal((int(rng.integers(2, 25)), dim))
     members /= np.linalg.norm(members, axis=1, keepdims=True)
     top_k = members.shape[0] if rng.random() < 0.3 else int(rng.integers(1, members.shape[0] + 1))
-    return store, trials, Cohort(members, tuple(f"c{i}" for i in range(members.shape[0])), top_k=top_k)
+    return store, trials, Cohort(members, top_k=top_k)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_cohort_missing_speaker_embeddings():
 
 def test_cohort_needs_two_speakers():
     with pytest.raises(DataError, match="at least two"):
-        Cohort(np.ones((1, 4)), ("a",), top_k=1)
+        Cohort(np.ones((1, 4)), top_k=1)
 
 
 def test_snorm_centering_case():
@@ -213,7 +213,7 @@ def test_snorm_centering_case():
     # enroll-vs-members: cos(0.2), cos(-0.2) -> both cos(0.2): zero spread; build differently
     store = {"e": np.array([1.0, 0.0]), "t": np.array([1.0, 0.0])}
     members = np.stack([_rot(e, 0.1), _rot(e, 0.5)])
-    cohort = Cohort(members, ("a", "b"), top_k=2)
+    cohort = Cohort(members, top_k=2)
     trials = [Trial("e", "t")]
     raw = np.array([(np.cos(0.1) + np.cos(0.5)) / 2.0])  # midpoint of both sides' cohort scores
     out = adaptive_snorm(raw, trials, store, cohort)
@@ -234,7 +234,7 @@ def test_snorm_hand_case():
         0.4 * e + np.array([0.0, 0.3, 0.0]) + np.array([0.0, 0.0, np.sqrt(1 - 0.16 - 0.09)]),
     ])
     store = {"e": e, "t": t}
-    cohort = Cohort(members, ("a", "b"), top_k=2)
+    cohort = Cohort(members, top_k=2)
     out = adaptive_snorm(np.array([0.3]), [Trial("e", "t")], store, cohort)
     # mu_e=0.2 sd_e=0.2, mu_t=0.25 sd_t=0.05 -> 0.5*(0.5 + 1.0)
     np.testing.assert_allclose(out, [0.5 * ((0.3 - 0.2) / 0.2 + (0.3 - 0.25) / 0.05)], atol=1e-12)
@@ -243,12 +243,12 @@ def test_snorm_hand_case():
 def test_snorm_degenerate_cohort_errors():
     store = {"e": np.array([1.0, 0.0]), "t": np.array([0.0, 1.0])}
     members = np.tile(np.array([np.sqrt(0.5), np.sqrt(0.5)]), (3, 1))
-    cohort = Cohort(members, ("a", "b", "c"), top_k=3)
+    cohort = Cohort(members, top_k=3)
     with pytest.raises(DataError, match="degenerate cohort.*e t"):
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, cohort)
     # only e's side is flat: the error names the first trial that uses it
     store = {"a": np.array([0.6, 0.8, 0.0]), "b": np.array([0.0, 0.6, 0.8]), "e": np.array([1.0, 0.0, 0.0])}
-    cohort = Cohort(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ("a", "b"), top_k=2)
+    cohort = Cohort(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), top_k=2)
     trials = [Trial("a", "b"), Trial("b", "e"), Trial("e", "a")]
     with pytest.raises(DataError, match="degenerate cohort.* for trial b e$"):
         adaptive_snorm(np.zeros(3), trials, store, cohort)
@@ -276,7 +276,7 @@ def test_score_trials_and_snorm_match_loop_reference():
 
 
 def test_empty_trial_list_scores_empty():
-    cohort = Cohort(np.eye(2), ("a", "b"), top_k=2)
+    cohort = Cohort(np.eye(2), top_k=2)
     assert score_trials([], {}).shape == (0,)
     assert adaptive_snorm(np.empty(0), [], {}, cohort).shape == (0,)
 
@@ -287,20 +287,20 @@ def test_non_finite_embedding_rejected(bad):
     with pytest.raises(DataError, match="non-finite embedding for t"):
         score_trials([Trial("e", "t")], store)
     with pytest.raises(DataError, match="non-finite embedding for t"):
-        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
+        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), top_k=2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_snorm_non_finite_score_rejected(bad):
     store = {"e": np.array([1.0, 0.5]), "t": np.array([0.5, 1.0])}
     with pytest.raises(DataError, match="non-finite"):
-        adaptive_snorm(np.array([bad]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
+        adaptive_snorm(np.array([bad]), [Trial("e", "t")], store, Cohort(np.eye(2), top_k=2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_cohort_non_finite_member_rejected(bad):
     with pytest.raises(DataError, match="non-finite"):
-        Cohort(np.array([[1.0, 0.0], [bad, 1.0]]), ("a", "b"), top_k=2)
+        Cohort(np.array([[1.0, 0.0], [bad, 1.0]]), top_k=2)
 
 
 def test_zero_norm_embedding_messages():
@@ -308,12 +308,12 @@ def test_zero_norm_embedding_messages():
     with pytest.raises(DataError, match="cosine score of a zero-norm embedding"):
         score_trials([Trial("e", "t")], store)
     with pytest.raises(DataError, match="zero-norm embedding for t"):
-        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), ("a", "b"), top_k=2))
+        adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), top_k=2))
 
 
 
 def test_snorm_unknown_id():
-    cohort = Cohort(np.eye(2), ("a", "b"), top_k=2)
+    cohort = Cohort(np.eye(2), top_k=2)
     with pytest.raises(DataError, match="unknown utterance id: t"):
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], {"e": np.ones(2)}, cohort)
 
@@ -326,7 +326,7 @@ def test_snorm_matches_oracle_random_instances():
         members = rng.standard_normal((n_cohort, dim))
         members /= np.linalg.norm(members, axis=1, keepdims=True)
         store = {"e": rng.standard_normal(dim), "t": rng.standard_normal(dim)}
-        cohort = Cohort(members, tuple(f"s{i}" for i in range(n_cohort)), top_k=top_k)
+        cohort = Cohort(members, top_k=top_k)
         raw = np.array([float(rng.uniform(-1, 1))])
         try:
             out = adaptive_snorm(raw, [Trial("e", "t")], store, cohort)

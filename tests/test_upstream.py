@@ -324,6 +324,17 @@ def test_stack_roundtrip_preserves_subnormals(tmp_path):
     np.testing.assert_array_equal(load_stack(path).layers, layers)
 
 
+@pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i2"])
+def test_layer_stack_owns_a_read_only_copy(dtype):
+    buf = bytearray(np.arange(24).astype(dtype).tobytes())
+    # a writable float64 array, or a read-only view of a buffer as load_stack decodes one
+    source = np.frombuffer(buf if dtype == "<f8" else memoryview(buf).toreadonly(), dtype=dtype).reshape(2, 3, 4)
+    stack = LayerStack(source, frame_rate_hz=50.0)
+    assert stack.layers.dtype == np.float32 and stack.layers.flags.owndata and not stack.layers.flags.writeable
+    buf[:] = bytes(len(buf))  # a later write to the source's memory
+    np.testing.assert_array_equal(stack.layers, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+
+
 def test_stack_bad_magic(tmp_path):
     path = tmp_path / "bad.svhs"
     path.write_bytes(b"XXXX" + b"\x00" * 40)
