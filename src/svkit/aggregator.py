@@ -41,7 +41,7 @@ def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
     """
     w = ad.softmax(logits.reshape(1, -1), axis=1)
     t, d = layers[0].shape
-    flat = ad.concat([h.reshape(1, t * d) for h in layers])
+    flat = ad.concat(layers).reshape(len(layers), t * d)
     return (w @ flat).reshape(t, d)
 
 

@@ -66,6 +66,11 @@ class FbankConfig:
                 f"fbank.win_ms = {self.win_ms} and fbank.hop_ms = {self.hop_ms} give {self.win_samples}- and "
                 f"{self.hop_samples}-sample frames at {SAMPLE_RATE} Hz; need window > hop >= 1 sample"
             )
+        # a bin lies inside at most two triangles, so past 2 * (fft/2 + 1) filters one is surely empty
+        if self.n_mels > self.fft_size + 2 or not mel_filterbank(self).any(axis=1).all():
+            raise ConfigError(
+                f"fbank.n_mels = {self.n_mels} leaves a mel filter with no bin of the {self.fft_size}-point FFT"
+            )
 
     @property
     def win_samples(self) -> int:
@@ -179,16 +184,12 @@ def mel_to_hz(m):
 
 def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin centers, shape (n_mels, fft/2+1)."""
-    n_bins = cfg.fft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * SAMPLE_RATE / cfg.fft_size
+    bin_hz = np.arange(cfg.fft_size // 2 + 1) * SAMPLE_RATE / cfg.fft_size
     pts = mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), cfg.n_mels + 2))
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
-        left, center, right = pts[m], pts[m + 1], pts[m + 2]
-        rise = (bin_hz - left) / (center - left)
-        fall = (right - bin_hz) / (right - center)
-        fb[m] = np.maximum(0.0, np.minimum(rise, fall))
-    return fb
+    left, center, right = pts[:-2, None], pts[1:-1, None], pts[2:, None]
+    rise = (bin_hz - left) / (center - left)
+    fall = (right - bin_hz) / (right - center)
+    return np.maximum(0.0, np.minimum(rise, fall))
 
 
 def fbank(wav: Waveform, cfg: FbankConfig = FbankConfig()) -> np.ndarray:

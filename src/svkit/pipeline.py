@@ -6,8 +6,6 @@ exercise the exact same inference path.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import ecapa as ecapa_mod
@@ -24,10 +22,9 @@ from .upstream import (
     MockUpstream,
     MockUpstreamConfig,
     PlantSpec,
-    check_row_stack,
     is_stack_file,
     load_stack,
-    plant_speaker_info,
+    row_layers,
 )
 
 
@@ -47,12 +44,7 @@ class System:
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
         self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
         self.plant = plant
-        self._upstream_args = (upstream_cfg, upstream_params)
-
-    @cached_property
-    def upstream(self) -> MockUpstream:
-        """The mock upstream, built when the first WAV row needs it: `.svhs` rows never run one."""
-        return MockUpstream(*self._upstream_args)
+        self.upstream = MockUpstream(upstream_cfg, upstream_params)
 
     @classmethod
     def from_result(cls, result: TrainResult, upstream_cfg, ecapa_cfg, plant: PlantSpec = PlantSpec()) -> "System":
@@ -90,9 +82,8 @@ class System:
         return self.upstream.stack(read_wav(path), f"{row.utt_id} ({path})")
 
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
-        layers = self.stack_for(manifest, row).layers.astype(np.float64)
-        check_row_stack(layers, manifest, row, self.weights.size, self.ecapa_cfg.in_dim)
-        plant_speaker_info(layers, row.speaker_id, self.plant)
+        layers = row_layers(self.stack_for(manifest, row), manifest, row, self.weights.size,
+                            self.ecapa_cfg.in_dim, self.plant)
         return ecapa_mod.embed(aggregate(layers, self.weights), self.ecapa_params, self.ecapa_cfg)
 
 

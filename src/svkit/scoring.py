@@ -186,7 +186,8 @@ def _bce_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     """
     z = x @ theta[:-1] + theta[-1]
     value = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))  # `Tensor.sigmoid`'s form: neither branch of the `where` can overflow
+    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     resid = (p - y) / len(y)
     return value, np.concatenate([x.T @ resid, [resid.sum()]])
 

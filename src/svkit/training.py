@@ -28,21 +28,21 @@ from .upstream import (
     MockUpstream,
     MockUpstreamConfig,
     PlantSpec,
-    check_row_stack,
     is_stack_file,
     load_stack,
     plant_speaker_info,
+    row_layers,
 )
 
 logger = logging.getLogger(__name__)
 
 
 def check_aam(margin_key: str, margin: float, scale: float = 1.0):
-    """Raise ConfigError unless 0 <= margin < pi/2 and scale > 0."""
+    """Raise ConfigError unless 0 <= margin < pi/2 and 0 < scale < inf."""
     if not 0.0 <= margin < math.pi / 2:
         raise ConfigError(f"{margin_key} must lie in [0, pi/2)")
-    if not scale > 0:
-        raise ConfigError("aam.scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"aam.scale must be finite and > 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def train(
 
     rows = list(manifest.rows)
     has_wav = not all(is_stack_file(row.path) for row in rows)
-    upstream = MockUpstream(upstream_cfg) if has_wav else None  # an import-only run never runs one
+    upstream = MockUpstream(upstream_cfg)  # drawn on first use: an import-only run never draws it
     logits = Tensor(np.zeros(upstream_cfg.n_layers + 1), requires_grad=True)
     params = ecapa_mod.init_params(ecapa_cfg, seed=seed)
     anchors = Tensor(
@@ -239,22 +239,21 @@ def train(
     def features(row, crop_s: float, tune_upstream: bool) -> Tensor:
         """Aggregated (T, D) features for one training utterance.
 
-        Stored float32 layers become float64 once, before the plant: the frozen
-        stages compute `pipeline.System`'s features bit for bit. Fine-tuning
-        keeps the upstream's float64 graph instead, so that gradients reach it.
+        A stored stack (an imported row, or the frozen mock's output) goes through
+        `row_layers`, as in `embed`, so frozen stages compute embed's features bit
+        for bit. Fine-tuning keeps the upstream's float64 graph for its gradients.
         """
         path = manifest.resolve(row)
         if is_stack_file(path):
-            layers = load_stack(path).layers.astype(np.float64)
-            check_row_stack(layers, manifest, row, logits.data.size, upstream_cfg.dim)
+            stack = load_stack(path)
         else:
             wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
             if tune_upstream:
                 layers = upstream.forward_graph(Tensor(wav.samples))
-            else:
-                layers = upstream.stack(wav, f"{row.utt_id} ({path})").layers.astype(np.float64)
-        plant_speaker_info(layers, row.speaker_id, plant)
-        return aggregate_graph(layers, logits)
+                plant_speaker_info(layers, row.speaker_id, plant)
+                return aggregate_graph(layers, logits)
+            stack = upstream.stack(wav, f"{row.utt_id} ({path})")
+        return aggregate_graph(row_layers(stack, manifest, row, logits.data.size, upstream_cfg.dim, plant), logits)
 
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),

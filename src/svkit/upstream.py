@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +88,19 @@ class MockUpstream:
     """Seeded random encoder: strided conv stack then tanh mixing layers.
 
     Parameters are fixed by the seed (or given) and held as frozen float64
-    tensors; `as_tensors` makes them trainable for the joint fine-tuning
-    stage. Forward passes are pure.
+    tensors, built on first use, so a run that never runs the mock draws none.
+    `as_tensors` makes them trainable for the joint fine-tuning stage.
+    Forward passes are pure.
     """
 
     def __init__(self, cfg: MockUpstreamConfig, params: dict = {}):
         self.cfg = cfg
-        arrays = params or self._init_params(cfg)  # no given parameters: seeded from cfg
-        self.params = {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
+        self._given = params
+
+    @cached_property
+    def params(self) -> dict:
+        arrays = self._given or self._init_params(self.cfg)
+        return {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
 
     @staticmethod
     def _init_params(cfg: MockUpstreamConfig) -> dict:
@@ -174,16 +180,6 @@ def is_stack_file(path) -> bool:
     return Path(path).suffix == ".svhs"
 
 
-def check_row_stack(layers, manifest: Manifest, row: ManifestRow, n_layers_plus_1: int, dim: int):
-    """DataError naming the row and its file unless `layers` is (n_layers_plus_1, T, dim)."""
-    n, _, d = layers.shape
-    if (n, d) != (n_layers_plus_1, dim):
-        raise DataError(
-            f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
-            f"expected {n_layers_plus_1} layers of dim {dim}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Planted speaker information (fixture for verifying weight learning)
 # ---------------------------------------------------------------------------
@@ -221,6 +217,19 @@ def plant_speaker_info(layers, speaker_id, plant: PlantSpec):
     if k >= len(layers):
         raise DataError(f"plant layer {k} out of range 0..{len(layers) - 1}")
     layers[k] = layers[k] + plant.strength * speaker_offset(speaker_id, layers[k].shape[-1])
+
+
+def row_layers(stack: LayerStack, manifest: Manifest, row, n_layers_plus_1: int, dim: int, plant) -> np.ndarray:
+    """A row's stored float32 stack as planted float64 layers, checked to be (n_layers_plus_1, T, dim)."""
+    n, _, d = stack.layers.shape
+    if (n, d) != (n_layers_plus_1, dim):
+        raise DataError(
+            f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
+            f"expected {n_layers_plus_1} layers of dim {dim}"
+        )
+    layers = stack.layers.astype(np.float64)
+    plant_speaker_info(layers, row.speaker_id, plant)
+    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from svkit.audio import (
+    LOG_FLOOR,
+    MEL_HIGH_HZ,
+    MEL_LOW_HZ,
     AugmentBanks,
     AugmentConfig,
     FbankConfig,
@@ -14,7 +17,10 @@ from svkit.audio import (
     apply_rir,
     augment,
     fbank,
+    hz_to_mel,
     load_bank,
+    mel_filterbank,
+    mel_to_hz,
     mix_noise,
     read_wav,
     write_wav,
@@ -187,6 +193,35 @@ def test_fbank_fft_size_is_the_smallest_power_of_two_covering_a_window():
     # a window longer than 512 samples is framed as usual
     feats = fbank(tone(1000.0), FbankConfig(win_ms=40.0))
     assert feats.shape == ((16000 - 640) // 160 + 1, 40)
+
+
+def loop_mel_filterbank(n_mels, fft_size):
+    """The filterbank built one triangle at a time: the reference for the whole-array form."""
+    bin_hz = np.arange(fft_size // 2 + 1) * 16000 / fft_size
+    pts = mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), n_mels + 2))
+    fb = np.zeros((n_mels, bin_hz.size))
+    for m in range(n_mels):
+        left, center, right = pts[m], pts[m + 1], pts[m + 2]
+        fb[m] = np.maximum(0.0, np.minimum((bin_hz - left) / (center - left), (right - bin_hz) / (right - center)))
+    return fb
+
+
+# 10, 25 and 64 ms windows are 256-, 512- and 1024-point FFTs; 80 and 100 filters leave some empty at 256 points
+@pytest.mark.parametrize("n_mels, win_ms", [(1, 10), (40, 10)] + [(n, w) for n in (1, 40, 80, 100) for w in (25, 64)])
+def test_mel_filterbank_is_byte_identical_to_the_per_filter_loop(n_mels, win_ms):
+    cfg = FbankConfig(n_mels=n_mels, win_ms=win_ms, hop_ms=5)
+    assert mel_filterbank(cfg).tobytes() == loop_mel_filterbank(n_mels, cfg.fft_size).tobytes()
+
+
+@pytest.mark.parametrize("n_mels, empty", [(40, 0), (80, 0), (128, 1), (1000, 530)])
+def test_fbank_config_refuses_mel_filters_with_no_fft_bin(n_mels, empty):
+    assert (~loop_mel_filterbank(n_mels, 512).any(axis=1)).sum() == empty
+    if empty:
+        with pytest.raises(ConfigError, match=f"fbank.n_mels = {n_mels} leaves a mel filter with no bin of the "
+                                              "512-point FFT"):
+            FbankConfig(n_mels=n_mels)
+    else:
+        assert fbank(tone(1000.0), FbankConfig(n_mels=n_mels)).min() > math.log(LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------

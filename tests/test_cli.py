@@ -230,6 +230,12 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     (["--set", "fbank.fft_size=512", "fbank", "--wav", "w.wav", "--out", "f.npy"], "unknown config key"),
     (["synth-data", "--out-dir", "d", "--seconds", "nan"], "finite"),
     (["synth-data", "--out-dir", "d", "--seconds", "inf"], "finite"),
+    (["--set", "fbank.n_mels=128", "fbank", "--wav", "w.wav", "--out", "f.npy"],
+     "fbank.n_mels = 128 leaves a mel filter with no bin of the 512-point FFT"),
+    (["--set", "fbank.n_mels=1000", "fbank", "--wav", "w.wav", "--out", "f.npy"],
+     "fbank.n_mels = 1000 leaves a mel filter with no bin of the 512-point FFT"),
+    (["--set", "aam.scale=inf", "train", "--manifest", "m.tsv", "--out-dir", "run"],
+     "aam.scale must be finite and > 0, got inf"),
 ])
 def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)

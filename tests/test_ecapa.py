@@ -323,20 +323,44 @@ def test_conv1d_forward_and_gradients_byte_identical_to_composed_conv(t, monkeyp
         assert g.tobytes() == ref_grads[name].tobytes(), name
 
 
-def test_desk_forward_graph_size_is_pinned():
-    # the tensors one desk crop's forward records (parameters, input, op nodes and
-    # constants): a change that grows the graph again fails here
-    params = init_params(DESK, seed=0)
-    x = Tensor(np.random.default_rng(0).standard_normal((150, DESK.in_dim)))
-    out = forward(x, params, DESK)
+def reached_tensors(out) -> set:
+    """Ids of the tensors reachable from `out` through recorded parents, `out` included."""
     reached, todo = {id(out)}, [out]
     while todo:
         for p in todo.pop()._parents:
             if id(p) not in reached:
                 reached.add(id(p))
                 todo.append(p)
+    return reached
+
+
+def test_desk_forward_graph_size_is_pinned():
+    # the tensors one desk crop's forward records (parameters, input, op nodes and
+    # constants): a change that grows the graph again fails here
+    params = init_params(DESK, seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((150, DESK.in_dim)))
+    out = forward(x, params, DESK)
+    reached = reached_tensors(out)
     assert {id(p) for p in params.values()} | {id(x)} <= reached
     assert len(reached) == 259  # 95 parameters, the input, 159 op nodes and 4 constants
+
+
+def test_tuned_desk_utterance_graph_size_is_pinned():
+    # one fine-tuned desk crop: the mock upstream's graph, `aggregate_graph` (one
+    # concat and one reshape for all 13 layers) and ECAPA; a frozen crop's graph,
+    # with the stack as a constant, holds only the logits' and ECAPA's nodes
+    from svkit.aggregator import aggregate_graph
+    from svkit.audio import Waveform
+    from svkit.upstream import MockUpstream, MockUpstreamConfig
+
+    upstream = MockUpstream(MockUpstreamConfig(n_layers=12, dim=64, seed=0))
+    samples = np.random.default_rng(0).uniform(-0.5, 0.5, 150 * 320)
+    params = init_params(DESK, seed=0)
+    logits = Tensor(np.zeros(13), requires_grad=True)
+    frozen = forward(aggregate_graph(upstream.forward_array(Waveform(samples)), logits), params, DESK)
+    upstream.as_tensors()
+    tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
+    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [268, 500]
 
 
 def test_input_dim_mismatch():

@@ -81,6 +81,52 @@ def test_from_checkpoint_reads_upstream_shapes_without_building_a_mock(trained, 
     assert info.value.exit_code == 3
 
 
+def test_a_stack_that_does_not_fit_reads_the_same_from_train_and_embed(trained, tmp_path):
+    from svkit.errors import DataError
+    from svkit.upstream import LayerStack, Manifest, ManifestRow, save_stack
+
+    _, result = trained
+    rng = np.random.default_rng(5)
+    save_stack(LayerStack(rng.standard_normal((4, 6, 12)), frame_rate_hz=50.0), tmp_path / "u0.svhs")
+    save_stack(LayerStack(rng.standard_normal((4, 6, 8)), frame_rate_hz=50.0), tmp_path / "u1.svhs")
+    manifest = Manifest((ManifestRow("u0", "s0", "u0.svhs"), ManifestRow("u1", "s1", "u1.svhs")), base_dir=tmp_path)
+    sched = TrainSchedule(stage1_epochs=1, stage2_epochs=0, lmft_epochs=0, crop_seconds=1.0, batch_size=2)
+    with pytest.raises(DataError) as train_err:
+        train(manifest, sched, upstream_cfg=UP, ecapa_cfg=EC, seed=3)
+    with pytest.raises(DataError) as embed_err:
+        extract_embeddings(System.from_result(result, UP, EC), manifest)
+    want = f"u1 ({tmp_path / 'u1.svhs'}): stack has 4 layers of dim 8, expected 4 layers of dim 12"
+    assert str(train_err.value) == str(embed_err.value) == want
+
+
+def test_batch_composition_does_not_change_any_embedding(trained, tmp_path):
+    from svkit.audio import read_wav
+    from svkit.upstream import Manifest, ManifestRow, save_stack
+
+    corpus, result = trained
+    plant = PlantSpec(layer=1, strength=2.0)
+    heldout = corpus.heldout
+    rows = []
+    for row in heldout.rows[:3]:  # each WAV row and its stored stack as an SVHS row
+        path = heldout.resolve(row)
+        save_stack(System.from_result(result, UP, EC).upstream.stack(read_wav(path), row.utt_id),
+                   tmp_path / f"{row.utt_id}.svhs")
+        rows += [ManifestRow(row.utt_id, row.speaker_id, str(path)),
+                 ManifestRow(f"{row.utt_id}-svhs", row.speaker_id, f"{row.utt_id}.svhs")]
+    full = Manifest(tuple(rows), base_dir=tmp_path)
+
+    def embed(manifest):  # a fresh system per manifest, as each `embed` call builds one
+        return extract_embeddings(System.from_result(result, UP, EC, plant=plant), manifest)
+
+    together = embed(full)
+    reversed_ = embed(Manifest(tuple(reversed(rows)), base_dir=tmp_path))
+    for row in rows:
+        alone = embed(Manifest((row,), base_dir=tmp_path))[row.utt_id]
+        assert alone.tobytes() == together[row.utt_id].tobytes() == reversed_[row.utt_id].tobytes(), row.utt_id
+    for row in heldout.rows[:3]:  # a WAV row and its stack give one embedding
+        assert together[row.utt_id].tobytes() == together[f"{row.utt_id}-svhs"].tobytes()
+
+
 def test_embeddings_deterministic(trained):
     corpus, result = trained
     system = System.from_result(result, UP, EC, plant=PlantSpec(layer=1, strength=2.0))

@@ -356,6 +356,26 @@ def test_fit_calibration_separable():
     assert value < 1e-2
 
 
+def test_fit_calibration_of_a_narrow_margin_set_does_not_overflow():
+    # separable with a +-0.0005 margin: the Newton steps drive the score weight
+    # past 1e4, so |z| at the outer scores passes exp's float64 range; with
+    # pyproject's error::RuntimeWarning an overflow fails this test
+    scores = np.concatenate([np.linspace(-1.0, -0.0005, 20), np.linspace(0.0005, 1.0, 20)])
+    labels = (scores > 0).astype(np.float64)
+    model = fit_calibration(scores, labels)
+    assert model.score_weight > 1e4
+    from svkit.scoring import _bce_value_grad
+
+    theta = np.array([model.score_weight, model.bias])
+    z = scores * theta[0] + theta[1]
+    assert np.abs(z).max() > 710  # exp(|z|) overflows here, exp(-|z|) does not
+    with np.errstate(over="ignore", invalid="ignore"):  # the two-sided form, for reference
+        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    resid = (p - labels) / len(labels)
+    _, grad = _bce_value_grad(theta, scores[:, None], labels)
+    assert grad.tobytes() == np.array([scores @ resid, resid.sum()]).tobytes()
+
+
 def test_fit_calibration_null_labels():
     rng = np.random.default_rng(3)
     scores = rng.standard_normal(400)

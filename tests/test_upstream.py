@@ -87,6 +87,22 @@ def test_given_parameters_replace_the_seeded_ones():
     assert all(np.array_equal(p.data, loop_init_params(cfg)[k]) for k, p in seeded.items())
 
 
+def test_seeded_parameters_are_drawn_on_first_use_and_once(monkeypatch):
+    cfg = MockUpstreamConfig(n_layers=2, dim=4, seed=3)
+    calls = []
+    monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda c: calls.append(c) or loop_init_params(c)))
+    model = MockUpstream(cfg)
+    assert calls == []  # building the mock draws nothing
+    wav = Waveform(np.linspace(-0.5, 0.5, 3200))
+    model.forward_array(wav)
+    model.stack(wav, "w")
+    model.as_tensors()
+    model.param_arrays()
+    assert calls == [cfg]
+    MockUpstream(cfg, loop_init_params(cfg)).params  # given parameters are never drawn
+    assert calls == [cfg]
+
+
 def test_mock_forward_zero_input_bias_only():
     cfg = MockUpstreamConfig(n_layers=2, dim=8, seed=5)
     model = MockUpstream(cfg)
