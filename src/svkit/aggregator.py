@@ -6,11 +6,10 @@ so the normalized weights always sum to one during training and export.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from . import autodiff as ad
+from .binfile import write_lines
 from .errors import DataError
 
 
@@ -51,6 +50,4 @@ def export_weights(weights) -> list:
 
 
 def write_weights_csv(path, weights):
-    rows = export_weights(weights)
-    lines = ["layer,weight"] + [f"{lab},{val}" for lab, val in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, ["layer,weight"] + [f"{lab},{val}" for lab, val in export_weights(weights)])

@@ -1,9 +1,9 @@
-"""Bounds-checked cursor over one input file.
+"""Bounds-checked cursor over one input file, and its write side.
 
-The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, so this is
-the one module that moves a read position; the manifest, trial and score
-loaders take their rows from it. Every failure raises FormatError naming the
-file.
+The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, the one
+module that moves a read position; every read failure raises FormatError naming
+the file, and the manifest, trial and score loaders take their rows from it.
+SVHS, SVCK and SVEB are written through a Writer, text files by `write_lines`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 
 class Reader:
@@ -87,3 +87,46 @@ class Reader:
         """Reject bytes left after the last record."""
         if self.remaining:
             raise self.error(f"payload size mismatch ({self.remaining} trailing bytes)")
+
+
+class Writer:
+    """The write side of Reader: built in memory and saved at once, so a refused value leaves no file."""
+
+    def __init__(self, magic: bytes, noun: str):
+        self.noun = noun
+        self._out = [magic, struct.pack("<I", 1)]  # mirrors Reader.header
+
+    def pack(self, fmt: str, *values, what: str):
+        """Append the little-endian struct `fmt` (no byte-order prefix)."""
+        try:
+            self._out.append(struct.pack("<" + fmt, *values))
+        except struct.error:
+            raise FormatError(f"{what} overflow the {self.noun} header fields") from None
+
+    def text(self, value: str, what: str):
+        """Append a u16-length-prefixed UTF-8 string."""
+        enc = value.encode("utf-8")
+        if len(enc) > 0xFFFF:
+            raise FormatError(f"{what} too long for the {self.noun} (over 65535 UTF-8 bytes): {value}")
+        self._out += (struct.pack("<H", len(enc)), enc)
+
+    def float32(self, values, labels) -> np.ndarray:
+        """`values` cast to little-endian float32, one row per label, each checked finite there."""
+        with np.errstate(over="ignore"):  # an overflow is a non-finite value, refused below
+            arr = np.asarray(values, dtype="<f4")
+        finite = np.isfinite(arr.reshape(len(labels), -1)).all(axis=1)
+        if not finite.all():  # the reader would reject the file
+            raise DataError(f"{labels[int(np.argmin(finite))]} is not finite in float32; no {self.noun} written")
+        return arr
+
+    def array(self, arr: np.ndarray):
+        """Append the bytes of `arr` in C order."""
+        self._out.append(arr.tobytes())
+
+    def save(self, path):
+        Path(path).write_bytes(b"".join(self._out))
+
+
+def write_lines(path, lines):
+    """Write UTF-8 text, each line ended by a bare LF (no CR) on every platform."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

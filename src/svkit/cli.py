@@ -18,6 +18,7 @@ import numpy as np
 from . import scoring
 from .aggregator import normalized_weights, write_weights_csv
 from .audio import AugmentBanks, fbank, load_bank, read_wav
+from .binfile import write_lines
 from .config import RunConfig, dump_config, load_config
 from .ecapa import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, FormatError
@@ -216,8 +217,8 @@ def _cmd_train(args, cfg: RunConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.checkpoint_tensors(), out_dir / "checkpoint.svck")
     log_lines = ["epoch,stage,loss,lr"] + [f"{e},{s},{l:.6f},{lr:g}" for e, s, l, lr in result.log]
-    (out_dir / "train_log.csv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    (out_dir / "config.txt").write_text(dump_config(cfg), encoding="utf-8")
+    write_lines(out_dir / "train_log.csv", log_lines)
+    write_lines(out_dir / "config.txt", dump_config(cfg).splitlines())
     final_loss = result.log[-1][2] if result.log else float("nan")
     return [("epochs", len(result.log)), ("speakers", len(result.speakers)), ("final_loss", f"{final_loss:.6f}")]
 
@@ -277,12 +278,9 @@ def _cmd_calibrate(args, cfg: RunConfig):
 
 
 def _save_calibration(model, path):
-    lines = [
-        f"score_weight = {model.score_weight!r}",
-        f"quality_weights = {','.join(repr(w) for w in model.quality_weights)}",
-        f"bias = {model.bias!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    quality = ",".join(repr(w) for w in model.quality_weights)
+    lines = [f"score_weight = {model.score_weight!r}", f"quality_weights = {quality}", f"bias = {model.bias!r}"]
+    write_lines(path, lines)
 
 
 def _cmd_ensemble(args, cfg: RunConfig):

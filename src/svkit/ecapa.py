@@ -18,16 +18,14 @@ and batch-size independence:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .binfile import Reader
-from .errors import ConfigError, DataError, FormatError
+from .binfile import Reader, Writer
+from .errors import ConfigError
 from .rng import child_rng
 
 # frame norm's eps: its per-frame statistics are batch-independent and, unlike centering
@@ -214,28 +212,14 @@ _SVCK_MAGIC = b"SVCK"
 
 
 def save_checkpoint(tensors: dict, path):
-    """Write named tensors sorted by name: SVCK, version, then records.
-
-    A tensor that is not finite in float32 is a DataError, and nothing is written.
-    """
-    out = [_SVCK_MAGIC, struct.pack("<I", 1)]
-    for name in sorted(tensors):
-        data = tensors[name]
-        with np.errstate(over="ignore"):  # an overflow is a non-finite tensor, refused below
-            arr = np.asarray(data.data if isinstance(data, Tensor) else data, dtype="<f4")
-        if not np.isfinite(arr).all():  # load_checkpoint would reject the file
-            raise DataError(f"tensor {name} is not finite in float32; no checkpoint written")
-        enc = name.encode("utf-8")
-        if len(enc) > 0xFFFF:
-            raise FormatError(f"tensor name too long: {name}")
-        if arr.ndim > 0xFF or any(d > 2**32 - 1 for d in arr.shape):
-            raise FormatError(f"tensor rank/dims overflow header fields: {name}")
-        out.append(struct.pack("<H", len(enc)))
-        out.append(enc)
-        out.append(struct.pack("<B", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(out))
+    """Write named tensors sorted by name: SVCK, version, then records; nothing if one is not finite in float32."""
+    w = Writer(_SVCK_MAGIC, "checkpoint")
+    for name, data in sorted(tensors.items()):
+        arr = w.float32(data.data if isinstance(data, Tensor) else data, [f"tensor {name}"])
+        w.text(name, "tensor name")
+        w.pack(f"B{arr.ndim}I", arr.ndim, *arr.shape, what=f"rank/dims of tensor {name}")
+        w.array(arr)
+    w.save(path)
 
 
 def load_checkpoint(path) -> dict:

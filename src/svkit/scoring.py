@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, Writer, write_lines
 from .errors import DataError, FormatError
 from .upstream import Manifest
 
@@ -315,23 +313,16 @@ def eer(scores, labels) -> tuple:
 
 def load_trials(path) -> list:
     """Space-separated trials: 'label enroll test' or unlabeled 'enroll test'."""
-    trials = []
-    labeled = None
+    trials, labeled = [], None
     for lineno, parts in Reader(path).rows():
-        if len(parts) == 3:
-            if labeled is False:
-                raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
-            labeled = True
-            if parts[0] not in ("0", "1"):
-                raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
-            trials.append(Trial(parts[1], parts[2], label=int(parts[0])))
-        elif len(parts) == 2:
-            if labeled is True:
-                raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
-            labeled = False
-            trials.append(Trial(parts[0], parts[1]))
-        else:
+        if len(parts) not in (2, 3):
             raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
+        labeled = len(parts) == 3 if labeled is None else labeled  # the first row decides for the whole file
+        if (len(parts) == 3) != labeled:
+            raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
+        if labeled and parts[0] not in ("0", "1"):
+            raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+        trials.append(Trial(parts[-2], parts[-1], label=int(parts[0]) if labeled else None))
     if not trials:
         raise FormatError(f"{path}: empty trial list")
     return trials
@@ -339,7 +330,7 @@ def load_trials(path) -> list:
 
 def save_trials(trials, path):
     lines = [f"{t.enroll_id} {t.test_id}" if t.label is None else f"{t.label} {t.enroll_id} {t.test_id}" for t in trials]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def trial_labels(trials) -> np.ndarray:
@@ -371,9 +362,7 @@ def load_scores(path, trials) -> np.ndarray:
 
 
 def save_scores(trials, scores, path):
-    scores = np.asarray(scores)
-    lines = [f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, scores)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, scores)))
 
 
 _SVEB_MAGIC = b"SVEB"
@@ -384,24 +373,18 @@ def save_embeddings(store: dict, path):
     if not store:
         raise DataError("refusing to write an empty embedding store")
     ids = sorted(store)
-    with np.errstate(over="ignore"):  # an overflow is a non-finite vector, refused below
-        vecs = [np.asarray(store[uid], dtype="<f4").reshape(-1) for uid in ids]
+    vecs = [np.asarray(store[uid]).reshape(-1) for uid in ids]
     dim = vecs[0].size
     for uid, vec in zip(ids, vecs):
         if vec.size != dim:
             raise DataError(f"embedding {uid} has dim {vec.size}, expected {dim}")
-    finite = np.isfinite(np.stack(vecs)).all(axis=1)
-    if not finite.all():  # load_embeddings would reject the file
-        raise DataError(f"embedding {ids[int(np.argmin(finite))]} is not finite in float32; no store written")
-    out = [_SVEB_MAGIC, struct.pack("<III", 1, dim, len(ids))]
-    for uid, vec in zip(ids, vecs):
-        enc = uid.encode("utf-8")
-        if len(enc) > 0xFFFF:
-            raise FormatError(f"embedding id too long for SVEB (over 65535 UTF-8 bytes): {uid}")
-        out.append(struct.pack("<H", len(enc)))
-        out.append(enc)
-        out.append(vec.tobytes())
-    Path(path).write_bytes(b"".join(out))
+    w = Writer(_SVEB_MAGIC, "store")
+    arr = w.float32(np.stack(vecs), [f"embedding {uid}" for uid in ids])
+    w.pack("II", dim, len(ids), what="store dimensions")
+    for uid, vec in zip(ids, arr):
+        w.text(uid, "embedding id")
+        w.array(vec)
+    w.save(path)
 
 
 def load_embeddings(path) -> dict:

@@ -38,8 +38,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise ConfigError("synth corpus needs at least two speakers")
-        if self.utts_per_speaker < 2:
-            raise ConfigError("synth corpus needs at least two utterances per speaker")
+        if self.utts_per_speaker < 3:  # two held out to form target trials, at least one to train on
+            raise ConfigError("synth corpus needs at least three utterances per speaker")
         if not 1 <= self.utt_seconds < math.inf:
             raise ConfigError(f"utterances must be at least one second long and finite, got {self.utt_seconds}")
 
@@ -116,9 +116,7 @@ def synth_corpus(spec: SynthSpec, out_dir) -> CorpusLayout:
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
-    n_held = min(max(2, spec.utts_per_speaker // 5), spec.utts_per_speaker - 1)
-    if n_held < 2:
-        raise DataError("need at least three utterances per speaker to form held-out trials")
+    n_held = max(2, spec.utts_per_speaker // 5)
 
     all_rows, train_rows, held_rows = [], [], []
     for s in range(spec.n_speakers):

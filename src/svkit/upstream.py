@@ -10,7 +10,6 @@ output that feeds the first mixing layer.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import SAMPLE_RATE, Waveform
-from .binfile import Reader
+from .binfile import Reader, Writer, write_lines
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 
@@ -34,14 +33,15 @@ class LayerStack:
     frame_rate_hz: float
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # an overflow is a non-finite entry, refused below
+        with np.errstate(over="ignore"):  # an overflow is a non-finite entry or rate, refused below
             arr = np.array(self.layers, dtype=np.float32)  # a copy: the stack owns its data
+            rate = np.float32(self.frame_rate_hz)
         if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("layer stack contains non-finite entries")
-        if not 0 < self.frame_rate_hz < np.inf:
-            raise ValueError(f"layer stack frame rate must be positive and finite, got {self.frame_rate_hz}")
+        if not (isinstance(self.frame_rate_hz, (int, float, np.number)) and 0 < rate < np.inf):  # numpy parses a str
+            raise ValueError(f"stack frame rate must be positive and finite in float32, got {self.frame_rate_hz!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
 
@@ -237,15 +237,13 @@ def row_layers(stack: LayerStack, manifest: Manifest, row, n_layers_plus_1: int,
 # ---------------------------------------------------------------------------
 
 _SVHS_MAGIC = b"SVHS"
-_U32_MAX = 2**32 - 1
 
 
 def save_stack(stack: LayerStack, path):
-    n, t, d = stack.layers.shape
-    if max(n, t, d) > _U32_MAX:
-        raise FormatError("stack dimensions overflow the u32 header fields")
-    header = _SVHS_MAGIC + struct.pack("<IIIIf", 1, n, t, d, stack.frame_rate_hz)
-    Path(path).write_bytes(header + stack.layers.astype("<f4").tobytes())
+    w = Writer(_SVHS_MAGIC, "stack")
+    w.pack("IIIf", *stack.layers.shape, stack.frame_rate_hz, what="stack dimensions")
+    w.array(stack.layers.astype("<f4", copy=False))
+    w.save(path)
 
 
 def load_stack(path) -> LayerStack:
@@ -322,5 +320,4 @@ def load_manifest(path, check_paths: bool = False) -> Manifest:
 
 
 def save_manifest(manifest: Manifest, path):
-    lines = [f"{r.utt_id}\t{r.speaker_id}\t{r.path}" for r in manifest.rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (f"{r.utt_id}\t{r.speaker_id}\t{r.path}" for r in manifest.rows))

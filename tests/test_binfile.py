@@ -1,19 +1,22 @@
-"""The bounds-checked readers: SVHS, SVCK, SVEB, WAV and the text formats.
+"""The bounds-checked readers and their writers: SVHS, SVCK, SVEB, WAV and the text formats.
 
 Every malformed input must raise a ToolkitError subclass naming the file; no
-raw exception may escape a loader.
+raw exception may escape a loader. A writer refuses what its reader would
+reject, and writes nothing then.
 """
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from svkit.aggregator import normalized_weights, write_weights_csv
 from svkit.audio import Waveform, read_wav, read_wav_duration, write_wav
 from svkit.ecapa import load_checkpoint, save_checkpoint
 from svkit.errors import FormatError, ToolkitError
-from svkit.scoring import load_embeddings, load_scores, load_trials, save_embeddings
-from svkit.upstream import LayerStack, load_manifest, load_stack, save_stack
+from svkit.scoring import Trial, load_embeddings, load_scores, load_trials, save_embeddings, save_scores, save_trials
+from svkit.upstream import LayerStack, Manifest, ManifestRow, load_manifest, load_stack, save_manifest, save_stack
 
 
 def svhs(n=2, t=3, d=4, rate=50.0, values=None):
@@ -110,6 +113,67 @@ def test_svck_scalar_tensor_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded["s"].shape == () and loaded["s"] == np.float32(2.5)
     assert loaded["v"].dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "save, load, what",
+    [(save_embeddings, load_embeddings, "embedding id"), (save_checkpoint, load_checkpoint, "tensor name")],
+    ids=["sveb", "svck"],
+)
+def test_writer_refuses_a_name_its_length_field_cannot_hold(tmp_path, save, load, what):
+    longest = "é" * (0xFFFF // 2) + "u"  # 65535 UTF-8 bytes: the largest name a u16 length holds
+    save({longest: np.ones(2)}, tmp_path / "ok.bin")
+    assert set(load(tmp_path / "ok.bin")) == {longest}
+    path = tmp_path / "long.bin"
+    with pytest.raises(FormatError, match=f"{what} too long"):
+        save({"short": np.ones(2), longest + "x": np.ones(2)}, path)
+    assert not path.exists()
+
+
+def test_checkpoint_writer_refuses_a_dim_its_u32_field_cannot_hold(tmp_path):
+    path = tmp_path / "huge.svck"
+    with pytest.raises(FormatError, match="rank/dims of tensor w overflow"):
+        save_checkpoint({"v": np.ones(2), "w": np.empty((2**32, 0))}, path)  # zero-size: no memory needed
+    assert not path.exists()
+
+
+def write_fixtures(out):
+    """One small file per writer case, each through its public saver."""
+    trials = [Trial("a", "b", 1), Trial("a", "c", 0), Trial("é", "b", 1)]
+    save_stack(LayerStack(np.arange(24).reshape(2, 3, 4) / 7, frame_rate_hz=49.5), out / "stack.svhs")
+    tensors = {"z": np.float32(-2.5), "a.w": np.arange(6.0).reshape(2, 3) / 3, "b": np.array([1e-41, -0.0, 1e30])}
+    save_checkpoint(tensors, out / "checkpoint.svck")
+    save_embeddings({"u2": np.array([0.1, -0.2, 0.3]), "é1": np.arange(3.0) / 3}, out / "store.sveb")
+    rows = (ManifestRow("u1", "spkA", "wav/u1.wav"), ManifestRow("é2", "spkB", "/abs/é2.svhs"))
+    save_manifest(Manifest(rows), out / "manifest.tsv")
+    save_trials(trials, out / "trials.txt")
+    save_trials([Trial(t.enroll_id, t.test_id) for t in trials], out / "trials_unlabeled.txt")
+    save_scores(trials, [0.5, -1 / 3, 2 / 3], out / "scores.txt")
+    write_weights_csv(out / "weights.csv", normalized_weights([0.0, 1.0, -1.0]))
+
+
+# Recorded from the writers before they shared binfile.Writer and write_lines.
+WRITER_SHA256 = {
+    "checkpoint.svck": "df3f5dc966dd8430908d35f2d3577b73db94f48f209bd9368727932d95c5dd67",
+    "manifest.tsv": "ecdc3616cc654a20b2c353a28787e17a2f8905002b665eb458c546eb4161d5ba",
+    "scores.txt": "f6dbc7592ca5fdd178493118980c6ee6ee34c7f80fabdd96a56a2417d17632c4",
+    "stack.svhs": "af36aaf872801d02e17134622b6e42bfb6139c98596eea3f1a87ce39695cd154",
+    "store.sveb": "7abafe3403d2e9f15558c17e5218d2ef4b7554acd103e2842db7da12fc88b0b4",
+    "trials.txt": "5dce70328e03bbafa371dabf3af00f943f797d0394249b89d2ae5428210347be",
+    "trials_unlabeled.txt": "7fec1d80596b8b3dff9e0ec1b09089cb18b110648a48e094f2dac6df2f93c3fd",
+    "weights.csv": "c8f7213aac8b599c709e7996fd31e76e023103d7d960a29ab359cc0705cf3990",
+}
+
+
+def test_writers_keep_their_recorded_bytes(tmp_path):
+    write_fixtures(tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == WRITER_SHA256
 
 
 # ---------------------------------------------------------------------------

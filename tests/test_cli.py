@@ -236,6 +236,7 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
      "fbank.n_mels = 1000 leaves a mel filter with no bin of the 512-point FFT"),
     (["--set", "aam.scale=inf", "train", "--manifest", "m.tsv", "--out-dir", "run"],
      "aam.scale must be finite and > 0, got inf"),
+    (["synth-data", "--out-dir", "d", "--utts", "2"], "at least three utterances per speaker"),
 ])
 def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)

@@ -45,10 +45,14 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((Path(svkit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     # a removal that leaves its import behind shows up here
-    tree = ast.parse((Path(svkit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    tree = module_tree(module)
     imported = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
@@ -57,3 +61,23 @@ def test_module_uses_every_name_it_imports(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_binfile_and_wav_writer_own_every_file_write():
+    # one owner per file format: a saver that packs its own fields or writes its own file shows up here
+    struct_importers, writers = set(), set()
+    for module in MODULES:
+        tree = module_tree(module)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(alias.name == "struct" for alias in node.names):
+                struct_importers.add(module)
+            if isinstance(node, ast.ImportFrom) and node.module == "struct":
+                struct_importers.add(module)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("write_bytes", "write_text"):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                writers.add(f"{module}.{getattr(scope, 'name', '<module>')}")
+    assert sorted(struct_importers) == ["audio", "binfile"]
+    assert sorted(writers) == ["audio.write_wav", "binfile.save", "binfile.write_lines"]

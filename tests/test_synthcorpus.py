@@ -65,11 +65,13 @@ def test_spec_validation():
         SynthSpec(n_speakers=1, utts_per_speaker=5, utt_seconds=1)
     with pytest.raises(ConfigError):
         SynthSpec(n_speakers=2, utts_per_speaker=1, utt_seconds=1)
-    with pytest.raises(ConfigError):
-        SynthSpec(n_speakers=2, utts_per_speaker=2, utt_seconds=0.5)
+    with pytest.raises(ConfigError, match="three utterances"):
+        SynthSpec(n_speakers=2, utts_per_speaker=2, utt_seconds=1)
+    with pytest.raises(ConfigError, match="one second"):
+        SynthSpec(n_speakers=2, utts_per_speaker=3, utt_seconds=0.5)
     for seconds in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
-            SynthSpec(n_speakers=2, utts_per_speaker=2, utt_seconds=seconds)
+            SynthSpec(n_speakers=2, utts_per_speaker=3, utt_seconds=seconds)
 
 
 def test_corpus_layout_and_cardinality(tmp_path):
@@ -106,7 +108,8 @@ def test_corpus_regeneration_byte_identical(tmp_path):
 
 
 def test_corpus_rejects_two_utterances_per_speaker(tmp_path):
-    with pytest.raises(DataError, match="held-out"):
+    # two are held out to form target trials, so two per speaker leave none to train on
+    with pytest.raises(ConfigError, match="at least three utterances per speaker"):
         synth_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, utt_seconds=1, seed=0), tmp_path)
 
 

@@ -351,6 +351,12 @@ def test_layer_stack_owns_a_read_only_copy(dtype):
     np.testing.assert_array_equal(stack.layers, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
 
 
+@pytest.mark.parametrize("rate", [1e39, 1e-50, "50"])  # inf and 0.0 in float32, the rate's on-disk precision
+def test_layer_stack_refuses_a_frame_rate_float32_cannot_hold(rate):
+    with pytest.raises(ValueError, match="frame rate must be positive and finite in float32"):
+        LayerStack(np.zeros((2, 3, 4)), frame_rate_hz=rate)
+
+
 def test_stack_bad_magic(tmp_path):
     path = tmp_path / "bad.svhs"
     path.write_bytes(b"XXXX" + b"\x00" * 40)
