@@ -22,26 +22,27 @@ def normalized_weights(logits) -> np.ndarray:
     return z / z.sum()
 
 
-def aggregate(layers: np.ndarray, weights) -> np.ndarray:
-    """(T, D) weighted sum of a float64 (L+1, T, D) stack; bit-equal to `aggregate_graph`."""
-    weights = np.asarray(weights, dtype=np.float64)
-    n = layers.shape[0]
-    if weights.shape != (n,):
-        raise DataError(f"expected {n} layer weights, got shape {weights.shape}")
-    return np.tensordot(weights, layers, axes=(0, 0))
+def aggregate(layers, logits) -> np.ndarray:
+    """(T, D) mix of the layers at constant logits: `aggregate_graph`'s value."""
+    return aggregate_graph(layers, ad.Tensor(logits)).data
 
 
 def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
-    """Differentiable aggregation of a sequence of (T, D) layers.
+    """The (T, D) softmax(logits)-weighted sum of a list of L+1 (T, D) layers, as one node.
 
-    The layers are constant arrays (a float64 (L+1, T, D) stack iterates as
-    its layers) or, while the upstream is fine-tuned, tensors. Gradients flow
-    to the logits and to any layer tensor; constant rows record no graph.
+    A layer is a constant array (a stored float32 layer, or a float64 planted one) or, while the upstream
+    is fine-tuned, a tensor. They are stacked once in float64; gradients flow to the logits and each tensor.
     """
-    w = ad.softmax(logits.reshape(1, -1), axis=1)
-    t, d = layers[0].shape
-    flat = ad.concat(layers).reshape(len(layers), t * d)
-    return (w @ flat).reshape(t, d)
+    w = ad.softmax(logits)
+    flat = np.stack([h.data if isinstance(h, ad.Tensor) else h for h in layers], dtype=np.float64)
+    n, t, d = flat.shape
+    flat = flat.reshape(n, t * d)
+    parents, vjps = [w], [lambda g: (g.reshape(1, -1) @ flat.T).ravel()]
+    for l, h in enumerate(layers):
+        if isinstance(h, ad.Tensor):
+            parents.append(h)
+            vjps.append(lambda g, wl=w.data[l]: wl * g)
+    return ad.Tensor._op((w.data @ flat).reshape(t, d), tuple(parents), tuple(vjps))
 
 
 def export_weights(weights) -> list:

@@ -3,7 +3,7 @@
 The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, the one
 module that moves a read position; every read failure raises FormatError naming
 the file, and the manifest, trial and score loaders take their rows from it.
-SVHS, SVCK and SVEB are written through a Writer, text files by `write_lines`.
+SVHS, SVCK and SVEB are written through a Writer, text by `write_lines`, arrays by `write_npy`.
 """
 
 from __future__ import annotations
@@ -130,3 +130,9 @@ class Writer:
 def write_lines(path, lines):
     """Write UTF-8 text, each line ended by a bare LF (no CR) on every platform."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_npy(path, arr: np.ndarray):
+    """Write `arr` in NumPy's .npy format to exactly `path`; np.save given a name would append ".npy"."""
+    with open(path, "wb") as fh:
+        np.save(fh, arr)

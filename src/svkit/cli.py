@@ -18,7 +18,7 @@ import numpy as np
 from . import scoring
 from .aggregator import normalized_weights, write_weights_csv
 from .audio import AugmentBanks, fbank, load_bank, read_wav
-from .binfile import write_lines
+from .binfile import write_lines, write_npy
 from .config import RunConfig, dump_config, load_config
 from .ecapa import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, FormatError
@@ -170,7 +170,7 @@ def _cmd_synth_data(args, cfg: RunConfig):
 
 def _cmd_fbank(args, cfg: RunConfig):
     feats = fbank(read_wav(args.wav), cfg.fbank)
-    np.save(args.out, feats)
+    write_npy(args.out, feats)
     return [("frames", feats.shape[0]), ("dim", feats.shape[1])]
 
 

@@ -42,7 +42,8 @@ class System:
     ):
         self.ecapa_cfg = ecapa_cfg
         self.ecapa_params = {k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in ecapa_params.items()}
-        self.weights = normalized_weights(np.asarray(agg_logits, dtype=np.float64))
+        self.logits = np.asarray(agg_logits, dtype=np.float64)
+        normalized_weights(self.logits)  # refuses non-finite logits
         self.plant = plant
         self.upstream = MockUpstream(upstream_cfg, upstream_params)
 
@@ -82,9 +83,9 @@ class System:
         return self.upstream.stack(read_wav(path), f"{row.utt_id} ({path})")
 
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
-        layers = row_layers(self.stack_for(manifest, row), manifest, row, self.weights.size,
+        layers = row_layers(self.stack_for(manifest, row).layers, manifest, row, self.logits.size,
                             self.ecapa_cfg.in_dim, self.plant)
-        return ecapa_mod.embed(aggregate(layers, self.weights), self.ecapa_params, self.ecapa_cfg)
+        return ecapa_mod.embed(aggregate(layers, self.logits), self.ecapa_params, self.ecapa_cfg)
 
 
 def extract_embeddings(system: System, manifest: Manifest) -> dict:

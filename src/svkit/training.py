@@ -30,7 +30,6 @@ from .upstream import (
     PlantSpec,
     is_stack_file,
     load_stack,
-    plant_speaker_info,
     row_layers,
 )
 
@@ -237,23 +236,17 @@ def train(
     rng_aug = child_rng(seed, "augment")
 
     def features(row, crop_s: float, tune_upstream: bool) -> Tensor:
-        """Aggregated (T, D) features for one training utterance.
-
-        A stored stack (an imported row, or the frozen mock's output) goes through
-        `row_layers`, as in `embed`, so frozen stages compute embed's features bit
-        for bit. Fine-tuning keeps the upstream's float64 graph for its gradients.
-        """
+        """Aggregated (T, D) features for one training utterance. Every row's layers (a stored stack, or the
+        tuned upstream's graph) go through `row_layers`, as in `embed`, so frozen stages compute embed's
+        features bit for bit."""
         path = manifest.resolve(row)
         if is_stack_file(path):
-            stack = load_stack(path)
+            layers = load_stack(path).layers
         else:
             wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
-            if tune_upstream:
-                layers = upstream.forward_graph(Tensor(wav.samples))
-                plant_speaker_info(layers, row.speaker_id, plant)
-                return aggregate_graph(layers, logits)
-            stack = upstream.stack(wav, f"{row.utt_id} ({path})")
-        return aggregate_graph(row_layers(stack, manifest, row, logits.data.size, upstream_cfg.dim, plant), logits)
+            layers = (upstream.forward_graph(Tensor(wav.samples)) if tune_upstream
+                      else upstream.stack(wav, f"{row.utt_id} ({path})").layers)
+        return aggregate_graph(row_layers(layers, manifest, row, logits.data.size, upstream_cfg.dim, plant), logits)
 
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),

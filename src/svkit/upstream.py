@@ -206,10 +206,9 @@ def speaker_offset(speaker_id, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def plant_speaker_info(layers, speaker_id, plant: PlantSpec):
-    """Add strength * unit_vector(speaker_id) to every frame of the planted layer, in place; -1 is off.
-
-    `layers` is a float64 (L+1, T, D) array or, while the upstream is fine-tuned, a list of (T, D) tensors.
+def plant_speaker_info(layers: list, speaker_id, plant: PlantSpec):
+    """Add strength * unit_vector(speaker_id) to every frame of the planted layer of a list of (T, D) layers,
+    replacing that entry; -1 is off. The planted entry is float64, or a tensor when its layer is one.
     """
     k = plant.layer
     if k == -1:
@@ -219,15 +218,15 @@ def plant_speaker_info(layers, speaker_id, plant: PlantSpec):
     layers[k] = layers[k] + plant.strength * speaker_offset(speaker_id, layers[k].shape[-1])
 
 
-def row_layers(stack: LayerStack, manifest: Manifest, row, n_layers_plus_1: int, dim: int, plant) -> np.ndarray:
-    """A row's stored float32 stack as planted float64 layers, checked to be (n_layers_plus_1, T, dim)."""
-    n, _, d = stack.layers.shape
+def row_layers(layers, manifest: Manifest, row, n_layers_plus_1: int, dim: int, plant) -> list:
+    """A row's L+1 (T, D) arrays or tensors as a planted list, checked to be n_layers_plus_1 layers of `dim`."""
+    n, d = len(layers), layers[0].shape[-1]
     if (n, d) != (n_layers_plus_1, dim):
         raise DataError(
             f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
             f"expected {n_layers_plus_1} layers of dim {dim}"
         )
-    layers = stack.layers.astype(np.float64)
+    layers = list(layers)
     plant_speaker_info(layers, row.speaker_id, plant)
     return layers
 

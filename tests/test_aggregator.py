@@ -7,7 +7,7 @@ from svkit import autodiff as ad
 from svkit.aggregator import aggregate, aggregate_graph, export_weights, normalized_weights, write_weights_csv
 from svkit.autodiff import Tensor
 from svkit.errors import DataError
-from svkit.upstream import LayerStack
+from svkit.upstream import LayerStack, Manifest, ManifestRow, PlantSpec, row_layers, speaker_offset
 
 
 def stack_from(layers):
@@ -60,14 +60,13 @@ def test_identical_layers_any_weights():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((4, 3))
     stack = stack_from(np.stack([h, h, h]))
-    w = normalized_weights(rng.standard_normal(3))
-    np.testing.assert_allclose(aggregate(stack.layers, w), stack.layers[0], atol=1e-7)
+    np.testing.assert_allclose(aggregate(stack.layers, rng.standard_normal(3)), stack.layers[0], atol=1e-7)
 
 
 def test_two_layer_symmetry():
     a = np.tile([1.0, 0.0], (5, 1))
     b = np.tile([0.0, 1.0], (5, 1))
-    out = aggregate(stack_from(np.stack([a, b])).layers, [0.5, 0.5])
+    out = aggregate(stack_from(np.stack([a, b])).layers, [0.0, 0.0])
     np.testing.assert_allclose(out, np.full((5, 2), 0.5))
 
 
@@ -77,49 +76,70 @@ def test_one_hot_saturated_logits_select_layer():
     k = 2
     logits = np.zeros(5)
     logits[k] = 40.0
-    out = aggregate(stack_from(layers).layers, normalized_weights(logits))
+    out = aggregate(stack_from(layers).layers, logits)
     assert np.max(np.abs(out - layers[k].astype(np.float32))) < 1e-6
-
-
-def test_weight_length_mismatch():
-    stack = stack_from(np.zeros((3, 2, 2)))
-    with pytest.raises(DataError, match="3 layer weights"):
-        aggregate(stack.layers, [0.5, 0.5])
 
 
 def test_aggregate_linear_in_stack():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 5, 3))
     b = rng.standard_normal((4, 5, 3))
-    w = normalized_weights(rng.standard_normal(4))
-    lhs = aggregate(stack_from(2.0 * a + 0.5 * b).layers, w)
-    rhs = 2.0 * aggregate(stack_from(a).layers, w) + 0.5 * aggregate(stack_from(b).layers, w)
+    logits = rng.standard_normal(4)
+    lhs = aggregate(stack_from(2.0 * a + 0.5 * b).layers, logits)
+    rhs = 2.0 * aggregate(stack_from(a).layers, logits) + 0.5 * aggregate(stack_from(b).layers, logits)
     np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
 
-def test_aggregate_graph_matches_numpy():
-    rng = np.random.default_rng(5)
-    layers = rng.standard_normal((6, 7, 3))
-    logits = rng.standard_normal(6)
-    out = aggregate_graph(layers, Tensor(logits))
-    ref = np.tensordot(normalized_weights(logits), layers, axes=(0, 0))
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
-
-
-def test_aggregate_graph_of_a_stack_equals_its_former_constant_matrix():
-    # a stack iterates as its layers; the former array path, one (n, T*D) constant, is the byte reference
-    rng = np.random.default_rng(7)
-    layers = rng.standard_normal((5, 6, 4))
-    probe = rng.standard_normal((6, 4))
-    logits = Tensor(rng.standard_normal(5), requires_grad=True)
-    out = aggregate_graph(layers, logits)
+def former_graph(layers, logits, probe):
+    """The former `aggregate_graph` (concat, reshape and matmul) and its logits and layer gradients."""
+    logits = Tensor(logits, requires_grad=True)
+    w = ad.softmax(logits.reshape(1, -1), axis=1)
+    t, d = layers[0].shape
+    out = (w @ ad.concat(layers).reshape(len(layers), t * d)).reshape(t, d)
     (out * probe).sum().backward()
-    ref_logits = Tensor(logits.data.copy(), requires_grad=True)
-    w = ad.softmax(ref_logits.reshape(1, -1), axis=1)
-    ref = (w @ Tensor(layers.reshape(5, 6 * 4))).reshape(6, 4)
-    (ref * probe).sum().backward()
-    assert out.data.tobytes() == ref.data.tobytes()
-    assert logits.grad.tobytes() == ref_logits.grad.tobytes()
+    return out.data, logits.grad, [h.grad for h in layers if isinstance(h, Tensor)]
+
+
+def former_numpy(layers, logits):
+    """The former `aggregate`: `tensordot` of the normalized weights with the float64 stack."""
+    stack = np.stack([h.data if isinstance(h, Tensor) else h for h in layers])
+    return np.tensordot(normalized_weights(logits), stack, axes=(0, 0))
+
+
+def former_row_layers(stack, speaker_id, plant):
+    """The former stored-stack path: the whole stack cast to float64, then planted."""
+    layers = stack.astype(np.float64)
+    if plant.layer != -1:
+        layers[plant.layer] = layers[plant.layer] + plant.strength * speaker_offset(speaker_id, stack.shape[-1])
+    return layers
+
+
+@pytest.mark.parametrize("case", ["stack", "planted", "tuned"])
+@pytest.mark.parametrize("t", [150, 300])
+def test_one_node_matches_the_former_forms_byte_for_byte(case, t):
+    rng = np.random.default_rng(t)
+    row = ManifestRow("u", "spk", "u.svhs")
+    plant = PlantSpec(3, 4.0) if case == "planted" else PlantSpec()
+    logits = rng.standard_normal(13)
+    probe = rng.standard_normal((t, 64))
+    if case == "tuned":
+        arrays = rng.standard_normal((13, t, 64))
+        layers, old = ([Tensor(h, requires_grad=True) for h in arrays] for _ in range(2))
+    else:
+        stack = rng.standard_normal((13, t, 64)).astype(np.float32)
+        layers = row_layers(stack, Manifest((row,)), row, 13, 64, plant)
+        old = former_row_layers(stack, row.speaker_id, plant)
+    ref, ref_grad, ref_layer_grads = former_graph(old, logits, probe)
+    assert former_numpy(old, logits).tobytes() == ref.tobytes()
+    graph_logits = Tensor(logits, requires_grad=True)
+    out = aggregate_graph(layers, graph_logits)
+    (out * probe).sum().backward()
+    assert out.data.tobytes() == ref.tobytes()
+    assert aggregate(layers, logits).tobytes() == out.data.tobytes()
+    assert graph_logits.grad.tobytes() == ref_grad.tobytes()
+    layer_grads = [h.grad for h in layers if isinstance(h, Tensor)]
+    assert len(layer_grads) == (13 if case == "tuned" else 0)
+    assert [g.tobytes() for g in layer_grads] == [g.tobytes() for g in ref_layer_grads]
 
 
 def test_aggregate_graph_gradient_flows_to_layers():

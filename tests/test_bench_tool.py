@@ -1,0 +1,84 @@
+"""tools/bench.py: folding perfbench run records and comparing two BENCH files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+ENV = {"nproc": 2, "blas": "scipy-openblas", "blas_version": "0.3.31", "blas_threads": 1,
+       "python": "3.12.3", "numpy": "2.4.6", "scipy": "1.17.1", "src_loc": 3013}
+
+
+def record(workload, seed, trace, metrics, digests, failed=0):
+    return {"workload": workload, "seed": seed, "trace": trace, "environment": {**ENV, "seed": seed},
+            "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()},
+            "digests": digests, "failed": failed, "attempted": 10}
+
+
+def bench_file(path, wall_ref, peak_rss, planted_weight, digest, src_loc):
+    doc = {
+        "environment": {k: v for k, v in ENV.items() if k != "src_loc"},
+        "src_loc": src_loc,
+        "workloads": {
+            "train_desk": {
+                "end_to_end": {"wall_ref": {"unit": "ref", "per_seed": {"1": wall_ref}, "median": wall_ref},
+                               "peak_rss_mb": {"unit": "MiB", "per_seed": {"1": peak_rss}, "median": peak_rss}},
+                "per_layer": {"training.planted_weight": {"unit": "ratio", "per_seed": {"1": planted_weight},
+                                                          "median": planted_weight}},
+                "digests": {"1": {"checkpoint.svck": digest, "scores.txt": "same"}},
+                "failed": {"1": 0}, "attempted": {"1": 10},
+            },
+        },
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_compare_marks_numbers_over_10_percent_worse_and_changed_digests(tmp_path, capsys):
+    old = bench_file(tmp_path / "BENCH_old.json", 1000.0, 200.0, 0.12, "aaaa", 3013)
+    new = bench_file(tmp_path / "BENCH_new.json", 1050.0, 230.0, 0.10, "bbbb", 3000)
+    assert bench.main(["--compare", str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    marked = {line.split()[1] for line in lines if line.endswith("WORSE")}
+    # wall_ref is 5% worse, peak RSS 15% worse, the planted weight (higher is better) 17% lower
+    assert marked == {"peak_rss_mb", "training.planted_weight"}
+    assert lines[-1] == "digest changed: train_desk seed 1 checkpoint.svck"
+    assert lines[0].split()[:3] == ["src_loc", "3013", "3000"]
+
+
+def test_compare_of_a_file_with_itself_passes(tmp_path, capsys):
+    old = bench_file(tmp_path / "BENCH_old.json", 1000.0, 200.0, 0.12, "aaaa", 3013)
+    assert bench.main(["--compare", str(old), str(old)]) == 0
+    assert "WORSE" not in capsys.readouterr().out
+
+
+def test_fold_keeps_each_seed_its_median_and_the_environment_once(tmp_path):
+    paths = []
+    for seed, wall in ((1, 10.0), (2, 30.0), (3, 20.0)):
+        paths.append(tmp_path / f"train_desk-seed{seed}-trace0.json")
+        paths[-1].write_text(json.dumps(record("train_desk", seed, 0, {"wall_ref": wall}, {"a": str(seed)})))
+    paths.append(tmp_path / "train_desk-seed1-trace1.json")
+    paths[-1].write_text(json.dumps(record("train_desk", 1, 1, {"autodiff.nodes_per_utt": 242.5}, {"a": "1"})))
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--out", str(out), *map(str, paths)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["src_loc"] == 3013 and "src_loc" not in doc["environment"] and "seed" not in doc["environment"]
+    w = doc["workloads"]["train_desk"]
+    assert w["end_to_end"]["wall_ref"]["per_seed"] == {"1": 10.0, "2": 30.0, "3": 20.0}
+    assert w["end_to_end"]["wall_ref"]["median"] == 20.0
+    assert w["per_layer"]["autodiff.nodes_per_utt"]["median"] == 242.5
+    assert w["digests"] == {"1": {"a": "1"}, "2": {"a": "2"}, "3": {"a": "3"}}
+    assert w["attempted"] == {"1": 20, "2": 10, "3": 10}
+
+
+def test_fold_refuses_records_from_two_checkouts():
+    a = record("score_bulk", 1, 0, {"wall_ref": 1.0}, {})
+    b = record("score_bulk", 2, 0, {"wall_ref": 1.0}, {})
+    b["environment"]["src_loc"] = 3100
+    with pytest.raises(ValueError, match="environment differs"):
+        bench.fold([a, b])

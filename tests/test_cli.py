@@ -118,6 +118,18 @@ def test_full_pipeline(workspace, capsys):
     assert lines[0] == "layer,weight" and len(lines) == 5
 
 
+def test_fbank_writes_exactly_the_out_path(tmp_path, capsys):
+    # np.save given a name without ".npy" appends it; the command writes the path it is given
+    from svkit.audio import Waveform, write_wav
+
+    write_wav(tmp_path / "w.wav", Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 8000)))
+    for out in ("f.bin", "f.npy"):
+        run_ok(capsys, ["fbank", "--wav", str(tmp_path / "w.wav"), "--out", str(tmp_path / out)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "f.npy", "w.wav"]
+    feats = np.load(tmp_path / "f.bin")
+    assert feats.shape == (48, 40) and feats.tobytes() == np.load(tmp_path / "f.npy").tobytes()
+
+
 def test_upstream_export_manifest_and_import_training(workspace, capsys, tmp_path):
     root, cfg = workspace
     data = root / "data"

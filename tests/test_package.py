@@ -74,10 +74,14 @@ def test_binfile_and_wav_writer_own_every_file_write():
                 struct_importers.add(module)
             if isinstance(node, ast.ImportFrom) and node.module == "struct":
                 struct_importers.add(module)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("write_bytes", "write_text"):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) in ("write_bytes", "write_text")
+                or ast.unparse(node.func) == "open"
+                or ast.unparse(node.func).startswith("np.save")
+            ):
                 scope = node
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 writers.add(f"{module}.{getattr(scope, 'name', '<module>')}")
     assert sorted(struct_importers) == ["audio", "binfile"]
-    assert sorted(writers) == ["audio.write_wav", "binfile.save", "binfile.write_lines"]
+    assert sorted(writers) == ["audio.write_wav", "binfile.save", "binfile.write_lines", "binfile.write_npy"]

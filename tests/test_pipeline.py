@@ -159,7 +159,7 @@ def test_durations_of_exported_stacks_are_frames_over_frame_rate(tmp_path):
 @pytest.mark.parametrize("plant", [PlantSpec(), PlantSpec(layer=1, strength=2.0)])
 def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, plant):
     """Full-length, unaugmented rows: WAV rows and their SVHS twins reach the
-    aggregator with the same float64 layers in training and in `System`."""
+    aggregator with the same layers, byte for byte and dtype for dtype, in training and in `System`."""
     import svkit.pipeline as pipeline_mod
     import svkit.training as training_mod
     from svkit.aggregator import aggregate, aggregate_graph
@@ -177,14 +177,18 @@ def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, pl
 
     seen = {"train": [], "embed": []}
 
+    def key(layers):
+        # a stored layer stays float32 up to the mix, a planted one is float64
+        return [(h.dtype.str, h.tobytes()) for h in layers]
+
     def record_graph(layers, logits):
         out = aggregate_graph(layers, logits)
-        seen["train"].append((layers.copy(), logits.data.copy(), out.data.copy()))
+        seen["train"].append((key(layers), logits.data.copy(), out.data.tobytes()))
         return out
 
-    def record_numpy(layers, weights):
-        out = aggregate(layers, weights)
-        seen["embed"].append((layers.copy(), out.copy()))
+    def record_numpy(layers, logits):
+        out = aggregate(layers, logits)
+        seen["embed"].append((key(layers), logits.copy(), out.tobytes()))
         return out
 
     monkeypatch.setattr(training_mod, "aggregate_graph", record_graph)
@@ -194,15 +198,14 @@ def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, pl
                           crop_seconds=1.0, batch_size=len(rows), lr_stage1=1e-3)
     result = train(manifest, sched, upstream_cfg=UP, ecapa_cfg=EC, plant=plant, seed=3)
     logits = seen["train"][0][1]
-    assert all(np.array_equal(rec[1], logits) for rec in seen["train"])
     system = System(UP, EC, result.ecapa, logits, upstream_params=result.upstream, plant=plant)
     embs = extract_embeddings(system, manifest)
-
-    def key(arrays):
-        return [a.tobytes() for a in arrays]
-
-    assert sorted(key((layers, out)) for layers, _, out in seen["train"]) == sorted(
-        key(rec) for rec in seen["embed"]
+    assert all(np.array_equal(rec[1], logits) for rec in seen["train"] + seen["embed"])
+    assert sorted((layers, out) for layers, _, out in seen["train"]) == sorted(
+        (layers, out) for layers, _, out in seen["embed"]
+    )
+    assert {dtype for layers, _, _ in seen["embed"] for dtype, _ in layers} == (
+        {"<f4", "<f8"} if plant.layer != -1 else {"<f4"}
     )
     for row in corpus.train.rows:
         assert embs[row.utt_id].tobytes() == embs[f"{row.utt_id}-svhs"].tobytes()

@@ -24,7 +24,7 @@ from svkit.training import (
     grad_check,
     train,
 )
-from svkit.upstream import MockUpstream, MockUpstreamConfig
+from svkit.upstream import MockUpstream, MockUpstreamConfig, row_layers
 from test_autodiff import retaining_backward
 
 
@@ -307,24 +307,59 @@ def test_stage_2_divergence_names_the_global_epoch(tiny_corpus, monkeypatch):
               upstream_cfg=UP, ecapa_cfg=EC, seed=1)
 
 
-def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
+def mixed_manifest(corpus, out):
+    """The tiny training manifest with every second row replaced by its exported mock stack."""
     from svkit.audio import read_wav
-    from svkit.upstream import Manifest, ManifestRow, MockUpstream, mock_forward, save_stack
+    from svkit.upstream import Manifest, ManifestRow, mock_forward, save_stack
 
     rows = []
-    for i, row in enumerate(tiny_corpus.train.rows):
-        path = str(tiny_corpus.train.resolve(row))
+    for i, row in enumerate(corpus.train.rows):
+        path = str(corpus.train.resolve(row))
         if i % 2:
-            save_stack(mock_forward(read_wav(path), UP), tmp_path / f"{row.utt_id}.svhs")
+            save_stack(mock_forward(read_wav(path), UP), out / f"{row.utt_id}.svhs")
             path = f"{row.utt_id}.svhs"
         rows.append(ManifestRow(row.utt_id, row.speaker_id, path))
-    res = train(Manifest(tuple(rows), base_dir=tmp_path), tiny_schedule(stage2_epochs=1),
+    return Manifest(tuple(rows), base_dir=out)
+
+
+def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
+    res = train(mixed_manifest(tiny_corpus, tmp_path), tiny_schedule(stage2_epochs=1),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert res.notices == []
     assert [row[1] for row in res.log] == [1, 2]
     initial = MockUpstream(UP).params
     assert set(res.upstream) == set(initial)
     assert any(np.any(res.upstream[k] != v.data) for k, v in initial.items())
+
+
+def test_row_layers_is_the_one_shape_and_plant_site(tiny_corpus, tmp_path, monkeypatch):
+    # every crop of every stage, WAV or SVHS, frozen or tuned, is checked and planted by one call
+    import svkit.training as training_mod
+    import svkit.upstream as upstream_mod
+
+    calls, planted = [], []
+    plant_speaker_info = upstream_mod.plant_speaker_info
+
+    def spy(layers, manifest, row, *args):
+        out = row_layers(layers, manifest, row, *args)
+        calls.append((row.utt_id, row.path.endswith(".svhs"), type(out[0])))
+        return out
+
+    def count_plant(layers, speaker_id, plant):
+        planted.append(speaker_id)
+        plant_speaker_info(layers, speaker_id, plant)
+
+    manifest = mixed_manifest(tiny_corpus, tmp_path)
+    monkeypatch.setattr(training_mod, "row_layers", spy)
+    monkeypatch.setattr(upstream_mod, "plant_speaker_info", count_plant)
+    train(manifest, tiny_schedule(stage2_epochs=1, lmft_epochs=1), upstream_cfg=UP, ecapa_cfg=EC,
+          plant=PlantSpec(layer=1, strength=3.0), seed=4)
+    n = len(manifest)  # one crop per row per epoch
+    assert len(calls) == len(planted) == 3 * n
+    for stage in range(3):
+        crops = calls[stage * n : (stage + 1) * n]
+        assert sorted(utt for utt, _, _ in crops) == sorted(row.utt_id for row in manifest.rows)
+        assert all(kind is (Tensor if stage > 0 and not svhs else np.ndarray) for _, svhs, kind in crops)
 
 
 def test_import_only_run_never_draws_a_mock_upstream(imported_corpus, monkeypatch):
