@@ -256,6 +256,10 @@ def _cmd_snorm(args, cfg: RunConfig):
 
 
 def _cmd_calibrate(args, cfg: RunConfig):
+    applying = {"apply-scores": args.apply_scores, "apply-trials": args.apply_trials, "out": args.out}
+    if any(applying.values()):  # all or none, refused before anything is fitted or written
+        for key, value in applying.items():
+            _require(value, f"{key} (--apply-scores, --apply-trials and --out go together)")
     durations = utterance_durations(load_manifest(args.manifest, check_paths=True)) if args.manifest else {}
 
     def load(trials_path, scores_path):
@@ -270,9 +274,9 @@ def _cmd_calibrate(args, cfg: RunConfig):
     _save_calibration(model, args.model_out)
     summary = [("a", f"{model.score_weight:.6f}"), ("bias", f"{model.bias:.6f}")]
     if args.apply_scores:
-        apply_trials, apply_scores, apply_quality = load(_require(args.apply_trials, "apply-trials"), args.apply_scores)
+        apply_trials, apply_scores, apply_quality = load(args.apply_trials, args.apply_scores)
         calibrated = scoring.apply_calibration(model, apply_scores, apply_quality)
-        scoring.save_scores(apply_trials, calibrated, _require(args.out, "out"))
+        scoring.save_scores(apply_trials, calibrated, args.out)
         summary.append(("applied", len(apply_trials)))
     return summary
 
@@ -313,7 +317,11 @@ def _cmd_export_weights(args, cfg: RunConfig):
     tensors = load_checkpoint(args.checkpoint)
     if "agg.logits" not in tensors:
         raise FormatError(f"{args.checkpoint}: checkpoint has no aggregator logits")
-    weights = normalized_weights(tensors["agg.logits"].astype(np.float64))
+    logits = tensors["agg.logits"]
+    if logits.ndim != 1 or logits.size < 2:
+        raise FormatError(f"{args.checkpoint}: agg.logits must be a vector of at least 2 layer logits, "
+                          f"got shape {logits.shape}")
+    weights = normalized_weights(logits.astype(np.float64))
     write_weights_csv(args.out, weights)
     return [("rows", weights.size)]
 

@@ -134,6 +134,8 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
     if not trials:
         return scores.copy()
     unit, e, t = _trial_rows(trials, store, "zero-norm embedding for {uid}")
+    if unit.shape[1] != cohort.members.shape[1]:
+        raise DataError(f"trial embeddings have dim {unit.shape[1]} but the cohort's have dim {cohort.members.shape[1]}")
     top = np.partition(unit @ cohort.members.T, -cohort.top_k, axis=1)[:, -cohort.top_k :]
     mu, sd = top.mean(axis=1), top.std(axis=1)
     flat = (sd[e] == 0.0) | (sd[t] == 0.0)

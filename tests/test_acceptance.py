@@ -26,9 +26,10 @@ from svkit.scoring import (
 )
 from svkit.errors import DataError
 from svkit.synthcorpus import SynthSpec, synth_corpus
-from svkit.training import PlantSpec, TrainSchedule, grad_check, train
+from svkit.training import PlantSpec, TrainSchedule, train
 from svkit.upstream import MockUpstream, MockUpstreamConfig
 
+from gradcheck import grad_check
 from test_scoring import eer_oracle, snorm_oracle
 
 

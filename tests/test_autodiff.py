@@ -10,20 +10,7 @@ import pytest
 import svkit.autodiff as ad
 from svkit.autodiff import Tensor
 
-
-def fd_grad(f, x, eps=1e-6):
-    """Central-difference gradient of scalar f at array x."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        g.reshape(-1)[i] = (hi - lo) / (2 * eps)
-    return g
+from gradcheck import fd_grad
 
 
 def check_op(build, shape, seed, atol=1e-7):

@@ -300,10 +300,10 @@ def test_calibrate_files_equal_the_library_fit_and_apply(tmp_path, capsys, with_
             "--model-out", str(tmp_path / "model.txt"), "--apply-scores", str(tmp_path / "apply_scores.txt")]
     if with_manifest:
         argv += ["--manifest", str(tmp_path / "m.tsv")]
-    # the model is written before a missing apply setting is refused
+    # a missing apply setting is refused before the model is fitted or written
     assert main(argv + ["--out", str(tmp_path / "cal.txt")]) == 2
     assert "apply-trials" in capsys.readouterr().err
-    assert (tmp_path / "model.txt").is_file() and not (tmp_path / "cal.txt").exists()
+    assert not (tmp_path / "model.txt").exists() and not (tmp_path / "cal.txt").exists()
     summary = run_ok(capsys, argv + ["--apply-trials", str(tmp_path / "apply.txt"), "--out", str(tmp_path / "cal.txt")])
     assert summary["applied"] == str(len(apply_trials))
 
@@ -323,6 +323,21 @@ def test_calibrate_files_equal_the_library_fit_and_apply(tmp_path, capsys, with_
                         tmp_path / "cal_ref.txt")
     assert (tmp_path / "model.txt").read_bytes() == (tmp_path / "model_ref.txt").read_bytes()
     assert (tmp_path / "cal.txt").read_bytes() == (tmp_path / "cal_ref.txt").read_bytes()
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--apply-scores", "s.txt"], "apply-trials"),
+    (["--apply-trials", "t.txt", "--out", "cal.txt"], "apply-scores"),
+])
+def test_calibrate_apply_settings_are_all_or_none(tmp_path, capsys, monkeypatch, given, missing):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("1 a b\n0 c d\n")
+    (tmp_path / "s.txt").write_text("a b 0.900000\nc d 0.100000\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["calibrate", "--scores", "s.txt", "--trials", "t.txt", "--model-out", "model.txt"] + given) == 2
+    err = capsys.readouterr().err
+    assert f"missing required setting: {missing}" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):
@@ -386,6 +401,39 @@ def test_exit_code_comes_from_the_error_class(monkeypatch, capsys, error, code):
     else:
         assert main(argv) == code
         assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (), (0,), (1,)])
+def test_exit_code_3_on_export_weights_of_malformed_logits(tmp_path, capsys, shape):
+    from svkit.ecapa import save_checkpoint
+
+    ckpt = tmp_path / "c.svck"
+    save_checkpoint({"agg.logits": np.zeros(shape)}, ckpt)
+    assert main(["export-weights", "--checkpoint", str(ckpt), "--out", str(tmp_path / "w.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"{ckpt}: agg.logits must be a vector of at least 2 layer logits, got shape {shape}" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_exit_code_4_on_snorm_cohort_of_another_dim(tmp_path, capsys):
+    from svkit import scoring
+    from svkit.upstream import Manifest, ManifestRow, save_manifest
+
+    rng = np.random.default_rng(7)
+    scoring.save_embeddings({u: rng.standard_normal(4) for u in "ab"}, tmp_path / "e.sveb")
+    cohort_ids = ["c0", "c1", "c2", "c3"]
+    scoring.save_embeddings({u: rng.standard_normal(6) for u in cohort_ids}, tmp_path / "cohort.sveb")
+    save_manifest(Manifest(tuple(ManifestRow(u, f"s{i % 2}", f"{u}.wav") for i, u in enumerate(cohort_ids)),
+                           tmp_path), tmp_path / "cohort.tsv")
+    (tmp_path / "t.txt").write_text("1 a b\n")
+    (tmp_path / "s.txt").write_text("a b 0.500000\n")
+    code = main(["snorm", "--scores", str(tmp_path / "s.txt"), "--trials", str(tmp_path / "t.txt"),
+                 "--embeddings", str(tmp_path / "e.sveb"), "--cohort-embeddings", str(tmp_path / "cohort.sveb"),
+                 "--cohort-manifest", str(tmp_path / "cohort.tsv"), "--out", str(tmp_path / "n.txt")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "trial embeddings have dim 4 but the cohort's have dim 6" in err and "Traceback" not in err
+    assert not (tmp_path / "n.txt").exists()
 
 
 def test_exit_code_4_on_degenerate_data(tmp_path, capsys):

@@ -19,6 +19,7 @@ from svkit.ecapa import (
     se_res2_block,
 )
 from svkit.errors import ConfigError, FormatError
+from gradcheck import fd_report
 from test_autodiff import time_patches
 
 SMALL = EcapaConfig(
@@ -67,21 +68,7 @@ def test_se_gate_w1_gradient_matches_fd():
     def loss():
         return (se_gate(Tensor(x), w1, b1, w2, b2) * probe).sum()
 
-    loss().backward()
-    analytic = w1.grad.copy()
-    fd = np.zeros_like(w1.data)
-    eps = 1e-6
-    flat = w1.data.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = loss().item()
-        flat[i] = orig - eps
-        lo = loss().item()
-        flat[i] = orig
-        fd.reshape(-1)[i] = (hi - lo) / (2 * eps)
-    rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(analytic)), np.max(np.abs(fd)))
-    assert rel < 1e-4
+    assert fd_report(loss, {"w1": w1}, 1e-6)["w1"] < 1e-4
 
 
 # ---------------------------------------------------------------------------

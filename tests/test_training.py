@@ -1,4 +1,4 @@
-"""AAM loss, cropping, staged training, and gradient-check harness tests."""
+"""AAM loss, cropping and staged training, plus the tests of the checker in `tests/gradcheck.py`."""
 
 import math
 
@@ -18,13 +18,12 @@ from svkit.training import (
     Adam,
     PlantSpec,
     TrainSchedule,
-    _fd_report,
     aam_loss,
     crop_random,
-    grad_check,
     train,
 )
 from svkit.upstream import MockUpstream, MockUpstreamConfig, row_layers
+from gradcheck import fd_report, grad_check
 from test_autodiff import retaining_backward
 
 
@@ -456,7 +455,7 @@ def test_fd_report_freezes_the_difference_loop_and_restores_requires_grad():
         flags.append((a.requires_grad, b.requires_grad))
         return (a * a).sum() + (a[:1] * b).sum()
 
-    report = _fd_report(make_loss, params, 1e-5)
+    report = fd_report(make_loss, params, 1e-5)
     assert report["a"] < 1e-8
     assert flags[0] == (True, False) and set(flags[1:]) == {(False, False)}
     assert (a.requires_grad, b.requires_grad) == (True, False)
@@ -467,7 +466,7 @@ def test_fd_report_freezes_the_difference_loop_and_restores_requires_grad():
         return (a * a).sum()
 
     with pytest.raises(RuntimeError, match="loss failed"):
-        _fd_report(failing_loss, params, 1e-5)
+        fd_report(failing_loss, params, 1e-5)
     assert (a.requires_grad, b.requires_grad) == (True, False)
 
 
@@ -483,8 +482,3 @@ def test_grad_check_calibration_differences_the_shipped_objective(monkeypatch):
     assert grad_check("calibration")["theta"] < 1e-6
     monkeypatch.setattr(scoring, "_bce_value_grad", flipped_bias)
     assert grad_check("calibration")["theta"] > 0.1
-
-
-def test_grad_check_unknown_component():
-    with pytest.raises(ConfigError, match="unknown or parameter-free"):
-        grad_check("eer")

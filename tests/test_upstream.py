@@ -7,7 +7,6 @@ from svkit.audio import Waveform
 from svkit.autodiff import Tensor
 from svkit.errors import ConfigError, DataError, FormatError
 from svkit.rng import child_rng
-from svkit.training import _fd_report
 from svkit.upstream import (
     CONV_STRIDES,
     LayerStack,
@@ -26,6 +25,7 @@ from svkit.upstream import (
     save_stack,
     speaker_offset,
 )
+from gradcheck import fd_report
 from test_autodiff import time_patches
 
 
@@ -208,7 +208,7 @@ def test_tuned_mock_gradients_match_finite_differences():
     def make_loss():
         return sum((h * p).sum() for h, p in zip(model.forward_graph(samples), probe))
 
-    report = _fd_report(make_loss, params, 1e-5)
+    report = fd_report(make_loss, params, 1e-5)
     assert report.keys() == params.keys()
     assert max(report.values()) < 1e-4, report
 
