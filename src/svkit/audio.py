@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, write_bytes
 from .errors import ConfigError, DataError, FormatError
 
 SAMPLE_RATE = 16000
@@ -166,7 +166,7 @@ def write_wav(path, wav: Waveform):
     header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(data))
-    Path(path).write_bytes(header + data)
+    write_bytes(path, header + data)
 
 
 # ---------------------------------------------------------------------------

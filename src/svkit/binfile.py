@@ -3,11 +3,13 @@
 The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, the one
 module that moves a read position; every read failure raises FormatError naming
 the file, and the manifest, trial and score loaders take their rows from it.
-SVHS, SVCK and SVEB are written through a Writer, text by `write_lines`, arrays by `write_npy`.
+SVHS, SVCK and SVEB are written through a Writer, text by `write_lines`, arrays by `write_npy`,
+and every output file, WAV too, by `write_bytes`: it makes the directory, and a failed write is exit 2.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from collections import Counter
 from collections.abc import Iterator
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 
 class Reader:
@@ -124,15 +126,26 @@ class Writer:
         self._out.append(arr.tobytes())
 
     def save(self, path):
-        Path(path).write_bytes(b"".join(self._out))
+        write_bytes(path, b"".join(self._out))
+
+
+def write_bytes(path, data: bytes):
+    """Write `data` to exactly `path`, making its directory first: the one place output reaches the disk."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write output file ({exc.strerror})") from None
 
 
 def write_lines(path, lines):
     """Write UTF-8 text, each line ended by a bare LF (no CR) on every platform."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_npy(path, arr: np.ndarray):
     """Write `arr` in NumPy's .npy format to exactly `path`; np.save given a name would append ".npy"."""
-    with open(path, "wb") as fh:
-        np.save(fh, arr)
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    write_bytes(path, buf.getvalue())

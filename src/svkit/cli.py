@@ -181,9 +181,14 @@ def _cmd_upstream_export(args, cfg: RunConfig):
         stack = upstream.stack(read_wav(args.wav), args.wav)
         save_stack(stack, out)
         return list(zip(("layers", "frames", "dim"), stack.layers.shape))
-    manifest = load_manifest(_require(args.manifest, "manifest"), check_paths=True)
+    manifest_path = _require(args.manifest, "manifest")
+    manifest = load_manifest(manifest_path, check_paths=True)
     out_dir = Path(_require(args.out_dir, "out-dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for row in manifest.rows:  # refused before any stack is written
+        rel = f"{row.utt_id}.svhs"
+        if Path(rel).name != rel or "\0" in rel:
+            raise FormatError(f"{manifest_path}: utt_id {row.utt_id!r} does not make a plain file name; "
+                              "stacks are written only inside --out-dir")
     rows = []
     for row in manifest.rows:
         path = manifest.resolve(row)
@@ -202,6 +207,8 @@ def _cmd_train(args, cfg: RunConfig):
         noises=load_bank(cfg.paths.noise_dir) if cfg.paths.noise_dir else (),
         rirs=load_bank(cfg.paths.rir_dir) if cfg.paths.rir_dir else (),
     )
+    out_dir = Path(args.out_dir)
+    write_lines(out_dir / "config.txt", dump_config(cfg).splitlines())  # first: an unwritable out-dir fails fast
     result = train(
         manifest,
         cfg.schedule,
@@ -213,12 +220,9 @@ def _cmd_train(args, cfg: RunConfig):
         plant=cfg.plant,
         seed=cfg.seed,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.checkpoint_tensors(), out_dir / "checkpoint.svck")
     log_lines = ["epoch,stage,loss,lr"] + [f"{e},{s},{l:.6f},{lr:g}" for e, s, l, lr in result.log]
     write_lines(out_dir / "train_log.csv", log_lines)
-    write_lines(out_dir / "config.txt", dump_config(cfg).splitlines())
     final_loss = result.log[-1][2] if result.log else float("nan")
     return [("epochs", len(result.log)), ("speakers", len(result.speakers)), ("final_loss", f"{final_loss:.6f}")]
 

@@ -113,9 +113,6 @@ def synth_corpus(spec: SynthSpec, out_dir) -> CorpusLayout:
     equal number of seeded cross-speaker pairs forms the nontargets.
     """
     out_dir = Path(out_dir)
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-
     n_held = max(2, spec.utts_per_speaker // 5)
 
     all_rows, train_rows, held_rows = [], [], []

@@ -86,7 +86,6 @@ class TrainResult:
     upstream: dict
     speakers: list
     log: list
-    notices: list
 
     def checkpoint_tensors(self) -> dict:
         out = {f"ecapa.{k}": v for k, v in self.ecapa.items()}
@@ -253,13 +252,12 @@ def train(
         (3, schedule.lmft_epochs, schedule.lr_lmft, replace(aam, margin=schedule.lmft_margin),
          schedule.lmft_crop_seconds, has_wav),
     ]
-    log, notices = [], []
+    log = []
     for stage, n_epochs, lr, aam_cfg, crop_s, tune_upstream in stages:
         if n_epochs == 0:
             continue
         if stage > 1 and not has_wav:
-            notices.append(f"stage {stage}: imported stacks are frozen; training downstream only")
-            logger.info(notices[-1])
+            logger.info("stage %d: imported stacks are frozen; training downstream only", stage)
         trainable = [logits, anchors] + [params[k] for k in sorted(params)]
         if tune_upstream:
             up_params = upstream.as_tensors()
@@ -291,5 +289,5 @@ def train(
     return TrainResult(
         ecapa={k: v.data.copy() for k, v in params.items()}, agg_logits=logits.data.copy(),
         anchors=anchors.data.copy(), upstream=upstream.param_arrays() if has_wav else {},
-        speakers=speakers, log=log, notices=notices,
+        speakers=speakers, log=log,
     )

@@ -13,6 +13,7 @@ import pytest
 
 from svkit.aggregator import normalized_weights, write_weights_csv
 from svkit.audio import Waveform, read_wav, read_wav_duration, write_wav
+from svkit.binfile import write_npy
 from svkit.ecapa import load_checkpoint, save_checkpoint
 from svkit.errors import FormatError, ToolkitError
 from svkit.scoring import Trial, load_embeddings, load_scores, load_trials, save_embeddings, save_scores, save_trials
@@ -155,9 +156,12 @@ def write_fixtures(out):
     save_trials([Trial(t.enroll_id, t.test_id) for t in trials], out / "trials_unlabeled.txt")
     save_scores(trials, [0.5, -1 / 3, 2 / 3], out / "scores.txt")
     write_weights_csv(out / "weights.csv", normalized_weights([0.0, 1.0, -1.0]))
+    write_wav(out / "wave.wav", Waveform([0.0, 0.25, -1 / 3, 1.0, -1.0, 0.5 / 32768]))  # clips 1.0, rounds half to 0
+    write_npy(out / "feats.npy", np.arange(6.0).reshape(2, 3) / 7)
 
 
-# Recorded from the writers before they shared binfile.Writer and write_lines.
+# Recorded from the writers before they shared binfile.Writer and write_lines;
+# wave.wav and feats.npy before they shared binfile.write_bytes.
 WRITER_SHA256 = {
     "checkpoint.svck": "df3f5dc966dd8430908d35f2d3577b73db94f48f209bd9368727932d95c5dd67",
     "manifest.tsv": "ecdc3616cc654a20b2c353a28787e17a2f8905002b665eb458c546eb4161d5ba",
@@ -167,6 +171,8 @@ WRITER_SHA256 = {
     "trials.txt": "5dce70328e03bbafa371dabf3af00f943f797d0394249b89d2ae5428210347be",
     "trials_unlabeled.txt": "7fec1d80596b8b3dff9e0ec1b09089cb18b110648a48e094f2dac6df2f93c3fd",
     "weights.csv": "c8f7213aac8b599c709e7996fd31e76e023103d7d960a29ab359cc0705cf3990",
+    "wave.wav": "b89aa88d4f368363cb84d925e1a1ebeb79def900cdb26ff1024852b6002d61fa",
+    "feats.npy": "6d6d7e5ea1c459106db9392e37de7f0872c849a80578a26f20051276f7368e11",
 }
 
 

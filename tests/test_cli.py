@@ -611,3 +611,79 @@ def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys
     source = str(wav) if command == "export-wav" else f"u0 ({wav})"
     assert f"{source}: mock upstream output does not fit float32" in err and "Traceback" not in err
     assert not (tmp_path / "out").is_file() and not (tmp_path / "out" / "u0.svhs").exists()
+
+
+@pytest.fixture(scope="module")
+def write_inputs(tmp_path_factory):
+    """A 3-speaker corpus, a checkpoint trained for 0 epochs, its store of every utterance and their scores."""
+    root = tmp_path_factory.mktemp("write_inputs")
+    (root / "run.cfg").write_text(TINY_CFG + "schedule.stage1_epochs = 0\n")
+    data = root / "data"
+    for argv in (["synth-data", "--out-dir", str(data), "--speakers", "3", "--utts", "3", "--seconds", "1"],
+                 ["train", "--manifest", str(data / "train.tsv"), "--out-dir", str(root / "run")],
+                 ["embed", "--checkpoint", str(root / "run" / "checkpoint.svck"),
+                  "--manifest", str(data / "manifest.tsv"), "--out", str(root / "all.sveb")],
+                 ["score", "--trials", str(data / "trials.txt"), "--embeddings", str(root / "all.sveb"),
+                  "--out", str(root / "scores.txt")]):
+        assert main(["--config", str(root / "run.cfg")] + argv) == 0
+    return root
+
+
+@pytest.mark.parametrize("utt_id", ["../esc", "x/y", "ABSOLUTE", "nul\0byte"])
+def test_upstream_export_writes_only_inside_the_out_dir(write_inputs, capsys, tmp_path, utt_id):
+    wav = next((write_inputs / "data" / "wav").glob("*.wav"))
+    utt_id = str(tmp_path / "abs") if utt_id == "ABSOLUTE" else utt_id
+    (tmp_path / "m.tsv").write_text(f"u0\ts0\t{wav}\n{utt_id}\ts1\t{wav}\n")
+    out_dir = tmp_path / "sub" / "out"
+    code = main(["upstream-export", "--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"utt_id {utt_id!r} does not make a plain file name" in err and "Traceback" not in err
+    assert not out_dir.exists() and list(tmp_path.rglob("*.svhs")) == []  # refused before any stack is written
+
+
+def writing_command(root, name):
+    """One command that writes: its argv less the output, the output flag, and for an --out-dir a file in it."""
+    data, scores, store = root / "data", str(root / "scores.txt"), str(root / "all.sveb")
+    ckpt, trials = str(root / "run" / "checkpoint.svck"), str(data / "trials.txt")
+    wav = str(next(data.glob("wav/*.wav")))
+    scored = ["--scores", scores, "--trials", trials]
+    return {
+        "synth-data": (["synth-data", "--speakers", "3", "--utts", "3", "--seconds", "1"], "--out-dir", "manifest.tsv"),
+        "fbank": (["fbank", "--wav", wav], "--out", None),
+        "export-wav": (["upstream-export", "--wav", wav], "--out", None),
+        "export-manifest": (["upstream-export", "--manifest", str(data / "heldout.tsv")], "--out-dir", "manifest.tsv"),
+        "train": (["train", "--manifest", str(data / "train.tsv")], "--out-dir", "config.txt"),
+        "embed": (["embed", "--checkpoint", ckpt, "--manifest", str(data / "heldout.tsv")], "--out", None),
+        "score": (["score", "--trials", trials, "--embeddings", store], "--out", None),
+        "snorm": (["snorm", *scored, "--embeddings", store, "--cohort-embeddings", store,
+                   "--cohort-manifest", str(data / "manifest.tsv")], "--out", None),
+        "calibrate": (["calibrate", *scored], "--model-out", None),
+        "calibrate-apply": (["calibrate", *scored, "--model-out", str(root / "cal.txt"),
+                             "--apply-scores", scores, "--apply-trials", trials], "--out", None),
+        "ensemble": (["ensemble", *scored, "--scores", scores], "--out", None),
+        "export-weights": (["export-weights", "--checkpoint", ckpt], "--out", None),
+    }[name]
+
+
+@pytest.mark.parametrize("case", ["directory", "below-a-file", "missing-directory"])
+@pytest.mark.parametrize("command", ["synth-data", "fbank", "export-wav", "export-manifest", "train", "embed", "score",
+                                     "snorm", "calibrate", "calibrate-apply", "ensemble", "export-weights"])
+def test_exit_code_2_on_an_output_that_cannot_be_written(write_inputs, capsys, tmp_path, command, case):
+    argv, flag, in_dir = writing_command(write_inputs, command)
+    out = {"directory": tmp_path / "out", "below-a-file": tmp_path / "blocker" / "deeper" / "out",
+           "missing-directory": tmp_path / "new" / "deeper" / "out"}[case]
+    written = out / in_dir if in_dir else out  # --out's path, or a file --out-dir holds
+    if case == "below-a-file":
+        (tmp_path / "blocker").write_text("a regular file\n")
+    if case == "directory":
+        written.mkdir(parents=True)
+    code = main(["--config", str(write_inputs / "run.cfg")] + argv + [flag, str(out)])
+    err = capsys.readouterr().err
+    if case == "missing-directory":  # made, then written
+        assert code == 0, err
+        assert written.is_file()
+        return
+    assert code == 2, err
+    [line] = err.splitlines()  # one error line, no traceback
+    assert line.startswith(f"error: {out}") and "cannot write output file" in line

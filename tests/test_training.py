@@ -1,5 +1,6 @@
 """AAM loss, cropping and staged training, plus the tests of the checker in `tests/gradcheck.py`."""
 
+import logging
 import math
 
 import numpy as np
@@ -275,20 +276,28 @@ def imported_corpus(tiny_corpus, tmp_path_factory):
     return Manifest(tuple(rows), base_dir=out)
 
 
-def test_import_mode_stage2_freezes_and_notices(imported_corpus):
+def stage_notices(caplog):
+    """The stage notices `train` logged on svkit.training (its epoch records left out)."""
+    messages = [r.getMessage() for r in caplog.records if r.name == "svkit.training"]
+    return [m for m in messages if m.startswith("stage ")]
+
+
+def test_import_mode_stage2_freezes_and_notices(imported_corpus, caplog):
+    caplog.set_level(logging.INFO, logger="svkit.training")
     res = train(imported_corpus, tiny_schedule(stage1_epochs=1, stage2_epochs=1),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert res.upstream == {}
-    assert any("frozen" in n for n in res.notices)
+    assert any("frozen" in n for n in stage_notices(caplog))
     assert [row[1] for row in res.log] == [1, 2]
 
 
 @pytest.mark.parametrize("stage2,lmft", [(0, 1), (2, 0), (2, 1)])
-def test_import_mode_gives_one_notice_per_stage_2_or_3_that_runs(imported_corpus, stage2, lmft):
+def test_import_mode_gives_one_notice_per_stage_2_or_3_that_runs(imported_corpus, caplog, stage2, lmft):
+    caplog.set_level(logging.INFO, logger="svkit.training")
     res = train(imported_corpus, tiny_schedule(stage1_epochs=0, stage2_epochs=stage2, lmft_epochs=lmft),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     stages = [2] * (stage2 > 0) + [3] * (lmft > 0)
-    assert res.notices == [f"stage {s}: imported stacks are frozen; training downstream only" for s in stages]
+    assert stage_notices(caplog) == [f"stage {s}: imported stacks are frozen; training downstream only" for s in stages]
     assert [row[:2] for row in res.log] == list(enumerate([2] * stage2 + [3] * lmft, 1))
 
 
@@ -321,10 +330,11 @@ def mixed_manifest(corpus, out):
     return Manifest(tuple(rows), base_dir=out)
 
 
-def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path):
+def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="svkit.training")
     res = train(mixed_manifest(tiny_corpus, tmp_path), tiny_schedule(stage2_epochs=1),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
-    assert res.notices == []
+    assert stage_notices(caplog) == []
     assert [row[1] for row in res.log] == [1, 2]
     initial = MockUpstream(UP).params
     assert set(res.upstream) == set(initial)
