@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,7 @@ _GRAD_TOL = 1e-8  # fit_calibration stops once max |d loss / d theta| falls belo
 _NEWTON_MAX_ITER = 100  # overlapping classes converge in about 10 steps
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
     enroll_id: str
     test_id: str
     label: int | None = None
@@ -74,7 +74,7 @@ def _trial_rows(trials, store: dict, zero_norm: str):
     """Unit rows of the trials' distinct ids, in trial order, and each trial's enroll and test row."""
     sides = [uid for t in trials for uid in (t.enroll_id, t.test_id)]
     index = {uid: i for i, uid in enumerate(dict.fromkeys(sides))}
-    pairs = np.array([index[uid] for uid in sides], dtype=np.intp)
+    pairs = np.fromiter(map(index.__getitem__, sides), dtype=np.intp, count=len(sides))
     ids = list(index)
     try:
         emb = np.array([store[uid] for uid in ids], dtype=np.float64).reshape(len(ids), -1)
@@ -156,13 +156,17 @@ def quality_features(trial: Trial, durations: dict) -> np.ndarray:
     Each duration must be positive and finite; a missing, nonpositive, NaN or
     infinite one is a DataError naming the utterance.
     """
+    logs = []
     for uid in (trial.enroll_id, trial.test_id):
-        if uid not in durations:
-            raise DataError(f"no duration recorded for {uid}")
-        if not 0 < durations[uid] < math.inf:
-            raise DataError(f"nonpositive or non-finite duration {durations[uid]} for {uid}")
-    de, dt = durations[trial.enroll_id], durations[trial.test_id]
-    return np.array([np.log(min(de, dt)), np.log(de) + np.log(dt)])
+        try:
+            d = durations[uid]
+        except KeyError:
+            raise DataError(f"no duration recorded for {uid}") from None
+        if not 0 < d < math.inf:
+            raise DataError(f"nonpositive or non-finite duration {d} for {uid}")
+        logs.append(np.log(d))
+    le, lt = logs
+    return np.array([min(le, lt), le + lt])  # log is monotone: min(le, lt) == log(min(d_e, d_t))
 
 
 def _quality_rows(quality, n: int) -> np.ndarray:
@@ -313,18 +317,29 @@ def eer(scores, labels) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_LABELS = {"0": 0, "1": 1}
+
+
 def load_trials(path) -> list:
     """Space-separated trials: 'label enroll test' or unlabeled 'enroll test'."""
-    trials, labeled = [], None
-    for lineno, parts in Reader(path).rows():
-        if len(parts) not in (2, 3):
-            raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
-        labeled = len(parts) == 3 if labeled is None else labeled  # the first row decides for the whole file
-        if (len(parts) == 3) != labeled:
-            raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
-        if labeled and parts[0] not in ("0", "1"):
-            raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
-        trials.append(Trial(parts[-2], parts[-1], label=int(parts[0]) if labeled else None))
+
+    def parse():
+        width = None  # the first row's field count decides for the whole file
+        for lineno, parts in Reader(path).rows():
+            if len(parts) != width:
+                if len(parts) not in (2, 3):
+                    raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
+                if width is not None:
+                    raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
+                width = len(parts)
+            if width == 2:
+                yield Trial(parts[0], parts[1])
+            elif (label := _LABELS.get(parts[0])) is None:
+                raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+            else:
+                yield Trial(parts[1], parts[2], label)
+
+    trials = list(parse())
     if not trials:
         raise FormatError(f"{path}: empty trial list")
     return trials
@@ -364,7 +379,8 @@ def load_scores(path, trials) -> np.ndarray:
 
 
 def save_scores(trials, scores, path):
-    write_lines(path, (f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, scores)))
+    # Python floats format faster than numpy scalars, with the same digits
+    write_lines(path, (f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, np.asarray(scores).tolist())))
 
 
 _SVEB_MAGIC = b"SVEB"

@@ -82,3 +82,19 @@ def test_fold_refuses_records_from_two_checkouts():
     b["environment"]["src_loc"] = 3100
     with pytest.raises(ValueError, match="environment differs"):
         bench.fold([a, b])
+
+
+def test_scoring_probe_runs_the_chain_in_a_child_at_each_size(capsys):
+    results = bench.probe_scoring([600, 1200])
+    lines = capsys.readouterr().out.splitlines()
+    assert [(r["trials"], r["ids"]) for r in results] == [(600, 40), (1200, 70)]  # ~33 trial sides per id
+    for res, line in zip(results, lines):
+        assert line.startswith(f"scoring chain trials={res['trials']} ids={res['ids']} ")
+        assert res["chain_s"] > 0 and res["ms_per_1k_trials"] > 0 and res["rss_growth_mib"] >= 0
+        assert 0 <= res["eer_pct"] <= 50
+    assert len(lines) == 3 and lines[-1].startswith("scaling ms_per_1k_trials at 1200 / at 600 = ")
+
+
+def test_scoring_probe_keeps_score_bulk_at_its_size():
+    bulk = bench.score_bulk(20000)
+    assert (bulk.n_trials, bulk.n_speakers, bulk.utts_per_speaker) == (20000, 120, 10)

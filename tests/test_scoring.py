@@ -2,10 +2,12 @@
 independent brute-force oracles."""
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from svkit.binfile import Reader
 from svkit.errors import DataError, FormatError
 from svkit.scoring import (
     CalibrationModel,
@@ -101,6 +103,47 @@ def loop_adaptive_snorm(scores, trials, store, cohort):
             raise DataError(f"degenerate cohort (zero spread) for trial {t.enroll_id} {t.test_id}")
         out[i] = 0.5 * ((scores[i] - mu_e) / sd_e + (scores[i] - mu_t) / sd_t)
     return out
+
+
+# The per-trial forms that the one-pass loader replaced, kept as references:
+# a frozen-dataclass trial built per row, and a quality feature that takes
+# the log of the minimum.
+
+
+@dataclass(frozen=True)
+class DataclassTrial:
+    enroll_id: str
+    test_id: str
+    label: int | None = None
+
+
+def dataclass_load_trials(path) -> list:
+    trials, labeled = [], None
+    for lineno, parts in Reader(path).rows():
+        if len(parts) not in (2, 3):
+            raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
+        labeled = len(parts) == 3 if labeled is None else labeled
+        if (len(parts) == 3) != labeled:
+            raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
+        if labeled and parts[0] not in ("0", "1"):
+            raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+        trials.append(DataclassTrial(parts[-2], parts[-1], label=int(parts[0]) if labeled else None))
+    if not trials:
+        raise FormatError(f"{path}: empty trial list")
+    return trials
+
+
+def log_of_min_quality_features(trial, durations):
+    de, dt = durations[trial.enroll_id], durations[trial.test_id]
+    return np.array([np.log(min(de, dt)), np.log(de) + np.log(dt)])
+
+
+def score_bulk_trials(labeled=True):
+    """20k trials over 1200 ids, 33 trial sides per id, the shape of perfbench's score_bulk list."""
+    rng = np.random.default_rng(3)
+    ids = [f"s{s:03d}_u{u:02d}" for s in range(120) for u in range(10)]
+    pairs, labels = rng.integers(len(ids), size=(20000, 2)).tolist(), rng.integers(2, size=20000).tolist()
+    return [Trial(ids[a], ids[b], label if labeled else None) for (a, b), label in zip(pairs, labels)]
 
 
 def loop_eer(scores, labels):
@@ -482,6 +525,25 @@ def test_quality_features_values_and_errors():
     )
     with pytest.raises(DataError, match="nonpositive"):
         quality_features(trial, {"e": 1.0, "t": 0.0})
+    # the enroll side is checked first, and a missing duration before a bad one of the same side
+    for durations, message in [
+        ({}, "no duration recorded for e"),
+        ({"e": 0.0}, "nonpositive or non-finite duration 0.0 for e"),
+        ({"e": 1.0}, "no duration recorded for t"),
+        ({"e": -1.0, "t": 0.0}, "nonpositive or non-finite duration -1.0 for e"),
+    ]:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            quality_features(trial, durations)
+
+
+def test_quality_features_byte_equal_to_the_log_of_the_minimum():
+    rng = np.random.default_rng(17)
+    ids = [f"u{i}" for i in range(300)]
+    durations = dict(zip(ids, np.round(np.exp(rng.uniform(np.log(0.01), np.log(60.0), 300)), 3).tolist()))
+    durations["u0"] = durations["u1"]  # equal durations too
+    trials = [Trial(ids[a], ids[b]) for a, b in rng.integers(len(ids), size=(5000, 2))] + [Trial("u0", "u1")]
+    got = np.array([quality_features(t, durations) for t in trials])
+    assert got.tobytes() == np.array([log_of_min_quality_features(t, durations) for t in trials]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -649,18 +711,60 @@ def test_trials_roundtrip_labeled_and_unlabeled(tmp_path):
     assert load_trials(path) == unlabeled
 
 
+MALFORMED_TRIALS = [
+    ("1 a b\nc d\n", "2: mixed labeled/unlabeled rows"),
+    ("a b\n1 c d\n", "2: mixed labeled/unlabeled rows"),
+    ("a b\n2 c d\n", "2: mixed labeled/unlabeled rows"),  # mixed rows are reported before a bad label
+    ("2 a b\n", "1: label must be 0 or 1, got '2'"),
+    ("1 a b\n0 c d e\n", "2: expected 2 or 3 fields, got 4"),
+]
+
+
 def test_trials_reject_mixed_and_bad_labels(tmp_path):
     path = tmp_path / "bad.txt"
-    for text, match in [
-        ("1 a b\nc d\n", "2: mixed labeled/unlabeled rows"),
-        ("a b\n1 c d\n", "2: mixed labeled/unlabeled rows"),
-        ("a b\n2 c d\n", "2: mixed labeled/unlabeled rows"),  # mixed rows are reported before a bad label
-        ("2 a b\n", "1: label must be 0 or 1, got '2'"),
-        ("1 a b\n0 c d e\n", "2: expected 2 or 3 fields, got 4"),
-    ]:
+    for text, match in MALFORMED_TRIALS:
         path.write_text(text)
         with pytest.raises(FormatError, match=match):
             load_trials(path)
+
+
+def test_trial_is_a_named_tuple_used_by_position_and_keyword():
+    t = Trial("e", "t", label=1)
+    assert t == Trial("e", "t", 1) == ("e", "t", 1) and (t.enroll_id, t.test_id, t.label) == ("e", "t", 1)
+    assert Trial("e", "t").label is None
+    with pytest.raises(AttributeError):
+        t.label = 0
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_load_trials_matches_the_former_loader_on_a_score_bulk_sized_list(tmp_path, labeled):
+    path = tmp_path / "trials.txt"
+    save_trials(score_bulk_trials(labeled=labeled), path)
+    trials, want = load_trials(path), dataclass_load_trials(path)
+    assert type(trials) is list and len(trials) == 20000
+    assert all(type(t) is Trial for t in trials)
+    assert [tuple(t) for t in trials] == [(t.enroll_id, t.test_id, t.label) for t in want]
+
+
+@pytest.mark.parametrize("data", [text.encode() for text, _ in MALFORMED_TRIALS] + [b"", b"\n  \n", b"1 a b\n0 a \xff\n"])
+def test_load_trials_raises_as_the_former_loader(tmp_path, data):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as want:
+        dataclass_load_trials(path)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(want.value))}$"):
+        load_trials(path)
+
+
+def test_save_scores_formats_as_numpy_scalars_did(tmp_path):
+    rng = np.random.default_rng(37)
+    trials = [Trial(f"e{i}", f"t{i}") for i in range(500)]
+    values = np.concatenate([rng.standard_normal(490) * 10.0 ** rng.integers(-8, 6, 490),
+                             [0.0, -0.0, 0.5e-6, -0.5e-6, 1.5e-6, 2.5e-6, 1e30, -1e-30, 123456.7894565, -2.0]])
+    for scores in (values, values.astype(np.float32), values.tolist()):
+        save_scores(trials, scores, tmp_path / "s.txt")
+        want = "".join(f"{t.enroll_id} {t.test_id} {s:.6f}\n" for t, s in zip(trials, np.asarray(scores)))
+        assert (tmp_path / "s.txt").read_text() == want
 
 
 def test_scores_roundtrip_and_alignment(tmp_path):

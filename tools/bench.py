@@ -15,18 +15,40 @@ are refused: they do not come from one checkout on one host.
 and their ratio, marks each one more than 10% worse (by the metric's
 direction in BENCHMARK.json), lists every digest that changed on a seed both
 files ran, and exits 1 when anything was marked or changed.
+
+    python3 tools/bench.py --probe-scoring
+
+`--probe-scoring` is an ungated probe of perfbench's `score_bulk` request
+(load_trials -> cosine -> s-norm -> quality-aware calibration -> ensemble ->
+EER -> save_scores) at 20 000 and 300 000 trials, with as many speakers as
+keep 33 trial sides per utterance id. `ScoreBulk.setup` writes the inputs;
+then a fresh child process with one BLAS thread, so that its RSS is its own,
+runs `ScoreBulk.run_pass` at least three times and for at least one second,
+each pass checked against perfbench's oracles outside the clock. For each size
+it prints the fastest chain's ms per 1000 trials and the child's peak RSS
+growth over its post-import baseline (the checks included), then the ratio of
+ms per 1000 trials between the two sizes: 1.0 is linear scaling.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import resource
 import statistics
+import subprocess
 import sys
+import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORSE = 0.10  # the north-star rule: a tracked number more than 10% worse must be explained
+PROBE_TRIALS = (20000, 300000)
+PROBE_SEED = 61
+CHAIN_MIN_REPEATS, CHAIN_MIN_S = 3, 1.0  # the first passes of a fresh process run slower
 
 
 def fold(records: list) -> dict:
@@ -86,12 +108,76 @@ def compare(old: dict, new: dict, better: dict) -> tuple:
     return lines + changed, marked + len(changed)
 
 
+def score_bulk(n_trials: int):
+    """perfbench's ScoreBulk workload at n_trials trials, over as many speakers as keep its trial sides per id."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    import workloads  # perfbench's, by the name perfbench/run.py imports it
+
+    bulk = workloads.ScoreBulk()
+    bulk.n_speakers = max(2, round(bulk.n_speakers * n_trials / bulk.n_trials))
+    bulk.n_trials = n_trials
+    return bulk
+
+
+def run_scoring_chain(work: Path, n_trials: int) -> dict:
+    """ScoreBulk passes over the inputs its setup wrote to `work`: the fastest chain and the RSS growth."""
+    def rss_mib():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+    bulk = score_bulk(n_trials)
+    bulk.work, bulk.seed = work, PROBE_SEED  # as setup(work, PROBE_SEED) left them in the parent
+    base, passes = rss_mib(), []
+    while len(passes) < CHAIN_MIN_REPEATS or sum(p.chain_s for p in passes) < CHAIN_MIN_S:
+        gc.collect()
+        passes.append(bulk.run_pass(nullcontext))
+        if passes[-1].failed:
+            raise RuntimeError(f"{passes[-1].failed} of {passes[-1].attempted} scoring checks failed")
+    return {"chain_s": min(p.chain_s for p in passes), "rss_growth_mib": rss_mib() - base,
+            "eer_pct": passes[-1].exact["eer_pct"]}
+
+
+def probe_scoring(sizes) -> list:
+    """One printed line per trial count, then the last one's ms per 1k trials over the first's; returns the results."""
+    env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    results = []
+    for n in sizes:
+        bulk = score_bulk(n)
+        ids = bulk.n_speakers * bulk.utts_per_speaker
+        with tempfile.TemporaryDirectory(prefix="svkit-probe-") as tmp:
+            bulk.setup(Path(tmp), PROBE_SEED)
+            child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--scoring-chain", tmp, str(n)],
+                                   env=env, stdout=subprocess.PIPE, text=True, check=True)
+        res = {"trials": n, "ids": ids, **json.loads(child.stdout.splitlines()[-1])}
+        res["ms_per_1k_trials"] = 1e6 * res["chain_s"] / n
+        results.append(res)
+        print(f"scoring chain trials={n} ids={ids} chain_s={res['chain_s']:.3f} "
+              f"ms_per_1k_trials={res['ms_per_1k_trials']:.3f} rss_growth_mib={res['rss_growth_mib']:.1f} "
+              f"eer_pct={res['eer_pct']:.3f}", flush=True)
+    lo, hi = results[0], results[-1]
+    print(f"scaling ms_per_1k_trials at {hi['trials']} / at {lo['trials']} = "
+          f"{hi['ms_per_1k_trials'] / lo['ms_per_1k_trials']:.3f}")
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("records", nargs="*", type=Path, help="perfbench run records to fold")
     parser.add_argument("--out", type=Path, help="BENCH file to write from the records")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    parser.add_argument("--probe-scoring", action="store_true",
+                        help=f"time score_bulk's scoring chain at {' and '.join(map(str, PROBE_TRIALS))} trials")
+    parser.add_argument("--scoring-chain", nargs=2, help=argparse.SUPPRESS)  # the probe's child: DIR TRIALS
     args = parser.parse_args(argv)
+    if args.scoring_chain or args.probe_scoring:
+        sys.path.insert(0, str(ROOT / "src"))
+    if args.scoring_chain:
+        work, n_trials = args.scoring_chain
+        print(json.dumps(run_scoring_chain(Path(work), int(n_trials))))
+        return 0
+    if args.probe_scoring:
+        probe_scoring(PROBE_TRIALS)
+        return 0
     if args.compare:
         old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
@@ -99,7 +185,7 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return 1 if flagged else 0
     if not args.out:
-        parser.error("give --out with records to fold, or --compare OLD NEW")
+        parser.error("give --out with records to fold, --compare OLD NEW, or --probe-scoring")
     bench = fold([json.loads(p.read_text(encoding="utf-8")) for p in args.records])
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
