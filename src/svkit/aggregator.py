@@ -14,12 +14,11 @@ from .errors import DataError
 
 
 def normalized_weights(logits) -> np.ndarray:
-    """Softmax of the weight logits."""
+    """Softmax of the weight logits: the weights `aggregate_graph` mixes the layers with."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise DataError("weight logits contain non-finite values")
-    z = np.exp(logits - np.max(logits))
-    return z / z.sum()
+    return ad.softmax(ad.Tensor(logits)).data
 
 
 def aggregate(layers, logits) -> np.ndarray:

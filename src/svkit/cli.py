@@ -325,7 +325,7 @@ def _cmd_export_weights(args, cfg: RunConfig):
     if logits.ndim != 1 or logits.size < 2:
         raise FormatError(f"{args.checkpoint}: agg.logits must be a vector of at least 2 layer logits, "
                           f"got shape {logits.shape}")
-    weights = normalized_weights(logits.astype(np.float64))
+    weights = normalized_weights(logits)
     write_weights_csv(args.out, weights)
     return [("rows", weights.size)]
 

@@ -9,11 +9,11 @@ Unknown keys are rejected; CLI --set overrides win over the file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 from .audio import AugmentConfig, FbankConfig
+from .binfile import Reader
 from .ecapa import EcapaConfig
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .training import AamConfig, TrainSchedule
 from .upstream import MockUpstreamConfig, PlantSpec
 
@@ -97,22 +97,17 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and --set overrides."""
     cfg = RunConfig()
     if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: unreadable or not valid UTF-8 ({exc})") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            rows = Reader(path).rows("=")
+        except FormatError as exc:
+            raise ConfigError(str(exc)) from None
+        for lineno, (dotted, *raw) in rows:
+            if dotted.strip().startswith("#"):
                 continue
-            if "=" not in stripped:
+            if not raw:
                 raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
-            dotted, raw = stripped.split("=", 1)
             try:
-                cfg = _apply(cfg, dotted.strip(), raw)
+                cfg = _apply(cfg, dotted.strip(), "=".join(raw))
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     for dotted, raw in overrides:

@@ -70,7 +70,7 @@ def _finite_scores(scores, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trial_rows(trials, store: dict, zero_norm: str):
+def _trial_rows(trials, store: dict):
     """Unit rows of the trials' distinct ids, in trial order, and each trial's enroll and test row."""
     sides = [uid for t in trials for uid in (t.enroll_id, t.test_id)]
     index = {uid: i for i, uid in enumerate(dict.fromkeys(sides))}
@@ -81,16 +81,16 @@ def _trial_rows(trials, store: dict, zero_norm: str):
     except KeyError as exc:
         raise DataError(f"trial references unknown utterance id: {exc.args[0]}") from None
     norms = np.linalg.norm(emb, axis=1)
-    for bad, message in ((~np.isfinite(emb).all(axis=1), "non-finite embedding for {uid}"), (norms == 0.0, zero_norm)):
+    for bad, what in ((~np.isfinite(emb).all(axis=1), "non-finite"), (norms == 0.0, "zero-norm")):
         if bad.any():
-            raise DataError(message.format(uid=ids[int(np.argmax(bad))]))
+            raise DataError(f"{what} embedding for {ids[int(np.argmax(bad))]}")
     return emb / norms[:, None], pairs[0::2], pairs[1::2]
 
 
 def score_trials(trials, store: dict) -> np.ndarray:
     out = np.empty(len(trials))
     if trials:
-        unit, e, t = _trial_rows(trials, store, "cosine score of a zero-norm embedding is undefined")
+        unit, e, t = _trial_rows(trials, store)
         for lo in range(0, len(out), 4096):  # cache-sized row gathers; memory stays flat at any trial count
             block = slice(lo, lo + 4096)
             out[block] = np.einsum("ij,ij->i", unit[e[block]], unit[t[block]])
@@ -133,7 +133,7 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
         raise DataError("score set does not align with the trial list")
     if not trials:
         return scores.copy()
-    unit, e, t = _trial_rows(trials, store, "zero-norm embedding for {uid}")
+    unit, e, t = _trial_rows(trials, store)
     if unit.shape[1] != cohort.members.shape[1]:
         raise DataError(f"trial embeddings have dim {unit.shape[1]} but the cohort's have dim {cohort.members.shape[1]}")
     top = np.partition(unit @ cohort.members.T, -cohort.top_k, axis=1)[:, -cohort.top_k :]

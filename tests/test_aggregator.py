@@ -51,6 +51,16 @@ def test_shift_invariance():
         np.testing.assert_allclose(normalized_weights(logits + c), base, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, scale, dtype", [(2, 1e-3, np.float64), (13, 1.0, np.float64), (25, 1e3, np.float32)])
+def test_exported_weights_are_the_mixed_weights(n, scale, dtype):
+    # layer l one-hot at column l: the mix of these layers is the weight vector itself, so the weights
+    # `export-weights` writes are the ones `aggregate` mixes with, to the byte
+    logits = (np.random.default_rng(n).standard_normal(n) * scale).astype(dtype)
+    mixed = aggregate([np.eye(n)[l][None, :] for l in range(n)], logits.astype(np.float64))
+    assert mixed.shape == (1, n)
+    assert mixed[0].tobytes() == normalized_weights(logits).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------

@@ -382,6 +382,12 @@ def test_load_bank_rejects_directory_without_wavs(tmp_path):
         load_bank(tmp_path)
 
 
+def test_load_bank_rejects_a_missing_directory(tmp_path):
+    with pytest.raises(FormatError) as info:
+        load_bank(tmp_path / "absent")
+    assert str(info.value) == f"augmentation bank directory not found: {tmp_path / 'absent'}"
+
+
 def test_augment_deterministic_across_runs():
     wav = Waveform(np.random.default_rng(12).uniform(-0.3, 0.3, 16000))
     cfg = AugmentConfig(probability=0.7)

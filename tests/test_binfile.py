@@ -43,10 +43,12 @@ def sveb(dim, count, *records):
     return b"SVEB" + struct.pack("<III", 1, dim, count) + b"".join(records)
 
 
-def wav(channels=1, rate=16000, bits=16, data=b"\x00" * 64):
+def wav(channels=1, rate=16000, bits=16, data=b"\x00" * 64, fmt_size=16, before_data=b""):
+    """A RIFF/WAVE file; `fmt_size` cuts the fmt chunk short, and `before_data` is spliced in as whole chunks."""
     block = channels * bits // 8
-    out = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-    out += b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * block, block, bits)
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, bits)[:fmt_size]
+    out = b"RIFF" + struct.pack("<I", 20 + fmt_size + len(before_data) + len(data)) + b"WAVE"
+    out += b"fmt " + struct.pack("<I", fmt_size) + fmt + before_data
     return out + b"data" + struct.pack("<I", len(data)) + data
 
 
@@ -84,6 +86,12 @@ DEFECTS = [
     ("trials_invalid_utf8", b"1 a b\n0 a \xff\n", load_trials, "UTF-8"),
     ("scores_invalid_utf8", b"a \xff 0.5\n", lambda path: load_scores(path, []), "UTF-8"),
     ("manifest_invalid_utf8", b"u\ts\t\xff.wav\n", load_manifest, "UTF-8"),
+    ("wav_short_fmt_chunk", wav(fmt_size=14), read_wav, "malformed fmt chunk"),
+    ("wav_odd_data_chunk", wav(data=b"\x00" * 3), read_wav, "malformed data chunk"),
+    ("wav_empty_data_chunk", wav(data=b""), read_wav, "malformed data chunk"),
+    ("scores_two_fields", b"a b\n", lambda path: load_scores(path, []), ":1: expected 'enroll test score'"),
+    ("scores_unparsable", b"a b abc\n", lambda path: load_scores(path, []), ":1: bad score value 'abc'"),
+    ("scores_count_mismatch", b"a b 0.5\n", lambda path: load_scores(path, []), ": 1 scores for 0 trials"),
 ]
 
 
@@ -94,6 +102,16 @@ def test_defect_raises_format_error_naming_file(tmp_path, raw, loader, match):
     with pytest.raises(FormatError, match=match) as info:
         loader(path)
     assert str(path) in str(info.value)
+
+
+def test_wav_skips_an_odd_sized_chunk_and_its_pad_byte(tmp_path):
+    # RIFF pads an odd-sized chunk to an even length; the pad byte is not part of the next chunk
+    data = np.array([1, -2, 300, -32768], dtype="<i2").tobytes()
+    plain, listed = tmp_path / "plain.wav", tmp_path / "listed.wav"
+    plain.write_bytes(wav(data=data))
+    listed.write_bytes(wav(data=data, before_data=b"LIST" + struct.pack("<I", 3) + b"abc" + b"\x00"))
+    assert read_wav(listed).samples.tobytes() == read_wav(plain).samples.tobytes()
+    assert read_wav_duration(listed) == read_wav_duration(plain) == 4 / 16000
 
 
 @pytest.mark.parametrize("loader", [load_stack, load_checkpoint, load_embeddings, read_wav])

@@ -236,6 +236,12 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert "ecapa.channels must be >= 1" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_a_directory_given_as_config(tmp_path, capsys):
+    code = main(["--config", str(tmp_path), "eval", "--scores", "x", "--trials", "y"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: file not found or unreadable")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--set", "fbank.hop_ms=0.01", "fbank", "--wav", "w.wav", "--out", "f.npy"], "fbank.hop_ms"),
     (["--set", "fbank.win_ms=inf", "fbank", "--wav", "w.wav", "--out", "f.npy"], "fbank.win_ms"),
@@ -249,12 +255,23 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     (["--set", "aam.scale=inf", "train", "--manifest", "m.tsv", "--out-dir", "run"],
      "aam.scale must be finite and > 0, got inf"),
     (["synth-data", "--out-dir", "d", "--utts", "2"], "at least three utterances per speaker"),
+    (["--set", "seed", "eval", "--scores", "s.txt", "--trials", "t.txt"], "--set expects key=value, got 'seed'"),
 ])
 def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert expected in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ensemble_of_an_unlabeled_list_without_weights_writes_the_plain_mean(tmp_path, capsys):
+    trials = tmp_path / "t.txt"
+    trials.write_text("a b\nc d\n")
+    (tmp_path / "s1.txt").write_text("a b 0.900000\nc d -0.200000\n")
+    (tmp_path / "s2.txt").write_text("a b 0.300000\nc d 0.600000\n")
+    run_ok(capsys, ["ensemble", "--scores", str(tmp_path / "s1.txt"), "--scores", str(tmp_path / "s2.txt"),
+                    "--trials", str(trials), "--out", str(tmp_path / "fused.txt")])
+    assert (tmp_path / "fused.txt").read_text() == "a b 0.600000\nc d 0.200000\n"
 
 
 def test_ensemble_weights_must_parse_and_be_finite(tmp_path, capsys):
@@ -401,6 +418,16 @@ def test_exit_code_comes_from_the_error_class(monkeypatch, capsys, error, code):
     else:
         assert main(argv) == code
         assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_exit_code_3_on_export_weights_of_a_checkpoint_without_logits(tmp_path, capsys):
+    from svkit.ecapa import save_checkpoint
+
+    ckpt = tmp_path / "c.svck"
+    save_checkpoint({"stem.w": np.zeros(2)}, ckpt)
+    assert main(["export-weights", "--checkpoint", str(ckpt), "--out", str(tmp_path / "w.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {ckpt}: checkpoint has no aggregator logits\n"
+    assert not (tmp_path / "w.csv").exists()
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (), (0,), (1,)])

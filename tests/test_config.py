@@ -1,8 +1,10 @@
 """RunConfig parsing, validation, and round-trip tests."""
 
+from dataclasses import replace
+
 import pytest
 
-from svkit.config import RunConfig, dump_config, load_config
+from svkit.config import PathSettings, RunConfig, dump_config, load_config
 from svkit.ecapa import EcapaConfig
 from svkit.errors import ConfigError
 
@@ -124,3 +126,56 @@ def test_malformed_line(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/run.cfg")
+
+
+def test_directory_as_config_is_a_config_error_naming_it(tmp_path):
+    with pytest.raises(ConfigError, match="not found or unreadable") as info:
+        load_config(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path}: ")
+
+
+def test_comments_blank_lines_and_values_holding_equals(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "\n"
+        "   # ecapa.channels = 999\n"
+        "paths.noise_dir = /a=b\n"
+        "\n  \t\n"
+        "\t#paths.rir_dir=/x\n"
+        "seed = 5\n"
+    )
+    cfg = load_config(path)
+    assert cfg == replace(RunConfig(), seed=5, paths=PathSettings(noise_dir="/a=b"))
+    # blank lines still count toward the line number an error names
+    path.write_text("\n\nseed = x\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:3: expected an integer, got 'x'"
+
+
+def test_roundtrip_of_paths_holding_equals_and_hash(tmp_path):
+    cfg = replace(RunConfig(), paths=PathSettings(noise_dir="/data/a=b", rir_dir="/data/#rirs=2"))
+    path = tmp_path / "dumped.cfg"
+    path.write_text(dump_config(cfg))
+    assert load_config(path) == cfg
+
+
+CONFIG_REFUSALS = [
+    ("schedule.lr_stage1", "abc", "expected a number, got 'abc'"),
+    # one value where two are needed fails inside the section's own check: the generic branch
+    ("augment.noise_snr_db_range", "1",
+     "invalid value for augment.noise_snr_db_range: not enough values to unpack (expected 2, got 1)"),
+    ("scoring.cohort_top_k", "0", "scoring.cohort_top_k must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", CONFIG_REFUSALS)
+def test_refusal_message_from_an_override_and_a_file(tmp_path, key, value, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=[(key, value)])
+    assert str(info.value) == message
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"seed = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: {message}"

@@ -63,10 +63,21 @@ def test_module_uses_every_name_it_imports(module):
     assert sorted(imported - used) == []
 
 
-def test_binfile_and_wav_writer_own_every_file_write():
-    # one owner per file format and one write path: a saver that packs its own fields, writes its own
-    # file or makes its own directory shows up here
-    struct_importers, writers = set(), set()
+def scope_name(node, parents) -> str:
+    """The dotted class and function names that enclose `node`, outermost first."""
+    names = []
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return ".".join(reversed(names)) or "<module>"
+
+
+def test_binfile_owns_every_file_read_and_write():
+    # one owner per file format, one read path and one write path: a loader that opens, reads or decodes
+    # its own file, or a saver that packs its own fields, writes its own file or makes its own directory,
+    # shows up here
+    struct_importers, readers, writers = set(), set(), set()
     for module in MODULES:
         tree = module_tree(module)
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -75,16 +86,19 @@ def test_binfile_and_wav_writer_own_every_file_write():
                 struct_importers.add(module)
             if isinstance(node, ast.ImportFrom) and node.module == "struct":
                 struct_importers.add(module)
-            if isinstance(node, ast.Call) and (
-                getattr(node.func, "attr", None) in ("write_bytes", "write_text", "mkdir")
-                or ast.unparse(node.func) == "open"
-                or ast.unparse(node.func).startswith("np.save")
+            if not isinstance(node, ast.Call):
+                continue
+            func, attr = ast.unparse(node.func), getattr(node.func, "attr", None)
+            if (
+                attr in ("read_bytes", "read_text")
+                or func == "open"
+                or func.startswith(("np.load", "np.fromfile", "np.genfromtxt", "np.memmap"))
             ):
-                scope = node
-                while scope in parents and not isinstance(scope, ast.FunctionDef):
-                    scope = parents[scope]
-                writers.add(f"{module}.{getattr(scope, 'name', '<module>')}")
+                readers.add(f"{module}.{scope_name(node, parents)}")
+            if attr in ("write_bytes", "write_text", "mkdir") or func == "open" or func.startswith("np.save"):
+                writers.add(f"{module}.{scope_name(node, parents)}")
     assert sorted(struct_importers) == ["audio", "binfile"]
+    assert sorted(readers) == ["binfile.Reader.__init__"]
     assert sorted(writers) == ["binfile.write_bytes", "binfile.write_npy"]  # np.save targets a BytesIO there
 
 

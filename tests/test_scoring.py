@@ -1,12 +1,14 @@
 """Cosine scoring, s-norm, calibration, ensemble, and EER tests with
 independent brute-force oracles."""
 
+import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from svkit import scoring
 from svkit.binfile import Reader
 from svkit.errors import DataError, FormatError
 from svkit.scoring import (
@@ -348,11 +350,44 @@ def test_cohort_non_finite_member_rejected(bad):
 
 def test_zero_norm_embedding_messages():
     store = {"e": np.array([1.0, 0.5]), "t": np.zeros(2)}
-    with pytest.raises(DataError, match="cosine score of a zero-norm embedding"):
+    # one condition, one message: both scorers name the offending id
+    with pytest.raises(DataError, match="^zero-norm embedding for t$"):
         score_trials([Trial("e", "t")], store)
-    with pytest.raises(DataError, match="zero-norm embedding for t"):
+    with pytest.raises(DataError, match="^zero-norm embedding for t$"):
         adaptive_snorm(np.array([0.5]), [Trial("e", "t")], store, Cohort(np.eye(2), top_k=2))
 
+
+
+# (id, call given an output directory, message): each raises DataError with exactly this message, and
+# writes nothing
+SCORING_REFUSALS = [
+    ("save_embeddings_empty_store", lambda out: save_embeddings({}, out / "s.sveb"),
+     "refusing to write an empty embedding store"),
+    ("save_embeddings_mixed_dims", lambda out: save_embeddings({"a": np.ones(2), "b": np.ones(3)}, out / "s.sveb"),
+     "embedding b has dim 3, expected 2"),
+    ("snorm_misaligned_scores",
+     lambda out: adaptive_snorm(np.zeros(2), [Trial("e", "t")], {"e": np.ones(2), "t": np.ones(2)},
+                                Cohort(np.eye(2), top_k=2)),
+     "score set does not align with the trial list"),
+    ("cohort_empty_store", lambda out: build_cohort({}, manifest_for([("u1", "a"), ("u2", "b")]), 600),
+     "embedding store is empty"),
+    ("cohort_zero_norm_speaker_mean",
+     lambda out: build_cohort({"u1": np.array([1.0, 0.0]), "u2": np.array([-1.0, 0.0]), "u3": np.array([0.0, 1.0])},
+                              manifest_for([("u1", "a"), ("u2", "a"), ("u3", "b")]), 600),
+     "speaker a has a zero-norm mean embedding"),
+    ("eer_misaligned_labels", lambda out: eer([0.1, 0.9], [1]), "scores and labels must be aligned 1-D arrays"),
+    ("cohort_top_k_zero", lambda out: Cohort(np.eye(2), top_k=0), "cohort top_k must lie in [1, member count]"),
+    ("cohort_top_k_above_members", lambda out: Cohort(np.eye(2), top_k=3),
+     "cohort top_k must lie in [1, member count]"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in SCORING_REFUSALS], ids=[r[0] for r in SCORING_REFUSALS])
+def test_scoring_refusal_message(tmp_path, call, message):
+    with pytest.raises(DataError) as info:
+        call(tmp_path)
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_snorm_unknown_id():
@@ -472,6 +507,45 @@ def test_fit_calibration_quality_aware_converges():
     assert np.max(np.abs(grad)) < 1e-8
     ref = minimize(_bce_value_grad, np.zeros(4), args=(x, labels), jac=True, method="BFGS", options={"gtol": 1e-12})
     np.testing.assert_allclose(theta, ref.x, rtol=1e-6)
+
+
+def test_fit_calibration_halves_a_step_that_raises_the_loss_and_stops_without_a_decrease(monkeypatch):
+    # scores at a large offset with a tiny spread leave the fit at rounding level: the first full Newton
+    # step rounds the loss up, its half does not, and a later step that cannot lower the loss ends the fit
+    labels = np.tile([0.0, 1.0], 20)
+    scores = 1e6 + 1e-6 * (np.random.default_rng(0).standard_normal(40) + labels)
+    seq = []
+    value_grad, lstsq = scoring._bce_value_grad, np.linalg.lstsq
+
+    def spy_value_grad(theta, x, y):
+        out = value_grad(theta, x, y)
+        seq.append(out[0])
+        return out
+
+    def spy_lstsq(a, b, rcond=None):  # one Newton direction, taken from the last accepted point
+        seq.append("newton")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(scoring, "_bce_value_grad", spy_value_grad)
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    model = fit_calibration(scores, labels)
+    first = seq.index("newton")
+    assert seq[first + 1] > seq[first - 1]  # the full step raises the loss ...
+    assert seq[first + 2] <= seq[first - 1]  # ... and the halved one does not
+    accepted = [seq[i - 1] for i, v in enumerate(seq) if v == "newton"]
+    assert len(accepted) >= 2 and accepted == sorted(accepted, reverse=True)  # the accepted losses never rise
+    assert seq[-1] >= accepted[-1]  # the last step did not lower the loss, so the fit stopped there
+    theta = np.array([model.score_weight, model.bias])
+    assert value_grad(theta, scores[:, None], labels)[0] == accepted[-1]
+
+
+def test_fit_calibration_warns_on_a_non_positive_score_weight(caplog):
+    scores = np.array([0.9, 0.8, 0.3, 0.2, 0.7, 0.1, 0.5, 0.4])
+    labels = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0])  # the higher score, the less likely a target
+    with caplog.at_level(logging.WARNING, logger="svkit.scoring"):
+        model = fit_calibration(scores, labels)
+    assert model.score_weight < 0
+    assert caplog.messages == [f"calibration fit produced a non-positive score weight ({model.score_weight:.4g})"]
 
 
 @pytest.mark.parametrize("where", ["score", "label", "quality"])

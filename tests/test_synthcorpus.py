@@ -33,6 +33,12 @@ def test_speaker_index_out_of_range():
         synth_speaker(SPEC, SPEC.n_speakers)
 
 
+def test_utterance_under_one_second_rejected():
+    with pytest.raises(DataError) as info:
+        synth_utterance(synth_speaker(SPEC, 0), 0, seconds=0.5)
+    assert str(info.value) == "utterances must be at least one second long"
+
+
 def test_utterance_deterministic_per_index():
     profile = synth_speaker(SPEC, 0)
     a = synth_utterance(profile, 3, 1.0)

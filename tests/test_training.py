@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +342,35 @@ def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path, c
     assert any(np.any(res.upstream[k] != v.data) for k, v in initial.items())
 
 
+def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus, tmp_path, monkeypatch):
+    # at batch size 1 a stage-2 batch of one SVHS row gives the tuned upstream no gradient, and Adam skips
+    # a parameter without one: its moments from earlier WAV batches must not move it
+    tuned, steps = {}, []
+    as_tensors, step = MockUpstream.as_tensors, Adam.step
+
+    def spy_as_tensors(self):
+        tuned.update(as_tensors(self))
+        return tuned
+
+    def spy_step(self):
+        before = {k: p.data.tobytes() for k, p in tuned.items()}
+        no_grad = all(p.grad is None for p in tuned.values())
+        step(self)
+        if tuned:
+            steps.append((no_grad, all(p.data.tobytes() == before[k] for k, p in tuned.items())))
+
+    monkeypatch.setattr(MockUpstream, "as_tensors", spy_as_tensors)
+    monkeypatch.setattr(Adam, "step", spy_step)
+    manifest = mixed_manifest(tiny_corpus, tmp_path)
+    train(manifest, tiny_schedule(stage2_epochs=1, batch_size=1), upstream_cfg=UP, ecapa_cfg=EC, seed=4)
+    n_svhs = sum(row.path.endswith(".svhs") for row in manifest.rows)
+    assert len(steps) == len(manifest) and 0 < n_svhs < len(manifest)
+    assert [unchanged for no_grad, unchanged in steps if no_grad] == [True] * n_svhs
+    assert not any(unchanged for no_grad, unchanged in steps if not no_grad)  # a WAV batch moves it
+    first_wav = next(i for i, (no_grad, _) in enumerate(steps) if not no_grad)
+    assert any(no_grad for no_grad, _ in steps[first_wav + 1 :])  # an SVHS-only batch comes after a WAV one
+
+
 def test_row_layers_is_the_one_shape_and_plant_site(tiny_corpus, tmp_path, monkeypatch):
     # every crop of every stage, WAV or SVHS, frozen or tuned, is checked and planted by one call
     import svkit.training as training_mod
@@ -416,6 +446,28 @@ def test_single_speaker_manifest_rejected(tmp_path):
     manifest = Manifest((ManifestRow("u1", "spk0", "x.wav"), ManifestRow("u2", "spk0", "y.wav")))
     with pytest.raises(DataError, match="two speakers"):
         train(manifest, tiny_schedule(), upstream_cfg=UP, ecapa_cfg=EC, seed=0)
+
+
+# (id, call given the tiny corpus, error, message)
+TRAINING_REFUSALS = [
+    ("ecapa_in_dim_not_upstream_dim",
+     lambda corpus: train(corpus.train, tiny_schedule(), upstream_cfg=UP, ecapa_cfg=replace(EC, in_dim=13), seed=0),
+     ConfigError, "ecapa.in_dim must equal the upstream dim"),
+    ("negative_epoch_count", lambda corpus: tiny_schedule(stage2_epochs=-1), ConfigError, "epoch counts must be >= 0"),
+    ("batch_size_zero", lambda corpus: tiny_schedule(batch_size=0), ConfigError, "batch_size must be >= 1"),
+    ("aam_misaligned_labels", lambda corpus: aam_loss(Tensor(np.ones((2, 3))), [0], Tensor(np.eye(3)), AamConfig()),
+     DataError, "labels must align with the embedding batch"),
+    ("crop_under_one_sample", lambda corpus: crop_random(Waveform(np.ones(16)), 1e-5, np.random.default_rng(0)),
+     DataError, "crop length must be at least one sample"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [r[1:] for r in TRAINING_REFUSALS],
+                         ids=[r[0] for r in TRAINING_REFUSALS])
+def test_training_refusal_message(tiny_corpus, call, error, message):
+    with pytest.raises(error) as info:
+        call(tiny_corpus)
+    assert str(info.value) == message
 
 
 def test_training_with_augmentation_banks(tiny_corpus):

@@ -278,6 +278,13 @@ def test_plant_off_leaves_layers_unchanged():
     assert np.stack([h.data for h in tensors]).tobytes() == layers.tobytes()
 
 
+@pytest.mark.parametrize("kw", [dict(n_layers=0), dict(dim=0)])
+def test_mock_upstream_config_refuses_an_empty_network(kw):
+    with pytest.raises(ConfigError) as info:
+        MockUpstreamConfig(**kw)
+    assert str(info.value) == "mock upstream needs n_layers >= 1 and dim >= 1"
+
+
 @pytest.mark.parametrize("layer", [-2, -13])
 def test_plant_layer_below_off_is_config_error(layer):
     with pytest.raises(ConfigError, match="plant.layer"):
