@@ -175,10 +175,14 @@ def _cmd_fbank(args, cfg: RunConfig):
 
 
 def _cmd_upstream_export(args, cfg: RunConfig):
+    single, many = {"wav": args.wav, "out": args.out}, {"manifest": args.manifest, "out-dir": args.out_dir}
+    if any(single.values()) and any(many.values()):  # one mode, refused before anything is written
+        given = ", ".join(f"--{key}" for key, value in {**single, **many}.items() if value)
+        raise ConfigError(f"upstream-export takes one mode, --wav with --out or --manifest with --out-dir; got {given}")
     upstream = MockUpstream(cfg.upstream)
-    if args.wav:
-        out = _require(args.out, "out")
-        stack = upstream.stack(read_wav(args.wav), args.wav)
+    if any(single.values()):
+        wav, out = _require(args.wav, "wav"), _require(args.out, "out")
+        stack = upstream.stack(read_wav(wav), wav)
         save_stack(stack, out)
         return list(zip(("layers", "frames", "dim"), stack.layers.shape))
     manifest_path = _require(args.manifest, "manifest")

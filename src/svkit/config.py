@@ -8,7 +8,7 @@ Unknown keys are rejected; CLI --set overrides win over the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .audio import AugmentConfig, FbankConfig
 from .binfile import Reader
@@ -47,50 +47,41 @@ class RunConfig:
     paths: PathSettings = field(default_factory=PathSettings)
 
 
-_SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name != "seed")
-
-
-def _parse_value(text: str, current):
-    """Parse a config value against the type of the current (default) value."""
+def _parse_value(dotted: str, text: str, default):
+    """Parse text as the default's type: int, float or str, or a tuple of exactly as many values as the default."""
     text = text.strip()
-    if isinstance(current, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {text!r}") from None
-    if isinstance(current, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {text!r}") from None
-    if isinstance(current, tuple):
-        kind = type(current[0])
-        try:
-            return tuple(kind(p) for p in text.split(","))
-        except ValueError:
-            raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-    return text
+    many = isinstance(default, tuple)
+    defaults, parts = (default, text.split(",")) if many else ((default,), [text])
+    try:
+        values = tuple(type(d)(part) for d, part in zip(defaults, parts, strict=True))
+    except ValueError:
+        expected = f"comma-separated numbers ({len(default)} values)" if many else (
+            "an integer" if isinstance(default, int) else "a number")
+        raise ConfigError(f"{dotted}: expected {expected}, got {text!r}") from None
+    return values if many else values[0]
 
 
 def _apply(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
-    if "." not in dotted:
-        if dotted == "seed":
-            return replace(cfg, seed=_parse_value(raw, cfg.seed))
+    """cfg with the setting `dotted` (`seed` or `section.key`) parsed from raw, found by walking its parts."""
+    trail, node = [], cfg
+    for name in dotted.split("."):
+        if not (is_dataclass(node) and name in {f.name for f in fields(node)}):
+            if node is cfg and "." in dotted:
+                raise ConfigError(f"unknown config section: {name}")
+            raise ConfigError(f"unknown config key: {dotted}")
+        trail.append((node, name))
+        node = getattr(node, name)
+    if is_dataclass(node):
         raise ConfigError(f"unknown config key: {dotted}")
-    section, key = dotted.split(".", 1)
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown config section: {section}")
-    sub = getattr(cfg, section)
-    names = {f.name for f in fields(sub)}
-    if key not in names:
-        raise ConfigError(f"unknown config key: {section}.{key}")
+    value = _parse_value(dotted, raw, node)
     try:
-        new_sub = replace(sub, **{key: _parse_value(raw, getattr(sub, key))})
+        for parent, name in reversed(trail):
+            value = replace(parent, **{name: value})
     except ConfigError:
         raise
-    except Exception as exc:
-        raise ConfigError(f"invalid value for {section}.{key}: {exc}") from None
-    return replace(cfg, **{section: new_sub})
+    except Exception as exc:  # a section check tripping on outside input in a way it does not name
+        raise ConfigError(f"invalid value for {dotted}: {exc}") from None
+    return value
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -115,16 +106,17 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return cfg
 
 
+def _settings(node, prefix=""):
+    """(dotted key, value) for every setting under node, in field order."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            yield from _settings(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
 def dump_config(cfg: RunConfig) -> str:
     """Canonical text form; load(dump(cfg)) reproduces cfg."""
-    lines = [f"seed = {cfg.seed}"]
-    for section in _SECTIONS:
-        sub = getattr(cfg, section)
-        for f in fields(sub):
-            value = getattr(sub, f.name)
-            if isinstance(value, tuple):
-                text = ",".join(str(v) for v in value)
-            else:
-                text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{section}.{f.name} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+                   for key, value in _settings(cfg))

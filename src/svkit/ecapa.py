@@ -49,7 +49,8 @@ class EcapaConfig:
             if getattr(self, key) < 1:
                 raise ConfigError(f"ecapa.{key} must be >= 1, got {getattr(self, key)}")
         if self.channels % self.res2_scale != 0:
-            raise ConfigError("ecapa.channels must be divisible by res2_scale")
+            raise ConfigError("ecapa.channels must be a multiple of ecapa.res2_scale, "
+                              f"got {self.channels} and {self.res2_scale}")
         if len(self.dilations) != 3 or min(self.dilations) < 1:
             raise ConfigError(f"ecapa.dilations must list exactly three dilations, each >= 1, got {self.dilations}")
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))

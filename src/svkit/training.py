@@ -68,13 +68,12 @@ class TrainSchedule:
     lr_lmft: float = 1e-4
 
     def __post_init__(self):
-        if min(self.stage1_epochs, self.stage2_epochs, self.lmft_epochs) < 0:
-            raise ConfigError("epoch counts must be >= 0")
+        for key, low in (("stage1_epochs", 0), ("stage2_epochs", 0), ("lmft_epochs", 0), ("batch_size", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"schedule.{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("crop_seconds", "lmft_crop_seconds", "lr_stage1", "lr_stage2", "lr_lmft"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"schedule.{key} must be finite and > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         check_aam("schedule.lmft_margin", self.lmft_margin)
 
 

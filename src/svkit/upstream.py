@@ -63,8 +63,9 @@ class MockUpstreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_layers < 1 or self.dim < 1:
-            raise ConfigError("mock upstream needs n_layers >= 1 and dim >= 1")
+        for key in ("n_layers", "dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"upstream.{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def frame_rate_hz(self) -> float:

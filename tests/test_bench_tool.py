@@ -84,6 +84,24 @@ def test_fold_refuses_records_from_two_checkouts():
         bench.fold([a, b])
 
 
+@pytest.mark.parametrize("case", ["no_records", "two_environments"])
+def test_fold_refusals_are_one_usage_line_and_exit_2(tmp_path, capsys, case):
+    paths = []
+    if case == "two_environments":
+        for seed, nproc in ((1, 2), (2, 4)):
+            rec = record("score_bulk", seed, 0, {"wall_ref": 1.0}, {})
+            rec["environment"]["nproc"] = nproc
+            paths.append(tmp_path / f"score_bulk-seed{seed}-trace0.json")
+            paths[-1].write_text(json.dumps(rec))
+    with pytest.raises(SystemExit) as info:
+        bench.main(["--out", str(tmp_path / "BENCH.json"), *map(str, paths)])
+    assert info.value.code == 2
+    message = {"no_records": "no run records to fold",
+               "two_environments": "score_bulk seed 2: environment differs from the first record's"}[case]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    assert not (tmp_path / "BENCH.json").exists()
+
+
 def test_scoring_probe_runs_the_chain_in_a_child_at_each_size(capsys):
     results = bench.probe_scoring([600, 1200])
     lines = capsys.readouterr().out.splitlines()

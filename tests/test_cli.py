@@ -669,6 +669,22 @@ def test_upstream_export_writes_only_inside_the_out_dir(write_inputs, capsys, tm
     assert not out_dir.exists() and list(tmp_path.rglob("*.svhs")) == []  # refused before any stack is written
 
 
+@pytest.mark.parametrize("given, named", [
+    (["--wav", "W", "--out", "one.svhs", "--manifest", "M", "--out-dir", "D"], "--wav, --out, --manifest, --out-dir"),
+    (["--wav", "W", "--out-dir", "D"], "--wav, --out-dir"),
+    (["--manifest", "M", "--out", "one.svhs"], "--out, --manifest"),
+])
+def test_upstream_export_refuses_flags_of_both_modes(write_inputs, capsys, tmp_path, monkeypatch, given, named):
+    monkeypatch.chdir(tmp_path)
+    wav = next((write_inputs / "data" / "wav").glob("*.wav"))
+    paths = {"W": str(wav), "M": str(write_inputs / "data" / "heldout.tsv"), "D": str(tmp_path / "out")}
+    assert main(["upstream-export"] + [paths.get(a, a) for a in given]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: upstream-export takes one mode, --wav with --out or --manifest with --out-dir; "
+                   f"got {named}\n")
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def writing_command(root, name):
     """One command that writes: its argv less the output, the output flag, and for an --out-dir a file in it."""
     data, scores, store = root / "data", str(root / "scores.txt"), str(root / "all.sveb")

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from svkit.cli import main
 from svkit.config import PathSettings, RunConfig, dump_config, load_config
 from svkit.ecapa import EcapaConfig
 from svkit.errors import ConfigError
@@ -150,7 +151,7 @@ def test_comments_blank_lines_and_values_holding_equals(tmp_path):
     path.write_text("\n\nseed = x\n")
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert str(info.value) == f"{path}:3: expected an integer, got 'x'"
+    assert str(info.value) == f"{path}:3: seed: expected an integer, got 'x'"
 
 
 def test_roundtrip_of_paths_holding_equals_and_hash(tmp_path):
@@ -161,10 +162,10 @@ def test_roundtrip_of_paths_holding_equals_and_hash(tmp_path):
 
 
 CONFIG_REFUSALS = [
-    ("schedule.lr_stage1", "abc", "expected a number, got 'abc'"),
-    # one value where two are needed fails inside the section's own check: the generic branch
+    ("schedule.lr_stage1", "abc", "schedule.lr_stage1: expected a number, got 'abc'"),
+    # the count is checked against the default's before the section's own check unpacks the tuple
     ("augment.noise_snr_db_range", "1",
-     "invalid value for augment.noise_snr_db_range: not enough values to unpack (expected 2, got 1)"),
+     "augment.noise_snr_db_range: expected comma-separated numbers (2 values), got '1'"),
     ("scoring.cohort_top_k", "0", "scoring.cohort_top_k must be >= 1"),
 ]
 
@@ -179,3 +180,36 @@ def test_refusal_message_from_an_override_and_a_file(tmp_path, key, value, messa
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+def every_key_refusal():
+    """(key, value, message): a value that does not parse for every numeric setting, one too few and one too many
+    for every tuple setting. The `paths.*` settings take any text."""
+    cases = []
+    for line in dump_config(RunConfig()).splitlines():
+        key, default = line.split(" = ")
+        if key.startswith("paths."):
+            continue
+        if "," in default:
+            parts = default.split(",")
+            expected = f"comma-separated numbers ({len(parts)} values)"
+            values = ["abc", ",".join(parts[:-1]), ",".join(parts + parts[-1:])]
+        else:
+            expected, values = "a number" if "." in default else "an integer", ["abc"]
+        cases += [(key, value, f"{key}: expected {expected}, got {value!r}") for value in values]
+    return cases
+
+
+@pytest.mark.parametrize("key, value, message", every_key_refusal())
+def test_every_key_names_itself_in_a_parse_refusal(tmp_path, capsys, key, value, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=[(key, value)])
+    assert str(info.value) == message
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"seed = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: {message}"
+    assert main(["--set", f"{key}={value}", "eval", "--scores", "s.txt", "--trials", "t.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

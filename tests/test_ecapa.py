@@ -116,8 +116,9 @@ def test_parameter_count_within_ten_percent_of_reference():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         EcapaConfig(channels=30, res2_scale=8)
+    assert str(info.value) == "ecapa.channels must be a multiple of ecapa.res2_scale, got 30 and 8"
     with pytest.raises(ConfigError):
         EcapaConfig(dilations=(2, 3))
 

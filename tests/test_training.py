@@ -453,8 +453,9 @@ TRAINING_REFUSALS = [
     ("ecapa_in_dim_not_upstream_dim",
      lambda corpus: train(corpus.train, tiny_schedule(), upstream_cfg=UP, ecapa_cfg=replace(EC, in_dim=13), seed=0),
      ConfigError, "ecapa.in_dim must equal the upstream dim"),
-    ("negative_epoch_count", lambda corpus: tiny_schedule(stage2_epochs=-1), ConfigError, "epoch counts must be >= 0"),
-    ("batch_size_zero", lambda corpus: tiny_schedule(batch_size=0), ConfigError, "batch_size must be >= 1"),
+    ("negative_epoch_count", lambda corpus: tiny_schedule(stage2_epochs=-1), ConfigError,
+     "schedule.stage2_epochs must be >= 0, got -1"),
+    ("batch_size_zero", lambda corpus: tiny_schedule(batch_size=0), ConfigError, "schedule.batch_size must be >= 1, got 0"),
     ("aam_misaligned_labels", lambda corpus: aam_loss(Tensor(np.ones((2, 3))), [0], Tensor(np.eye(3)), AamConfig()),
      DataError, "labels must align with the embedding batch"),
     ("crop_under_one_sample", lambda corpus: crop_random(Waveform(np.ones(16)), 1e-5, np.random.default_rng(0)),

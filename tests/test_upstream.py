@@ -282,7 +282,7 @@ def test_plant_off_leaves_layers_unchanged():
 def test_mock_upstream_config_refuses_an_empty_network(kw):
     with pytest.raises(ConfigError) as info:
         MockUpstreamConfig(**kw)
-    assert str(info.value) == "mock upstream needs n_layers >= 1 and dim >= 1"
+    assert str(info.value) == "upstream.{} must be >= 1, got 0".format(*kw)
 
 
 @pytest.mark.parametrize("layer", [-2, -13])

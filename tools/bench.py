@@ -186,7 +186,11 @@ def main(argv=None) -> int:
         return 1 if flagged else 0
     if not args.out:
         parser.error("give --out with records to fold, --compare OLD NEW, or --probe-scoring")
-    bench = fold([json.loads(p.read_text(encoding="utf-8")) for p in args.records])
+    records = [json.loads(p.read_text(encoding="utf-8")) for p in args.records]
+    try:
+        bench = fold(records)
+    except ValueError as exc:  # no records, or records from two checkouts or hosts
+        parser.error(str(exc))
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
