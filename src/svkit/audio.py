@@ -46,6 +46,7 @@ class Waveform:
 PREEMPH = 0.97
 MEL_LOW_HZ, MEL_HIGH_HZ = 20.0, 7600.0
 LOG_FLOOR = 1e-10
+MAX_WIN_MS = 1000.0  # a 16384-point FFT; a longer window is no speech frame
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class FbankConfig:
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError("fbank.n_mels must be >= 1")
-        if not math.isfinite(self.win_ms * SAMPLE_RATE):  # also a window whose sample count overflows
-            raise ConfigError(f"fbank.win_ms must be finite, got {self.win_ms}")
+        # bounded before the filterbank below is sized by the FFT that covers one window
+        if not (math.isfinite(self.win_ms) and self.win_ms <= MAX_WIN_MS):
+            raise ConfigError(f"fbank.win_ms must be finite and at most {MAX_WIN_MS:g} ms, got {self.win_ms}")
         if not 0 < self.hop_ms < self.win_ms:
             raise ConfigError(f"fbank.hop_ms must lie in (0, fbank.win_ms = {self.win_ms}), got {self.hop_ms}")
         if not self.win_samples > self.hop_samples >= 1:

@@ -14,14 +14,26 @@ released graph cannot be backpropagated again.
 
 The op set is deliberately small: elementwise arithmetic with numpy
 broadcasting, 2-D matmul, reductions, a few nonlinearities, slicing,
-concatenation, ``conv1d`` (a dilated temporal convolution with replicate
-padding, the one temporal op) and ``frame_norm`` (per-frame normalization
-across channels, with a closed-form backward). Everything higher-level is
+concatenation, and four fused layer ops, each one node whose values equal
+those of the composition it replaces to the byte:
+
+* ``linear`` (``x @ w + b``, with a ReLU if ``relu=True``);
+* ``conv1d`` (a dilated temporal convolution with replicate padding, with
+  the same ``relu`` flag);
+* ``res2`` (the hierarchical Res2 conv: per-group 3-tap convs, each fed the
+  previous group's output);
+* ``frame_norm`` (per-frame normalization across channels, with a
+  closed-form backward).
+
+``conv1d`` and ``res2`` share one tap table per (length, kernel, dilation),
+cached, and one input-gradient scatter. A ReLU's mask is built in its VJP,
+so a forward without backward never pays for it. Everything higher-level is
 composed from these.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -85,7 +97,11 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = False
+        for p in parents:  # a plain loop: a generator costs more than the test on small graphs
+            if p.requires_grad:
+                out.requires_grad = True
+                break
         if out.requires_grad:
             out._parents = parents
             out._backward = vjps
@@ -276,8 +292,76 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._op(data, ts, tuple(vjps))
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1) -> Tensor:
-    """Dilated temporal convolution of a (T, C) tensor: (T, C_out).
+@lru_cache(maxsize=16)  # an utterance length takes four (ECAPA's stem and three dilations)
+def _taps(t: int, kernel: int, dilation: int) -> tuple:
+    """The taps of a `kernel`-tap conv at `dilation` over `t` frames, read-only:
+    `(offs, idx, edge, idx[edge])`. Tap k of output frame j reads frame `idx[j, k]`,
+    `j + offs[k]` clipped to the sequence (replicate padding); `edge` marks the reads
+    of the first or last frame, every clipped read among them."""
+    offs = (np.arange(kernel) - kernel // 2) * dilation
+    idx = np.clip(np.arange(t)[:, None] + offs[None, :], 0, t - 1)
+    edge = (idx == 0) | (idx == t - 1)
+    taps = (offs, idx, edge, idx[edge])
+    for arr in taps:
+        arr.flags.writeable = False
+    return taps
+
+
+def _scatter_taps(gp: np.ndarray, taps: tuple) -> np.ndarray:
+    """The input gradient of a conv from the gradient `gp` (T, kernel, C) of its patches."""
+    offs, _idx, edge, edge_idx = taps
+    t = gp.shape[0]
+    full = np.zeros((t, gp.shape[2]), dtype=gp.dtype)
+    # An interior frame j (0 < j < t-1) is read unclipped, by tap k from frame j - offs[k].
+    # Adding the taps in descending order sums those reads in the order `np.add.at`
+    # over `idx` would (row-major, frame j - offs[k] ascending), so the result is the same bytes.
+    for k in range(len(offs) - 1, -1, -1):
+        o = offs[k]
+        lo, hi = max(1, o), min(t - 1, t + o)
+        if lo < hi:
+            full[lo:hi] += gp[lo - o : hi - o, k]
+    # the two edge frames also take every clipped read
+    np.add.at(full, edge_idx, gp[edge])
+    return full
+
+
+def _relu_vjp(data: np.ndarray):
+    """The VJP of a ReLU whose output is `data`: `g * (data > 0)`, the mask built in the
+    VJP, so a forward without backward never pays for it, and once per incoming gradient,
+    so every VJP of a fused node shares it."""
+    last = [None, None]
+
+    def vjp(g):
+        if last[0] is not g:
+            last[0], last[1] = g, g * (data > 0)
+        return last[1]
+
+    return vjp
+
+
+def _affine(a: np.ndarray, x: Tensor, w: Tensor, b: Tensor, relu: bool, to_x) -> Tensor:
+    """One node for `a @ w + b`, ReLU'd if `relu`, with parents (x, w, b): `a` is `x`'s
+    data or patches read from it, and `to_x` maps the gradient of `a` to `x`'s."""
+    data = a @ w.data + b.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
+        gy = _relu_vjp(data)
+    else:
+        gy = _same
+    return Tensor._op(data, (x, w, b), (lambda g: to_x(gy(g) @ w.data.T), lambda g: a.T @ gy(g), gy))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """`x @ w + b` for a 2-D `x` and `w` and a bias `b` broadcast over rows, then a
+    ReLU if `relu`: one node. Its values are those of `(x @ w + b).relu()` to the byte."""
+    x, w, b = (Tensor._coerce(v) for v in (x, w, b))
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear supports 2-D operands only")
+    return _affine(x.data, x, w, b, relu, _same)
+
+
+def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1, relu: bool = False) -> Tensor:
+    """Dilated temporal convolution of a (T, C) tensor: (T, C_out), then a ReLU if `relu`.
 
     `w` is (kernel * C, C_out), its rows tap-major, and `b` is (C_out,).
     Padding is replicate ('edge'): out-of-range taps read the first or last
@@ -287,27 +371,59 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1) -> T
     if x.data.ndim != 2:
         raise ValueError("conv1d expects a (T, C) tensor")
     t, c = x.data.shape
-    offs = (np.arange(kernel) - kernel // 2) * dilation
-    idx = np.clip(np.arange(t)[:, None] + offs[None, :], 0, t - 1)
-    patches = x.data[idx].reshape(t, kernel * c)
+    taps = _taps(t, kernel, dilation)
+    patches = x.data[taps[1]].reshape(t, kernel * c)
+    return _affine(patches, x, w, b, relu, lambda gp: _scatter_taps(gp.reshape(t, kernel, c), taps))
 
-    def vjp_x(g):
-        gp = (g @ w.data.T).reshape(t, kernel, c)
-        full = np.zeros_like(x.data)
-        # An interior frame j (0 < j < t-1) is read unclipped, by tap k from frame j - offs[k].
-        # Adding the taps in descending order sums those reads in the order `np.add.at`
-        # over `idx` would (row-major, frame j - offs[k] ascending), so the result is the same bytes.
-        for k in range(kernel - 1, -1, -1):
-            o = offs[k]
-            lo, hi = max(1, o), min(t - 1, t + o)
-            if lo < hi:
-                full[lo:hi] += gp[lo - o : hi - o, k]
-        # the two edge frames also take every clipped read
-        edge = (idx == 0) | (idx == t - 1)
-        np.add.at(full, idx[edge], gp[edge])
-        return full
 
-    return Tensor._op(patches @ w.data + b.data, (x, w, b), (vjp_x, lambda g: patches.T @ g, _same))
+def res2(x: Tensor, ws, bs, dilation: int) -> Tensor:
+    """The hierarchical Res2 conv of a (T, C) tensor (Gao et al., 2019) as one node: (T, C).
+
+    The channels split into `len(ws) + 1` groups of width `C / (len(ws) + 1)`. Group 0
+    passes through; group i >= 1 adds the previous group's output and runs a 3-tap
+    `conv1d` at `dilation` with `ws[i-1]` (3 * width, width) and `bs[i-1]` (width,).
+    The values are those of the same conv built from slices, `+`, `conv1d` and `concat`,
+    to the byte. The VJPs share one reverse sweep over the groups per incoming gradient.
+    """
+    x = Tensor._coerce(x)
+    ws, bs = tuple(Tensor._coerce(v) for v in ws), tuple(Tensor._coerce(v) for v in bs)
+    scale = len(ws) + 1
+    if x.data.ndim != 2 or len(bs) != len(ws) or x.data.shape[1] % scale:
+        raise ValueError("res2 expects a (T, C) tensor, C a multiple of len(ws) + 1, and one bias per weight")
+    t, c = x.data.shape
+    width = c // scale
+    groups = [slice(i * width, (i + 1) * width) for i in range(scale)]
+    taps = _taps(t, 3, dilation)
+    data = np.empty_like(x.data)
+    data[:, groups[0]] = prev = x.data[:, groups[0]]
+    patches = []  # conv j's, which writes group j + 1
+    for j, (w, b) in enumerate(zip(ws, bs)):
+        patches.append((x.data[:, groups[j + 1]] + prev)[taps[1]].reshape(t, 3 * width))
+        data[:, groups[j + 1]] = prev = patches[j] @ w.data + b.data
+    last = [None, None]
+
+    def sweep(g):
+        """(gx, gws, gbs) for the output gradient `g`. Conv j's input gradient also
+        reaches the output of conv j - 1 (group 0 for j = 0), so the convs run last to first."""
+        if last[0] is g:
+            return last[1]
+        gx = np.zeros_like(x.data)
+        gws, gbs = [None] * len(ws), [None] * len(ws)
+        gh = None
+        for j in range(len(ws) - 1, -1, -1):
+            go = g[:, groups[j + 1]].copy() if gh is None else g[:, groups[j + 1]] + gh
+            gws[j] = patches[j].T @ go
+            gbs[j] = go.sum(axis=0)
+            gh = _scatter_taps((go @ ws[j].data.T).reshape(t, 3, width), taps)
+            gx[:, groups[j + 1]] += gh
+        gx[:, groups[0]] += g[:, groups[0]] if gh is None else g[:, groups[0]] + gh
+        last[0], last[1] = g, (gx, gws, gbs)
+        return last[1]
+
+    vjps = [lambda g: sweep(g)[0]]
+    vjps += [lambda g, j=j: sweep(g)[1][j] for j in range(len(ws))]
+    vjps += [lambda g, j=j: sweep(g)[2][j] for j in range(len(ws))]
+    return Tensor._op(data, (x, *ws, *bs), tuple(vjps))
 
 
 def frame_norm(x: Tensor, g: Tensor, c: Tensor, eps: float) -> Tensor:

@@ -128,37 +128,28 @@ def init_params(cfg: EcapaConfig, seed: int = 0, trainable: bool = True) -> dict
 def se_gate(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Squeeze-excitation: sigmoid-gated channel rescaling from time-mean statistics."""
     s = x.mean(axis=0, keepdims=True)
-    s = ((s @ w1 + b1).relu() @ w2 + b2).sigmoid()
+    s = ad.linear(ad.linear(s, w1, b1, relu=True), w2, b2).sigmoid()
     return x * s
 
 
-def _res2(x: Tensor, params: dict, prefix: str, scale: int, dilation: int) -> Tensor:
-    c = x.shape[1]
-    w = c // scale
-    groups = [x[:, i * w : (i + 1) * w] for i in range(scale)]
-    outs = [groups[0]]
-    for i in range(1, scale):
-        h = groups[i] + outs[i - 1]
-        outs.append(ad.conv1d(h, params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"], 3, dilation))
-    return ad.concat(outs, axis=1)
-
-
 def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilation: int) -> Tensor:
+    convs = range(1, cfg.res2_scale)
     h = ad.frame_norm(
-        (x @ params[f"{prefix}.conv1.w"] + params[f"{prefix}.conv1.b"]).relu(),
+        ad.linear(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"], relu=True),
         params[f"{prefix}.norm1.g"],
         params[f"{prefix}.norm1.c"],
         _NORM_EPS,
     )
     h = ad.frame_norm(
-        _res2(h, params, f"{prefix}.res2", cfg.res2_scale, dilation).relu(),
+        ad.res2(h, [params[f"{prefix}.res2.conv{j}.w"] for j in convs],
+                [params[f"{prefix}.res2.conv{j}.b"] for j in convs], dilation).relu(),
         params[f"{prefix}.norm2.g"],
         params[f"{prefix}.norm2.c"],
         _NORM_EPS,
     )
     # SE pools the raw conv output: the time norm would zero every channel
     # mean and leave the gate blind to the utterance, so it comes after.
-    h = (h @ params[f"{prefix}.conv2.w"] + params[f"{prefix}.conv2.b"]).relu()
+    h = ad.linear(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"], relu=True)
     h = se_gate(
         h,
         params[f"{prefix}.se.w1"],
@@ -172,7 +163,7 @@ def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilati
 
 def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """Attention-weighted mean and std over time: (T, C) -> (2C,)."""
-    scores = (x @ w + b).tanh() @ v.reshape(-1, 1)
+    scores = ad.linear(x, w, b).tanh() @ v.reshape(-1, 1)
     alpha = ad.softmax(scores, axis=0)
     mu = (x * alpha).sum(axis=0)
     ex2 = (x * x * alpha).sum(axis=0)
@@ -185,7 +176,7 @@ def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     if features.shape[1] != cfg.in_dim:
         raise ConfigError(f"feature dim {features.shape[1]} does not match ecapa.in_dim {cfg.in_dim}")
     x = ad.frame_norm(
-        ad.conv1d(features, params["stem.w"], params["stem.b"], 5).relu(),
+        ad.conv1d(features, params["stem.w"], params["stem.b"], 5, relu=True),
         params["stem.norm.g"],
         params["stem.norm.c"],
         _NORM_EPS,
@@ -194,10 +185,9 @@ def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:
     b1 = se_res2_block(b0, params, "block1", cfg, cfg.dilations[1])
     b2 = se_res2_block(b1, params, "block2", cfg, cfg.dilations[2])
     cat = ad.concat([b0, b1, b2], axis=1)
-    h = (cat @ params["mfa.w"] + params["mfa.b"]).relu()
+    h = ad.linear(cat, params["mfa.w"], params["mfa.b"], relu=True)
     pooled = attentive_stats_pool(h, params["asp.w"], params["asp.b"], params["asp.v"])
-    emb = pooled.reshape(1, -1) @ params["fc.w"] + params["fc.b"]
-    return emb.reshape(-1)
+    return ad.linear(pooled.reshape(1, -1), params["fc.w"], params["fc.b"]).reshape(-1)
 
 
 def embed(features, params: dict, cfg: EcapaConfig) -> np.ndarray:

@@ -184,6 +184,18 @@ def test_fbank_config_validation():
         FbankConfig(win_ms=10.02, hop_ms=10.0)  # both round to 160 samples
 
 
+@pytest.mark.parametrize("win_ms", [1000.5, 1e5, 99999999999.0, 1e300])
+def test_fbank_refuses_a_window_over_one_second_before_sizing_the_filterbank(win_ms, monkeypatch):
+    import svkit.audio as audio
+
+    monkeypatch.setattr(audio, "mel_filterbank", lambda cfg: pytest.fail("the filterbank was built"))
+    with pytest.raises(ConfigError) as info:
+        FbankConfig(win_ms=win_ms)
+    assert str(info.value) == f"fbank.win_ms must be finite and at most 1000 ms, got {win_ms}"
+    monkeypatch.undo()
+    assert FbankConfig(win_ms=1000.0).fft_size == 16384  # the bound itself is a usable window
+
+
 def test_fbank_fft_size_is_the_smallest_power_of_two_covering_a_window():
     assert FbankConfig().win_samples == 400 and FbankConfig().fft_size == 512
     for win_ms, fft in [(16.0, 256), (16.0625, 512), (32.0, 512), (40.0, 1024)]:

@@ -10,7 +10,7 @@ import pytest
 import svkit.autodiff as ad
 from svkit.autodiff import Tensor
 
-from gradcheck import fd_grad
+from gradcheck import fd_grad, fd_report
 
 
 def check_op(build, shape, seed, atol=1e-7):
@@ -48,6 +48,13 @@ OP_CASES = [
     ("logsumexp", lambda t: ad.logsumexp(t, axis=1)),
     # dilation 2 on T=4: taps clip at both edges; w and b are built from t, so all three VJPs are checked
     ("conv1d", lambda t: ad.conv1d(t, ad.concat([t[:3], t[1:], t[:3] * t[1:]]), t[3], 3, 2).tanh()),
+    ("conv1d_relu", lambda t: ad.conv1d(t, ad.concat([t[:3], t[1:], t[:3] * t[1:]]), t[3], 3, 2, relu=True).tanh()),
+    # w and b are built from t, so the x, w and b VJPs are all checked
+    ("linear", lambda t: ad.linear(t, t[1:] * t[:3], t[0]).tanh()),
+    ("linear_relu", lambda t: ad.linear(t, t[1:] * t[:3], t[0], relu=True).tanh()),
+    # three groups of width 2 at dilation 2 on T=4: taps clip at both edges; x, ws and bs are built from t
+    ("res2", lambda t: ad.res2(ad.concat([t, t.tanh()], axis=1), [t.reshape(6, 2), (t * t).reshape(6, 2)],
+                               [t[0, :2], t[1, 1:]], 2).tanh()),
     # g and c are built from t, so the x, g and c VJPs are all checked
     ("frame_norm", lambda t: ad.frame_norm(t, t[0] * t[1], t[2], 1e-5) * W),
     ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),
@@ -136,6 +143,28 @@ def test_conv1d_replicate_padding():
     rng = np.random.default_rng(0)
     c = ad.conv1d(Tensor(np.full((5, 3), 7.0)), rng.standard_normal((15, 4)), rng.standard_normal(4), 5, 2)
     np.testing.assert_allclose(c.data, np.tile(c.data[0], (5, 1)), rtol=1e-14)
+
+
+def test_res2_weight_and_bias_gradients_with_a_constant_input():
+    # x needs no gradient, yet each group's conv input gradient must still reach the groups before it
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((6, 8)))
+    ws = [Tensor(rng.standard_normal((6, 2)), requires_grad=True) for _ in range(3)]
+    bs = [Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(3)]
+    probe = rng.standard_normal((6, 8))
+    params = {**{f"w{i}": w for i, w in enumerate(ws)}, **{f"b{i}": b for i, b in enumerate(bs)}}
+    report = fd_report(lambda: (ad.res2(x, ws, bs, 2).tanh() * probe).sum(), params, 1e-6)
+    assert max(report.values()) < 1e-6, report
+    assert x.grad is None
+
+
+def test_backward_through_a_released_res2_node_raises():
+    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3), requires_grad=True)
+    h = ad.res2(x, [Tensor(np.ones((3, 1)))] * 2, [Tensor(np.zeros(1))] * 2, 2)
+    first, other = h.sum(), (h * 2.0).sum()
+    first.backward()
+    with pytest.raises(ValueError, match="released"):
+        other.backward()
 
 
 def composed_frame_norm(x, g, c, eps):

@@ -102,6 +102,41 @@ def test_fold_refusals_are_one_usage_line_and_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "BENCH.json").exists()
 
 
+@pytest.mark.parametrize("case", ["not_json", "missing_field"])
+def test_fold_names_a_record_that_is_not_one_and_exits_2(tmp_path, capsys, case):
+    good = tmp_path / "score_bulk-seed1-trace0.json"
+    good.write_text(json.dumps(record("score_bulk", 1, 0, {"wall_ref": 1.0}, {})))
+    bad = tmp_path / "bad.json"
+    if case == "not_json":
+        bad.write_text("nope\n")
+    else:
+        rec = record("score_bulk", 2, 0, {"wall_ref": 1.0}, {})
+        del rec["digests"]
+        bad.write_text(json.dumps(rec))
+    with pytest.raises(SystemExit) as info:
+        bench.main(["--out", str(tmp_path / "BENCH.json"), str(good), str(bad)])
+    assert info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: {bad}: not a perfbench run record: " in last
+    if case == "missing_field":
+        assert last.endswith("no field 'digests'")
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_ecapa_probe_times_each_size_in_a_child(capsys):
+    from svkit.ecapa import EcapaConfig
+
+    tiny = EcapaConfig(in_dim=6, channels=16, se_bottleneck=8, attention_channels=8, embed_dim=8)
+    scale4 = EcapaConfig(in_dim=6, channels=8, res2_scale=4, se_bottleneck=4, attention_channels=4, embed_dim=4)
+    results = bench.probe_ecapa([(tiny, 5), (scale4, 3)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [(r["channels"], r["frames"], r["op_nodes"]) for r in results] == [(16, 5, 67), (8, 3, 67)]
+    for res, line in zip(results, lines, strict=True):
+        assert res["step_ms"] > 0
+        assert line == (f"ecapa forward+backward C={res['channels']} T={res['frames']} "
+                        f"step_ms={res['step_ms']:.2f} op_nodes=67")
+
+
 def test_scoring_probe_runs_the_chain_in_a_child_at_each_size(capsys):
     results = bench.probe_scoring([600, 1200])
     lines = capsys.readouterr().out.splitlines()

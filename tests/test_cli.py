@@ -264,6 +264,14 @@ def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, ex
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_huge_fbank_window_is_refused_before_anything_allocates(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--set", "fbank.win_ms=99999999999", "fbank", "--wav", "w.wav", "--out", "f.npy"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: fbank.win_ms must be finite and at most 1000 ms, got 99999999999.0\n"
+    assert "Unable to allocate" not in err
+
+
 def test_ensemble_of_an_unlabeled_list_without_weights_writes_the_plain_mean(tmp_path, capsys):
     trials = tmp_path / "t.txt"
     trials.write_text("a b\nc d\n")

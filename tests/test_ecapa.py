@@ -281,28 +281,57 @@ DESK = EcapaConfig(in_dim=64, channels=64, res2_scale=8, dilations=(2, 3, 4),
                    se_bottleneck=32, attention_channels=32, embed_dim=64)
 
 
-def composed_conv1d(x, w, b, kernel, dilation=1):
-    """A k-tap conv as four nodes (gather, reshape, matmul, bias): the reference for `ad.conv1d`."""
+def composed_conv1d(x, w, b, kernel, dilation=1, relu=False):
+    """A k-tap conv as four nodes (gather, reshape, matmul, bias), then a `relu` node:
+    the reference for `ad.conv1d`."""
     t = x.shape[0]
-    return time_patches(x, kernel, dilation).reshape(t, kernel * x.shape[1]) @ w + b
+    y = time_patches(x, kernel, dilation).reshape(t, kernel * x.shape[1]) @ w + b
+    return y.relu() if relu else y
+
+
+def composed_linear(x, w, b, relu=False):
+    """`x @ w + b` as two nodes, then a `relu` node: the reference for `ad.linear`."""
+    y = x @ w + b
+    return y.relu() if relu else y
+
+
+def composed_res2(x, ws, bs, dilation):
+    """The Res2 conv as per-group slices, adds and convs joined by `concat`: the reference for `ad.res2`."""
+    width = x.shape[1] // (len(ws) + 1)
+    groups = [x[:, i * width : (i + 1) * width] for i in range(len(ws) + 1)]
+    outs = [groups[0]]
+    for i, (w, b) in enumerate(zip(ws, bs), start=1):
+        outs.append(composed_conv1d(groups[i] + outs[i - 1], w, b, 3, dilation))
+    return ad.concat(outs, axis=1)
+
+
+SCALE4 = EcapaConfig(in_dim=32, channels=32, res2_scale=4, dilations=(2, 3, 4),
+                     se_bottleneck=16, attention_channels=16, embed_dim=32)
 
 
 # T <= 3 clips every tap of the stem's kernel 5 and of the res2 convs at dilation 4
-@pytest.mark.parametrize("t", [1, 2, 3, 5, 150])
-def test_conv1d_forward_and_gradients_byte_identical_to_composed_conv(t, monkeypatch):
+EQUIVALENCE_CASES = ([pytest.param(DESK, t, id=f"desk-T{t}") for t in (1, 2, 3, 5, 150)]
+                     + [pytest.param(SCALE4, t, id=f"scale4-T{t}") for t in (1, 2, 3, 5, 150)]
+                     + [pytest.param(EcapaConfig(), 150, id="C512-T150")])
+
+
+@pytest.mark.parametrize("cfg,t", EQUIVALENCE_CASES)
+def test_fused_ops_forward_and_gradients_byte_identical_to_composed_forms(cfg, t, monkeypatch):
     rng = np.random.default_rng(t)
-    feats = rng.standard_normal((t, DESK.in_dim))
-    probe = rng.standard_normal(DESK.embed_dim)
+    feats = rng.standard_normal((t, cfg.in_dim))
+    probe = rng.standard_normal(cfg.embed_dim)
 
     def run():
-        params = init_params(DESK, seed=t)
+        params = init_params(cfg, seed=t)
         x = Tensor(feats, requires_grad=True)
-        emb = forward(x, params, DESK)
+        emb = forward(x, params, cfg)
         (emb * probe).sum().backward()
         return emb.data, x.grad, {name: p.grad for name, p in params.items()}
 
     emb, x_grad, grads = run()
     monkeypatch.setattr(ad, "conv1d", composed_conv1d)
+    monkeypatch.setattr(ad, "linear", composed_linear)
+    monkeypatch.setattr(ad, "res2", composed_res2)
     ref_emb, ref_x_grad, ref_grads = run()
     assert emb.tobytes() == ref_emb.tobytes()
     assert x_grad.tobytes() == ref_x_grad.tobytes()
@@ -330,7 +359,7 @@ def test_desk_forward_graph_size_is_pinned():
     out = forward(x, params, DESK)
     reached = reached_tensors(out)
     assert {id(p) for p in params.values()} | {id(x)} <= reached
-    assert len(reached) == 259  # 95 parameters, the input, 159 op nodes and 4 constants
+    assert len(reached) == 167  # 95 parameters, the input, 67 op nodes and 4 constants
 
 
 def test_tuned_desk_utterance_graph_size_is_pinned():
@@ -348,7 +377,7 @@ def test_tuned_desk_utterance_graph_size_is_pinned():
     frozen = forward(aggregate_graph(upstream.forward_array(Waveform(samples)), logits), params, DESK)
     upstream.as_tensors()
     tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
-    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [265, 496]
+    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [173, 404]
 
 
 def test_input_dim_mismatch():

@@ -28,6 +28,17 @@ each pass checked against perfbench's oracles outside the clock. For each size
 it prints the fastest chain's ms per 1000 trials and the child's peak RSS
 growth over its post-import baseline (the checks included), then the ratio of
 ms per 1000 trials between the two sizes: 1.0 is linear scaling.
+
+    python3 tools/bench.py --probe-ecapa
+
+`--probe-ecapa` is an ungated probe of one ECAPA forward plus backward (a
+dot product of the embedding with a fixed probe vector as the loss) at
+perfbench's desk size (C=64) for T = 5, 150 and 300 frames and at the default
+C=512 for T = 300. Each size runs in a fresh child process with one BLAS
+thread, which times seven steps and keeps the fastest. For each it prints that
+step's ms and the number of op nodes one forward records: the desk sizes show
+the per-node Python cost, C=512 the matmul cost that a desk-tuned change can
+slow unseen.
 """
 
 from __future__ import annotations
@@ -41,7 +52,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +62,9 @@ WORSE = 0.10  # the north-star rule: a tracked number more than 10% worse must b
 PROBE_TRIALS = (20000, 300000)
 PROBE_SEED = 61
 CHAIN_MIN_REPEATS, CHAIN_MIN_S = 3, 1.0  # the first passes of a fresh process run slower
+PROBE_FRAMES = (("desk", 5), ("desk", 150), ("desk", 300), ("default", 300))
+ECAPA_STEPS = 7
+BLAS_1 = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def fold(records: list) -> dict:
@@ -80,6 +96,18 @@ def fold(records: list) -> dict:
     return {"environment": env, "src_loc": src_loc, "workloads": dict(sorted(workloads.items()))}
 
 
+def read_record(path: Path) -> dict:
+    """One perfbench run record; a ValueError naming `path` if it is no JSON or lacks a field `fold` reads."""
+    try:
+        rec = json.loads(path.read_text(encoding="utf-8"))
+        fold([rec])  # a one-record fold reads every field the real one will
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a perfbench run record: no field {exc}") from None
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a perfbench run record: {exc}") from None
+    return rec
+
+
 def directions(benchmark: dict) -> dict:
     """{metric name: "lower" or "higher"} from BENCHMARK.json."""
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in benchmark.get(key, [])}
@@ -108,13 +136,18 @@ def compare(old: dict, new: dict, better: dict) -> tuple:
     return lines + changed, marked + len(changed)
 
 
-def score_bulk(n_trials: int):
-    """perfbench's ScoreBulk workload at n_trials trials, over as many speakers as keep its trial sides per id."""
+def perfbench_workloads():
+    """perfbench's workloads module, imported by the name perfbench/run.py imports it."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.append(str(ROOT / "perfbench"))
-    import workloads  # perfbench's, by the name perfbench/run.py imports it
+    import workloads
 
-    bulk = workloads.ScoreBulk()
+    return workloads
+
+
+def score_bulk(n_trials: int):
+    """perfbench's ScoreBulk workload at n_trials trials, over as many speakers as keep its trial sides per id."""
+    bulk = perfbench_workloads().ScoreBulk()
     bulk.n_speakers = max(2, round(bulk.n_speakers * n_trials / bulk.n_trials))
     bulk.n_trials = n_trials
     return bulk
@@ -139,7 +172,7 @@ def run_scoring_chain(work: Path, n_trials: int) -> dict:
 
 def probe_scoring(sizes) -> list:
     """One printed line per trial count, then the last one's ms per 1k trials over the first's; returns the results."""
-    env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    env = {**os.environ, **BLAS_1}
     results = []
     for n in sizes:
         bulk = score_bulk(n)
@@ -160,6 +193,48 @@ def probe_scoring(sizes) -> list:
     return results
 
 
+def run_ecapa_steps(cfg_fields: dict, frames: int) -> dict:
+    """The fastest of ECAPA_STEPS forward-plus-backward steps and the op nodes one forward records."""
+    import numpy as np
+
+    from svkit import ecapa
+
+    cfg = ecapa.EcapaConfig(**cfg_fields)
+    params = ecapa.init_params(cfg, seed=PROBE_SEED)
+    rng = np.random.default_rng(PROBE_SEED)
+    feats, probe = rng.standard_normal((frames, cfg.in_dim)), rng.standard_normal(cfg.embed_dim)
+    emb = ecapa.forward(feats, params, cfg)
+    nodes, todo = {id(emb)}, [emb]
+    while todo:  # the tensors with recorded parents, reached from the embedding
+        for p in todo.pop()._parents:
+            if p._parents and id(p) not in nodes:
+                nodes.add(id(p))
+                todo.append(p)
+    steps = []
+    for _ in range(ECAPA_STEPS):
+        for p in params.values():
+            p.grad = None
+        gc.collect()
+        start = time.perf_counter()
+        (ecapa.forward(feats, params, cfg) * probe).sum().backward()
+        steps.append(time.perf_counter() - start)
+    return {"op_nodes": len(nodes), "step_ms": 1e3 * min(steps)}
+
+
+def probe_ecapa(cases) -> list:
+    """One printed line per (EcapaConfig, frames) case, each timed in a fresh child; returns the results."""
+    results = []
+    for cfg, frames in cases:
+        child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--ecapa-steps",
+                                json.dumps(asdict(cfg)), str(frames)],
+                               env={**os.environ, **BLAS_1}, stdout=subprocess.PIPE, text=True, check=True)
+        res = {"channels": cfg.channels, "frames": frames, **json.loads(child.stdout.splitlines()[-1])}
+        results.append(res)
+        print(f"ecapa forward+backward C={cfg.channels} T={frames} step_ms={res['step_ms']:.2f} "
+              f"op_nodes={res['op_nodes']}", flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("records", nargs="*", type=Path, help="perfbench run records to fold")
@@ -168,8 +243,11 @@ def main(argv=None) -> int:
     parser.add_argument("--probe-scoring", action="store_true",
                         help=f"time score_bulk's scoring chain at {' and '.join(map(str, PROBE_TRIALS))} trials")
     parser.add_argument("--scoring-chain", nargs=2, help=argparse.SUPPRESS)  # the probe's child: DIR TRIALS
+    parser.add_argument("--probe-ecapa", action="store_true",
+                        help="time one ECAPA forward and backward at desk and default sizes")
+    parser.add_argument("--ecapa-steps", nargs=2, help=argparse.SUPPRESS)  # the probe's child: CONFIG_JSON FRAMES
     args = parser.parse_args(argv)
-    if args.scoring_chain or args.probe_scoring:
+    if args.scoring_chain or args.probe_scoring or args.ecapa_steps or args.probe_ecapa:
         sys.path.insert(0, str(ROOT / "src"))
     if args.scoring_chain:
         work, n_trials = args.scoring_chain
@@ -178,6 +256,16 @@ def main(argv=None) -> int:
     if args.probe_scoring:
         probe_scoring(PROBE_TRIALS)
         return 0
+    if args.ecapa_steps:
+        cfg_fields, frames = args.ecapa_steps
+        print(json.dumps(run_ecapa_steps(json.loads(cfg_fields), int(frames))))
+        return 0
+    if args.probe_ecapa:
+        from svkit.ecapa import EcapaConfig
+
+        sizes = {"desk": perfbench_workloads().DESK_ECAPA, "default": EcapaConfig()}
+        probe_ecapa([(sizes[name], frames) for name, frames in PROBE_FRAMES])
+        return 0
     if args.compare:
         old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
@@ -185,11 +273,10 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return 1 if flagged else 0
     if not args.out:
-        parser.error("give --out with records to fold, --compare OLD NEW, or --probe-scoring")
-    records = [json.loads(p.read_text(encoding="utf-8")) for p in args.records]
+        parser.error("give --out with records to fold, --compare OLD NEW, --probe-scoring or --probe-ecapa")
     try:
-        bench = fold(records)
-    except ValueError as exc:  # no records, or records from two checkouts or hosts
+        bench = fold([read_record(p) for p in args.records])
+    except ValueError as exc:  # a file that is no run record, no records, or records from two checkouts or hosts
         parser.error(str(exc))
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
