@@ -4,15 +4,18 @@ The SVHS, SVCK, SVEB and WAV loaders read only through a Reader, the one
 module that moves a read position; every read failure raises FormatError naming
 the file, and the manifest, trial and score loaders take their rows from it.
 SVHS, SVCK and SVEB are written through a Writer, text by `write_lines`, arrays by `write_npy`,
-and every output file, WAV too, by `write_bytes`: it makes the directory, and a failed write is exit 2.
+and every output file, WAV too, by `write_bytes`: it makes the directory, replaces the file whole, and a failed
+write is exit 2.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
 from collections import Counter
 from collections.abc import Iterator
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +133,22 @@ class Writer:
 
 
 def write_bytes(path, data: bytes):
-    """Write `data` to exactly `path`, making its directory first: the one place output reaches the disk."""
+    """Write `data` to exactly `path`, making its directory first: the one place output reaches the disk.
+
+    The bytes go to a temp sibling that then replaces `path` in one rename, so a write that fails or is
+    interrupted leaves the old file (or none), never a prefix of the new one, and no temp file.
+    """
     path = Path(path)
+    tmp = path.parent / f".svkit-{os.getpid()}.tmp"  # not named after `path`: a name at the length limit still fits
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write output file ({exc.strerror})") from None
 

@@ -138,6 +138,28 @@ def aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Ten
     return (lse - picked).mean()
 
 
+def backward_per_utterance(embeddings, labels, anchors: Tensor, cfg: AamConfig, where: str) -> float:
+    """Backpropagate a batch's `aam_loss` one utterance at a time; returns the loss.
+
+    The loss is a mean of per-row terms given the anchors, so each utterance's
+    term over the batch size is backpropagated as soon as `embeddings` (an
+    iterable that builds each embedding's graph when drawn) yields it, and
+    `backward` frees that graph before the next is built. The leaves' `.grad`
+    sum the batch's gradient while only one utterance's graph is alive. A
+    non-finite term is a DataError naming `where`.
+    """
+    scale = 1.0 / len(labels)
+    total = 0.0
+    for emb, label in zip(embeddings, labels, strict=True):
+        loss = aam_loss(emb.reshape(1, -1), [label], anchors, cfg) * scale
+        value = loss.item()
+        if not math.isfinite(value):
+            raise DataError(f"training diverged at {where}: non-finite loss; lower the learning rate")
+        loss.backward()
+        total += value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Batching
 # ---------------------------------------------------------------------------
@@ -209,8 +231,10 @@ def train(
     cropped, augmented from `banks` (empty banks add nothing), and run through
     the seeded mock upstream. With no WAV row there is no upstream to tune:
     stages 2 and 3 each log a notice and the result exports no upstream
-    tensors. A non-finite loss, or a non-finite parameter after an optimizer
-    step, is a DataError that names the stage, epoch and batch.
+    tensors. Each batch is backpropagated one utterance at a time
+    (`backward_per_utterance`), then Adam steps once. A non-finite loss, or a
+    non-finite parameter after an optimizer step, is a DataError that names
+    the stage, epoch and batch.
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
@@ -268,15 +292,11 @@ def train(
             losses = []
             for batch_no, start in enumerate(range(0, len(perm), schedule.batch_size), 1):
                 batch = [rows[i] for i in perm[start : start + schedule.batch_size]]
-                embs = [ecapa_mod.forward(features(row, crop_s, tune_upstream), params, ecapa_cfg) for row in batch]
+                embs = (ecapa_mod.forward(features(row, crop_s, tune_upstream), params, ecapa_cfg) for row in batch)
                 labels = [spk_index[row.speaker_id] for row in batch]
-                loss = aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, aam_cfg)
-                value = loss.item()
                 where = f"stage {stage} epoch {epoch} batch {batch_no}"
-                if not math.isfinite(value):
-                    raise DataError(f"training diverged at {where}: non-finite loss; lower the learning rate")
                 opt.zero_grad()
-                loss.backward()
+                value = backward_per_utterance(embs, labels, anchors, aam_cfg, where)
                 opt.step()
                 if not all(np.isfinite(p.data).all() for p in trainable):
                     raise DataError(f"training diverged at {where}: non-finite parameter after the "

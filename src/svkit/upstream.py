@@ -149,8 +149,7 @@ class MockUpstream:
         x = samples[: t * HOP].reshape(t, HOP) @ w + b
         layers = [x]
         for l in range(1, cfg.n_layers + 1):
-            z = (x @ p[f"mix{l}.w"] + p[f"mix{l}.b"]).tanh()
-            x = _smooth(z)
+            x = _smooth(ad.linear(x, p[f"mix{l}.w"], p[f"mix{l}.b"]).tanh())
             layers.append(x)
         return layers
 
@@ -165,10 +164,27 @@ class MockUpstream:
 
 
 def _smooth(x: ad.Tensor) -> ad.Tensor:
-    """3-frame moving average with replicate padding: each frame averages itself and its neighbours."""
-    prev = ad.concat([x[:1], x[:-1]])
-    nxt = ad.concat([x[1:], x[-1:]])
-    return (prev + x + nxt) * (1.0 / 3)
+    """3-frame moving average with replicate padding: each frame averages itself and its neighbours.
+
+    One node. Its forward runs the numpy ops of the same average built from `Tensor`
+    slices, `concat`, `+` and `*`, in order, so its values equal that composition's to
+    the byte; its VJP is the transposed average: each frame's gradient over 3 goes back
+    to the frames it read, the clipped reads to the first and last frame.
+    """
+    a = x.data
+    prev = np.concatenate([a[:1], a[:-1]])
+    nxt = np.concatenate([a[1:], a[-1:]])
+
+    def vjp(g):
+        g3 = g * (1.0 / 3)
+        gx = g3.copy()
+        gx[:-1] += g3[1:]  # frame j - 1 was frame j's `prev`
+        gx[1:] += g3[:-1]  # frame j + 1 was frame j's `nxt`
+        gx[0] += g3[0]
+        gx[-1] += g3[-1]
+        return gx
+
+    return ad.Tensor._op((prev + a + nxt) * (1.0 / 3), (x,), (vjp,))
 
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:

@@ -137,6 +137,19 @@ def test_ecapa_probe_times_each_size_in_a_child(capsys):
                         f"step_ms={res['step_ms']:.2f} op_nodes=67")
 
 
+def test_train_probe_runs_one_epoch_in_a_child_per_batch_size(capsys):
+    from svkit.ecapa import EcapaConfig
+
+    tiny = EcapaConfig(channels=16, se_bottleneck=8, attention_channels=8, embed_dim=8)
+    results = bench.probe_train((3, 6, 8), tiny, (1, 4))
+    lines = capsys.readouterr().out.splitlines()
+    assert [r["batch_size"] for r in results] == [1, 4]
+    for res, line in zip(results, lines, strict=True):
+        assert res["train_s"] > 0 and res["rss_growth_mib"] >= 0
+        assert line == (f"train epoch rows=4 stack=3x6x8 C=16 batch_size={res['batch_size']} "
+                        f"train_s={res['train_s']:.2f} rss_growth_mib={res['rss_growth_mib']:.1f}")
+
+
 def test_scoring_probe_runs_the_chain_in_a_child_at_each_size(capsys):
     results = bench.probe_scoring([600, 1200])
     lines = capsys.readouterr().out.splitlines()

@@ -6,16 +6,18 @@ reject, and writes nothing then.
 """
 
 import hashlib
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from svkit.aggregator import normalized_weights, write_weights_csv
 from svkit.audio import Waveform, read_wav, read_wav_duration, write_wav
-from svkit.binfile import write_npy
+from svkit.binfile import write_lines, write_npy
 from svkit.ecapa import load_checkpoint, save_checkpoint
-from svkit.errors import FormatError, ToolkitError
+from svkit.errors import ConfigError, FormatError, ToolkitError
 from svkit.scoring import Trial, load_embeddings, load_scores, load_trials, save_embeddings, save_scores, save_trials
 from svkit.upstream import LayerStack, Manifest, ManifestRow, load_manifest, load_stack, save_manifest, save_stack
 
@@ -198,6 +200,29 @@ def test_writers_keep_their_recorded_bytes(tmp_path):
     write_fixtures(tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == WRITER_SHA256
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_a_write_that_fails_midway_leaves_the_old_file_and_no_temp(tmp_path, monkeypatch, error):
+    path = tmp_path / "scores.txt"
+    write_lines(path, ["a b 1.000000", "a c 2.000000"])
+    old = path.read_bytes()
+
+    def torn(self, data):  # half the bytes reach the disk, then the write fails
+        with open(self, "wb") as f:
+            f.write(data[: len(data) // 2])
+        raise error
+
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    if isinstance(error, OSError):  # exit 2 naming the output, as for any unwritable path
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot write output file "
+                                              r"\(No space left on device\)$"):
+            write_lines(path, ["a much longer replacement"] * 50)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            write_lines(path, ["a much longer replacement"] * 50)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------

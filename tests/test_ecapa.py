@@ -377,7 +377,7 @@ def test_tuned_desk_utterance_graph_size_is_pinned():
     frozen = forward(aggregate_graph(upstream.forward_array(Waveform(samples)), logits), params, DESK)
     upstream.as_tensors()
     tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
-    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [173, 404]
+    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [173, 284]
 
 
 def test_input_dim_mismatch():

@@ -21,6 +21,7 @@ from svkit.training import (
     PlantSpec,
     TrainSchedule,
     aam_loss,
+    backward_per_utterance,
     crop_random,
     train,
 )
@@ -260,7 +261,8 @@ def test_aam_config_sets_stages_1_and_2_and_lmft_keeps_its_scale(tiny_corpus, mo
     res = train(tiny_corpus.train, sched, upstream_cfg=UP, ecapa_cfg=EC,
                 aam=AamConfig(margin=0.1, scale=10.0), seed=2)
     assert [row[1] for row in res.log] == [1, 2, 3]
-    assert seen == [(0.1, 10.0), (0.1, 10.0), (sched.lmft_margin, 10.0)]  # one batch per epoch
+    n = len(tiny_corpus.train)  # one call per utterance, one epoch per stage
+    assert seen == [(0.1, 10.0)] * (2 * n) + [(sched.lmft_margin, 10.0)] * n
 
 
 @pytest.fixture(scope="module")
@@ -413,31 +415,99 @@ def test_import_only_run_never_draws_a_mock_upstream(imported_corpus, monkeypatc
     assert set(embs) == {row.utt_id for row in imported_corpus.rows}
 
 
-def stage2_step():
-    """The loss of one tuned stage-2 step from fresh parameters, and those parameters by
-    checkpoint name: per utterance a `forward_graph` crop, `aggregate_graph` and
-    `ecapa.forward`, then `aam_loss` over the batch."""
+def stage2_step(n_crops=3):
+    """One tuned stage-2 batch from fresh parameters: a generator that builds each crop's
+    embedding when drawn (a `forward_graph` crop, `aggregate_graph` and `ecapa.forward`),
+    the crops' labels, and the parameters by checkpoint name."""
     upstream = MockUpstream(UP)
     params = {f"upstream.{k}": p for k, p in upstream.as_tensors().items()}
     ecapa = em.init_params(EC, seed=3)
     logits = Tensor(np.linspace(-0.5, 0.5, UP.n_layers + 1), requires_grad=True)
     anchors = Tensor(np.random.default_rng(4).standard_normal((2, EC.embed_dim)), requires_grad=True)
-    crops = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 8 * 320))
-    embs = [em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), logits), ecapa, EC) for c in crops]
-    loss = aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), [0, 1, 0], anchors, AamConfig())
+    crops = np.random.default_rng(5).uniform(-0.5, 0.5, (n_crops, 8 * 320))
+    embs = (em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), logits), ecapa, EC) for c in crops)
     params.update({f"ecapa.{k}": p for k, p in ecapa.items()})
     params.update({"agg.logits": logits, "aam.anchors": anchors})
-    return loss, params
+    return embs, [0, 1, 0][:n_crops], params
+
+
+def batch_loss(embs, labels, anchors, cfg):
+    """The batch form: `aam_loss` over `ad.concat` of every embedding, one graph for the
+    whole batch. The reference for `backward_per_utterance`."""
+    return aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, cfg)
 
 
 def test_tuned_stage_2_gradients_equal_the_retaining_backward():
-    loss, params = stage2_step()
-    loss.backward()
-    ref_loss, ref_params = stage2_step()
-    retaining_backward(ref_loss)
+    embs, labels, params = stage2_step()
+    batch_loss(embs, labels, params["aam.anchors"], AamConfig()).backward()
+    ref_embs, ref_labels, ref_params = stage2_step()
+    retaining_backward(batch_loss(ref_embs, ref_labels, ref_params["aam.anchors"], AamConfig()))
     assert params.keys() == ref_params.keys()
     for name, p in params.items():
         assert p.grad is not None and p.grad.tobytes() == ref_params[name].grad.tobytes(), name
+
+
+def rel_close(a, b, tol=1e-10):
+    """|a - b| within `tol` of b's largest magnitude, elementwise (a zero `b` needs an equal `a`)."""
+    return np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n_crops", [3, 1])
+def test_backward_per_utterance_equals_the_batch_backward(n_crops):
+    embs, labels, params = stage2_step(n_crops)
+    drawn = []
+
+    def one_graph_at_a_time():
+        for emb in embs:
+            assert all(e._parents == () for e in drawn)  # each earlier utterance's graph is released
+            drawn.append(emb)
+            yield emb
+
+    value = backward_per_utterance(one_graph_at_a_time(), labels, params["aam.anchors"], AamConfig(), "test")
+    ref_embs, ref_labels, ref_params = stage2_step(n_crops)
+    ref = batch_loss(ref_embs, ref_labels, ref_params["aam.anchors"], AamConfig())
+    ref.backward()
+    assert len(drawn) == n_crops
+    assert abs(value - ref.item()) <= 1e-10 * abs(ref.item())
+    for name, p in params.items():
+        assert p.grad is not None and rel_close(p.grad, ref_params[name].grad), name
+
+
+def test_training_steps_on_the_batch_gradient_with_a_short_last_batch(tiny_corpus, monkeypatch):
+    # batch size 3 leaves a shorter last batch, whose terms are scaled by its own size; stage 2
+    # adds the tuned upstream. Every optimizer step sees the batch form's gradient.
+    assert len(tiny_corpus.train) % 3
+    step = Adam.step
+
+    def run(backward):
+        grads = []
+
+        def spy(self):
+            grads.append([None if p.grad is None else p.grad.copy() for p in self.params])
+            step(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(Adam, "step", spy)
+            m.setattr("svkit.training.backward_per_utterance", backward)
+            res = train(tiny_corpus.train, tiny_schedule(stage2_epochs=1, batch_size=3),
+                        upstream_cfg=UP, ecapa_cfg=EC, seed=6)
+        return res.log, grads
+
+    def batch_backward(embs, labels, anchors, cfg, where):
+        loss = batch_loss(list(embs), labels, anchors, cfg)
+        loss.backward()
+        return loss.item()
+
+    log, grads = run(backward_per_utterance)
+    ref_log, ref_grads = run(batch_backward)
+    assert len(grads) == len(ref_grads) == 2 * -(-len(tiny_corpus.train) // 3)
+    for (epoch, stage, loss, lr), ref in zip(log, ref_log, strict=True):
+        assert (epoch, stage, lr) == (ref[0], ref[1], ref[3]) and abs(loss - ref[2]) <= 1e-10 * abs(ref[2])
+    for step_grads, ref_step in zip(grads, ref_grads):
+        for g, r in zip(step_grads, ref_step, strict=True):
+            assert (g is None) == (r is None)
+            if g is not None:
+                assert rel_close(g, r)
 
 
 def test_single_speaker_manifest_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import svkit.autodiff as ad
 from svkit.audio import Waveform
 from svkit.autodiff import Tensor
 from svkit.errors import ConfigError, DataError, FormatError
@@ -26,7 +27,7 @@ from svkit.upstream import (
     speaker_offset,
 )
 from gradcheck import fd_report
-from test_autodiff import time_patches
+from test_autodiff import check_op, time_patches
 
 
 def rand_wav(n, seed=0):
@@ -157,9 +158,17 @@ def test_mock_graph_parameters_receive_gradients():
         assert p.grad is not None and np.any(p.grad != 0), name
 
 
+def composed_smooth(x):
+    """The 3-frame moving average built from slices, `concat`, `+` and `*`: the reference for the one-node `_smooth`."""
+    prev = ad.concat([x[:1], x[:-1]])
+    nxt = ad.concat([x[1:], x[-1:]])
+    return (prev + x + nxt) * (1.0 / 3)
+
+
 def reference_forward(model, samples):
-    """Layers 0..L with the four strided convs run one at a time: the reference
-    for the composed 320-sample patch map."""
+    """Layers 0..L with the four strided convs run one at a time and each mixing layer
+    composed of `@`, `+`, `tanh` and `composed_smooth`: the reference for the composed
+    320-sample patch map and the fused mixing layers."""
     x = samples.reshape(-1, 1)
     for i, stride in enumerate(CONV_STRIDES):
         t = x.shape[0] // stride
@@ -167,7 +176,7 @@ def reference_forward(model, samples):
         x = x @ model.params[f"conv{i}.w"] + model.params[f"conv{i}.b"]
     layers = [x]
     for l in range(1, model.cfg.n_layers + 1):
-        x = _smooth((x @ model.params[f"mix{l}.w"] + model.params[f"mix{l}.b"]).tanh())
+        x = composed_smooth((x @ model.params[f"mix{l}.w"] + model.params[f"mix{l}.b"]).tanh())
         layers.append(x)
     return layers
 
@@ -215,16 +224,26 @@ def test_tuned_mock_gradients_match_finite_differences():
 
 @pytest.mark.parametrize("t", [1, 2, 7])
 def test_smooth_matches_time_patches_average(t):
+    # one node, byte-equal in forward to the gather reference and to its composed form
     rng = np.random.default_rng(t)
     data = rng.standard_normal((t, 5))
-    x, ref_x = Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)
+    x = Tensor(data, requires_grad=True)
+    refs = [Tensor(data.copy(), requires_grad=True) for _ in range(2)]
     out = _smooth(x)
-    ref = time_patches(ref_x, 3).sum(axis=1) * (1.0 / 3)
-    assert out.data.tobytes() == ref.data.tobytes()
+    assert out._parents == (x,)
+    outs = [time_patches(refs[0], 3).sum(axis=1) * (1.0 / 3), composed_smooth(refs[1])]
     probe = rng.standard_normal((t, 5))
     (out * probe).sum().backward()
-    (ref * probe).sum().backward()
-    assert rel_err(x.grad, ref_x.grad) <= 1e-10
+    for ref_x, ref in zip(refs, outs):
+        assert out.data.tobytes() == ref.data.tobytes()
+        (ref * probe).sum().backward()
+        assert rel_err(x.grad, ref_x.grad) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3)])
+def test_smooth_gradient_matches_finite_differences(shape):
+    # a tanh after the average, so the input gradient varies by frame and channel
+    check_op(lambda t: _smooth(t).tanh(), shape, seed=shape[0])
 
 
 # ---------------------------------------------------------------------------

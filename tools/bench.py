@@ -39,6 +39,17 @@ thread, which times seven steps and keeps the fastest. For each it prints that
 step's ms and the number of op nodes one forward records: the desk sizes show
 the per-node Python cost, C=512 the matmul cost that a desk-tuned change can
 slow unseen.
+
+    python3 tools/bench.py --probe-train
+
+`--probe-train` is an ungated probe of a training step at the paper's shape:
+four imported 25 x 300 x 1024 SVHS rows (layers 0..24 of a 24-layer model, 6 s
+at 50 frames/s, 1024 dims) of two speakers, written once to a temp directory.
+For each batch size, 1 and 4, a fresh child process with one BLAS thread runs
+the real `training.train` for one stage-1 epoch with the default C=512 ECAPA
+and prints the epoch's seconds and its peak RSS growth over the child's
+baseline before `train`: memory that grows with the batch shows as the
+difference between the two lines.
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ PROBE_SEED = 61
 CHAIN_MIN_REPEATS, CHAIN_MIN_S = 3, 1.0  # the first passes of a fresh process run slower
 PROBE_FRAMES = (("desk", 5), ("desk", 150), ("desk", 300), ("default", 300))
 ECAPA_STEPS = 7
+TRAIN_SHAPE = (25, 300, 1024)  # (layers, frames, dims) of one probe row
+TRAIN_BATCHES = (1, 4)
 BLAS_1 = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
@@ -153,11 +166,13 @@ def score_bulk(n_trials: int):
     return bulk
 
 
+def rss_mib() -> float:
+    """This process's peak RSS so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def run_scoring_chain(work: Path, n_trials: int) -> dict:
     """ScoreBulk passes over the inputs its setup wrote to `work`: the fastest chain and the RSS growth."""
-    def rss_mib():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-
     bulk = score_bulk(n_trials)
     bulk.work, bulk.seed = work, PROBE_SEED  # as setup(work, PROBE_SEED) left them in the parent
     base, passes = rss_mib(), []
@@ -235,6 +250,53 @@ def probe_ecapa(cases) -> list:
     return results
 
 
+def write_train_rows(work: Path, shape) -> None:
+    """Four SVHS rows of `shape` (layers, frames, dims), two per speaker, and their `manifest.tsv`, in `work`."""
+    import numpy as np
+
+    from svkit.upstream import LayerStack, Manifest, ManifestRow, save_manifest, save_stack
+
+    rng = np.random.default_rng(PROBE_SEED)
+    rows = []
+    for i in range(4):
+        save_stack(LayerStack(rng.standard_normal(shape, dtype=np.float32), frame_rate_hz=50.0), work / f"u{i}.svhs")
+        rows.append(ManifestRow(f"u{i}", f"s{i % 2}", f"u{i}.svhs"))
+    save_manifest(Manifest(tuple(rows)), work / "manifest.tsv")
+
+
+def run_train_epoch(work: str, batch_size: int, n_layers: int, cfg_fields: dict) -> dict:
+    """One stage-1 epoch of `training.train` over the rows in `work`: its seconds and the RSS growth."""
+    from svkit import training
+    from svkit.ecapa import EcapaConfig
+    from svkit.upstream import MockUpstreamConfig, load_manifest
+
+    manifest = load_manifest(Path(work) / "manifest.tsv")
+    ecapa_cfg = EcapaConfig(**cfg_fields)
+    schedule = training.TrainSchedule(stage1_epochs=1, stage2_epochs=0, lmft_epochs=0, batch_size=batch_size)
+    gc.collect()
+    base, start = rss_mib(), time.perf_counter()
+    training.train(manifest, schedule, upstream_cfg=MockUpstreamConfig(n_layers=n_layers, dim=ecapa_cfg.in_dim),
+                   ecapa_cfg=ecapa_cfg, seed=PROBE_SEED)
+    return {"train_s": time.perf_counter() - start, "rss_growth_mib": rss_mib() - base}
+
+
+def probe_train(shape, cfg, batch_sizes) -> list:
+    """One printed line per batch size, each epoch run in a fresh child; returns the results."""
+    results = []
+    with tempfile.TemporaryDirectory(prefix="svkit-probe-") as tmp:
+        write_train_rows(Path(tmp), shape)
+        for batch_size in batch_sizes:
+            spec = {"work": tmp, "batch_size": batch_size, "n_layers": shape[0] - 1,
+                    "cfg_fields": {**asdict(cfg), "in_dim": shape[2]}}
+            child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--train-epoch", json.dumps(spec)],
+                                   env={**os.environ, **BLAS_1}, stdout=subprocess.PIPE, text=True, check=True)
+            res = {"batch_size": batch_size, **json.loads(child.stdout.splitlines()[-1])}
+            results.append(res)
+            print(f"train epoch rows=4 stack={'x'.join(map(str, shape))} C={cfg.channels} batch_size={batch_size} "
+                  f"train_s={res['train_s']:.2f} rss_growth_mib={res['rss_growth_mib']:.1f}", flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("records", nargs="*", type=Path, help="perfbench run records to fold")
@@ -246,8 +308,12 @@ def main(argv=None) -> int:
     parser.add_argument("--probe-ecapa", action="store_true",
                         help="time one ECAPA forward and backward at desk and default sizes")
     parser.add_argument("--ecapa-steps", nargs=2, help=argparse.SUPPRESS)  # the probe's child: CONFIG_JSON FRAMES
+    parser.add_argument("--probe-train", action="store_true",
+                        help="peak RSS growth of one C=512 training epoch on paper-shape stacks at batch sizes 1 and 4")
+    parser.add_argument("--train-epoch", help=argparse.SUPPRESS)  # the probe's child: SPEC_JSON
     args = parser.parse_args(argv)
-    if args.scoring_chain or args.probe_scoring or args.ecapa_steps or args.probe_ecapa:
+    if any((args.scoring_chain, args.probe_scoring, args.ecapa_steps, args.probe_ecapa, args.train_epoch,
+            args.probe_train)):
         sys.path.insert(0, str(ROOT / "src"))
     if args.scoring_chain:
         work, n_trials = args.scoring_chain
@@ -266,6 +332,14 @@ def main(argv=None) -> int:
         sizes = {"desk": perfbench_workloads().DESK_ECAPA, "default": EcapaConfig()}
         probe_ecapa([(sizes[name], frames) for name, frames in PROBE_FRAMES])
         return 0
+    if args.train_epoch:
+        print(json.dumps(run_train_epoch(**json.loads(args.train_epoch))))
+        return 0
+    if args.probe_train:
+        from svkit.ecapa import EcapaConfig
+
+        probe_train(TRAIN_SHAPE, EcapaConfig(), TRAIN_BATCHES)
+        return 0
     if args.compare:
         old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
@@ -273,7 +347,8 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return 1 if flagged else 0
     if not args.out:
-        parser.error("give --out with records to fold, --compare OLD NEW, --probe-scoring or --probe-ecapa")
+        parser.error("give --out with records to fold, --compare OLD NEW, --probe-scoring, --probe-ecapa "
+                     "or --probe-train")
     try:
         bench = fold([read_record(p) for p in args.records])
     except ValueError as exc:  # a file that is no run record, no records, or records from two checkouts or hosts
