@@ -222,15 +222,14 @@ class Tensor:
             raise ValueError("indexing supports integers and slices only")
         a = self
         data = a.data[key]
-        if np.isscalar(data) or data.ndim == 0:
-            data = np.asarray(data).reshape(())
 
         def vjp(g):
             full = np.zeros_like(a.data)
             full[key] += g
             return full
 
-        return Tensor._op(np.ascontiguousarray(data), (a,), (vjp,))
+        # one element is a 0-d array (`ascontiguousarray` would make it 1-d); a slice is made contiguous
+        return Tensor._op(np.ascontiguousarray(data) if np.ndim(data) else np.array(data), (a,), (vjp,))
 
     # -- reductions --------------------------------------------------------------
 

@@ -100,58 +100,51 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Tensor:
-    """Additive angular margin softmax cross-entropy.
+def aam_loss(embedding: Tensor, label: int, anchors: Tensor, cfg: AamConfig) -> Tensor:
+    """Additive angular margin softmax cross-entropy of one utterance; a 0-d loss.
 
-    Cosine logits between unit embeddings and unit anchors; the target
-    class logit becomes s*cos(theta + m), with the monotonic fallback
-    s*(cos(theta) - m*sin(m)) once theta + m would pass pi.
+    `embedding` is the (E,) tensor `ecapa.forward` returns and `label` its
+    class, a row of the (C, E) `anchors`. The logits are the cosines between
+    the unit embedding and the unit anchors; the target class logit becomes
+    s*cos(theta + m), with the monotonic fallback s*(cos(theta) - m*sin(m))
+    once theta + m would pass pi. Only the branch taken is recorded.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != embeddings.shape[0]:
-        raise DataError("labels must align with the embedding batch")
-    b, n_classes = embeddings.shape[0], anchors.shape[0]
-    if labels.min() < 0 or labels.max() >= n_classes:
+    n_classes = anchors.shape[0]
+    if not 0 <= label < n_classes:
         raise DataError(f"label out of range [0, {n_classes})")
-
-    e_norms = np.sqrt((embeddings.data**2).sum(axis=1))
-    if np.any(e_norms == 0):
+    norm = (embedding * embedding).sum().sqrt()
+    if norm.item() == 0:
         raise DataError("zero-norm embedding in batch")
-    e_unit = embeddings / (embeddings * embeddings).sum(axis=1, keepdims=True).sqrt()
+    row = (embedding / norm).reshape(1, -1)
     a_unit = anchors / (anchors * anchors).sum(axis=1, keepdims=True).sqrt()
 
-    cos = (e_unit @ a_unit.transpose()).clip(-1.0 + 1e-7, 1.0 - 1e-7)
-    onehot = np.zeros((b, n_classes))
-    onehot[np.arange(b), labels] = 1.0
-    oh = Tensor(onehot)
-
-    cos_t = (cos * oh).sum(axis=1, keepdims=True)
-    sin_t = (1.0 - cos_t * cos_t).sqrt()
-    phi = cos_t * math.cos(cfg.margin) - sin_t * math.sin(cfg.margin)
-    fallback = cos_t - cfg.margin * math.sin(cfg.margin)
-    use_phi = Tensor((cos_t.data > math.cos(math.pi - cfg.margin)).astype(np.float64))
-    target = use_phi * phi + (1.0 - use_phi) * fallback
-
-    logits = (cos + oh * (target - cos_t)) * cfg.scale
-    lse = ad.logsumexp(logits, axis=1)
-    picked = (logits * oh).sum(axis=1)
-    return (lse - picked).mean()
+    # `row @ a_unit.T`, not `a_unit @ column`: the two orientations round differently
+    cos = (row @ a_unit.transpose()).reshape(-1).clip(-1.0 + 1e-7, 1.0 - 1e-7)
+    cos_t = cos[label]
+    if cos_t.item() > math.cos(math.pi - cfg.margin):
+        target = cos_t * math.cos(cfg.margin) - (1.0 - cos_t * cos_t).sqrt() * math.sin(cfg.margin)
+    else:
+        target = cos_t - cfg.margin * math.sin(cfg.margin)
+    onehot = np.zeros(n_classes)
+    onehot[label] = 1.0
+    logits = (cos + onehot * (target - cos_t)) * cfg.scale
+    return ad.logsumexp(logits, axis=0) - logits[label]
 
 
 def backward_per_utterance(embeddings, labels, anchors: Tensor, cfg: AamConfig, where: str) -> float:
-    """Backpropagate a batch's `aam_loss` one utterance at a time; returns the loss.
+    """Backpropagate a batch's mean `aam_loss` one utterance at a time; returns that mean.
 
-    The loss is a mean of per-row terms given the anchors, so each utterance's
-    term over the batch size is backpropagated as soon as `embeddings` (an
-    iterable that builds each embedding's graph when drawn) yields it, and
-    `backward` frees that graph before the next is built. The leaves' `.grad`
-    sum the batch's gradient while only one utterance's graph is alive. A
-    non-finite term is a DataError naming `where`.
+    Each utterance's `aam_loss` over the batch size is backpropagated as soon
+    as `embeddings` (an iterable that builds each (E,) embedding's graph when
+    drawn) yields it, and `backward` frees that graph before the next is
+    built. The leaves' `.grad` sum the batch's gradient while only one
+    utterance's graph is alive. A non-finite term is a DataError naming
+    `where`.
     """
     scale = 1.0 / len(labels)
     total = 0.0
     for emb, label in zip(embeddings, labels, strict=True):
-        loss = aam_loss(emb.reshape(1, -1), [label], anchors, cfg) * scale
+        loss = aam_loss(emb, label, anchors, cfg) * scale
         value = loss.item()
         if not math.isfinite(value):
             raise DataError(f"training diverged at {where}: non-finite loss; lower the learning rate")

@@ -111,8 +111,8 @@ def _aam(rng):
     anchors = Tensor(rng.standard_normal((n, e)), requires_grad=True)
     labels = rng.integers(0, n, size=b)
 
-    def make_loss():
-        return aam_loss(emb, labels, anchors, cfg)
+    def make_loss():  # the batch's mean of one-utterance losses, as training descends it
+        return sum(aam_loss(emb[i], label, anchors, cfg) for i, label in enumerate(labels)) * (1 / b)
 
     return make_loss, {"embeddings": emb, "anchors": anchors}
 

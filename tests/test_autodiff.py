@@ -41,6 +41,7 @@ OP_CASES = [
     ("mean", lambda t: (t.mean(axis=0, keepdims=True) * t)),
     ("clip", lambda t: t.clip(-0.5, 0.5) * 3.0),
     ("slice", lambda t: t[1:3, :2] * 2.0),
+    ("index_scalar", lambda t: t * t[1, 2]),
     ("reshape", lambda t: t.reshape(2, -1).tanh()),
     ("transpose", lambda t: (t.transpose() @ t)),
     ("div", lambda t: t / (t * t + 2.0)),
@@ -210,6 +211,19 @@ def test_array_index_keys_rejected():
             x[key]
     x[1:, 0].sum().backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+
+
+def test_integer_index_to_one_element_is_0_d():
+    v = Tensor(np.arange(3.0), requires_grad=True)
+    m = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    one, corner = v[1], m[1, 2]
+    assert one.shape == () and corner.shape == ()
+    assert one.item() == 1.0 and corner.item() == 5.0
+    (one * 3.0).backward()
+    (corner * 2.0).backward()
+    np.testing.assert_array_equal(v.grad, [0.0, 3.0, 0.0])
+    np.testing.assert_array_equal(m.grad, [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    assert m[1].shape == (3,) and m[:, 1].data.flags.c_contiguous  # a slice stays a contiguous array
 
 
 def retaining_backward(root: Tensor):

@@ -35,6 +35,75 @@ from test_autodiff import retaining_backward
 # ---------------------------------------------------------------------------
 
 
+def batch_aam_loss(embeddings: Tensor, labels, anchors: Tensor, cfg: AamConfig) -> Tensor:
+    """The batch form of the AAM loss that `aam_loss` replaced: the mean over a (B, E) batch,
+    with a (B, C) one-hot matrix and both target branches blended by a 0/1 mask. The
+    reference that the one-utterance form equals to the byte."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != embeddings.shape[0]:
+        raise DataError("labels must align with the embedding batch")
+    b, n_classes = embeddings.shape[0], anchors.shape[0]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"label out of range [0, {n_classes})")
+
+    e_norms = np.sqrt((embeddings.data**2).sum(axis=1))
+    if np.any(e_norms == 0):
+        raise DataError("zero-norm embedding in batch")
+    e_unit = embeddings / (embeddings * embeddings).sum(axis=1, keepdims=True).sqrt()
+    a_unit = anchors / (anchors * anchors).sum(axis=1, keepdims=True).sqrt()
+
+    cos = (e_unit @ a_unit.transpose()).clip(-1.0 + 1e-7, 1.0 - 1e-7)
+    onehot = np.zeros((b, n_classes))
+    onehot[np.arange(b), labels] = 1.0
+    oh = Tensor(onehot)
+
+    cos_t = (cos * oh).sum(axis=1, keepdims=True)
+    sin_t = (1.0 - cos_t * cos_t).sqrt()
+    phi = cos_t * math.cos(cfg.margin) - sin_t * math.sin(cfg.margin)
+    fallback = cos_t - cfg.margin * math.sin(cfg.margin)
+    use_phi = Tensor((cos_t.data > math.cos(math.pi - cfg.margin)).astype(np.float64))
+    target = use_phi * phi + (1.0 - use_phi) * fallback
+
+    logits = (cos + oh * (target - cos_t)) * cfg.scale
+    lse = ad.logsumexp(logits, axis=1)
+    picked = (logits * oh).sum(axis=1)
+    return (lse - picked).mean()
+
+
+def aam_case(rng):
+    """A seeded one-utterance case: embedding, label, anchors and config. E 2-39, C 2-29,
+    margin 0-1.5, scale 1-64; one case in five puts the embedding near its anchor's
+    antipode, where theta + m passes pi."""
+    e, c = int(rng.integers(2, 40)), int(rng.integers(2, 30))
+    cfg = AamConfig(margin=float(rng.uniform(0.0, 1.5)), scale=float(rng.uniform(1.0, 64.0)))
+    anchors, label = rng.standard_normal((c, e)), int(rng.integers(0, c))
+    if rng.random() < 0.2:
+        emb = -anchors[label] * rng.uniform(0.5, 2.0) + 1e-3 * rng.standard_normal(e)
+    else:
+        emb = rng.standard_normal(e) * rng.uniform(0.01, 100.0)
+    return emb, label, anchors, cfg
+
+
+def test_aam_loss_equals_the_batch_form_to_the_byte():
+    rng = np.random.default_rng(29)
+    fallbacks, margins = 0, []
+    for _ in range(300):
+        emb, label, anchors, cfg = aam_case(rng)
+        got = []
+        for loss_of in (lambda e, a: aam_loss(e, label, a, cfg),
+                        lambda e, a: batch_aam_loss(e.reshape(1, -1), [label], a, cfg)):
+            e, a = Tensor(emb.copy(), requires_grad=True), Tensor(anchors.copy(), requires_grad=True)
+            loss = loss_of(e, a)
+            loss.backward()
+            got.append((loss.shape, np.asarray(loss.data).tobytes(), e.grad.tobytes(), a.grad.tobytes()))
+        assert got[0][0] == ()
+        assert got[0][1:] == got[1][1:]
+        cos_t = emb @ anchors[label] / np.linalg.norm(emb) / np.linalg.norm(anchors[label])
+        fallbacks += cos_t <= math.cos(math.pi - cfg.margin)
+        margins.append(cfg.margin)
+    assert fallbacks >= 20 and min(margins) < 0.05 and max(margins) > 1.45
+
+
 def test_aam_zero_margin_unit_scale_is_softmax_ce():
     rng = np.random.default_rng(0)
     b, e, n = 5, 4, 3
@@ -42,22 +111,21 @@ def test_aam_zero_margin_unit_scale_is_softmax_ce():
     anchors = rng.standard_normal((n, e))
     labels = rng.integers(0, n, b)
     cfg = AamConfig(margin=0.0, scale=1.0)
-    loss = aam_loss(Tensor(emb), labels, Tensor(anchors), cfg).item()
 
     eu = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     au = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
     cos = np.clip(eu @ au.T, -1 + 1e-7, 1 - 1e-7)
-    logsum = np.log(np.exp(cos).sum(axis=1))
-    expected = float(np.mean(logsum - cos[np.arange(b), labels]))
-    assert abs(loss - expected) < 1e-12
+    expected = np.log(np.exp(cos).sum(axis=1)) - cos[np.arange(b), labels]
+    for row, label, want in zip(emb, labels, expected):
+        assert abs(aam_loss(Tensor(row), label, Tensor(anchors), cfg).item() - want) < 1e-12
 
 
 def test_aam_closed_form_perfectly_aligned_pair():
     # one sample, two classes, cos(theta_y)=1, cos(theta_other)=-1, m=0.2, s=30
-    emb = Tensor(np.array([[2.0, 0.0]]))
+    emb = Tensor(np.array([2.0, 0.0]))
     anchors = Tensor(np.array([[5.0, 0.0], [-3.0, 0.0]]))
     cfg = AamConfig(margin=0.2, scale=30.0)
-    loss = aam_loss(emb, [0], anchors, cfg).item()
+    loss = aam_loss(emb, 0, anchors, cfg).item()
     cos_y = 1.0 - 1e-7  # clamp
     cos_o = -1.0 + 1e-7
     target = 30.0 * math.cos(math.acos(cos_y) + 0.2)
@@ -67,11 +135,11 @@ def test_aam_closed_form_perfectly_aligned_pair():
 
 def test_aam_margin_fallback_branch():
     # nearly antipodal target: theta + m past pi must use the monotonic fallback
-    emb = Tensor(np.array([[-1.0, 1e-4]]))
+    emb = Tensor(np.array([-1.0, 1e-4]))
     anchors = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     cfg = AamConfig(margin=0.2, scale=30.0)
-    loss = aam_loss(emb, [0], anchors, cfg).item()
-    eu = emb.data[0] / np.linalg.norm(emb.data[0])
+    loss = aam_loss(emb, 0, anchors, cfg).item()
+    eu = emb.data / np.linalg.norm(emb.data)
     cos_y = float(np.clip(eu @ anchors.data[0] / np.linalg.norm(anchors.data[0]), -1 + 1e-7, 1 - 1e-7))
     cos_o = float(np.clip(eu @ anchors.data[1] / np.linalg.norm(anchors.data[1]), -1 + 1e-7, 1 - 1e-7))
     assert cos_y <= math.cos(math.pi - 0.2)
@@ -84,23 +152,22 @@ def test_aam_rejects_bad_labels_and_zero_embeddings():
     anchors = Tensor(np.eye(3))
     cfg = AamConfig()
     # the class count is the anchor count
-    with pytest.raises(DataError, match=r"label out of range \[0, 3\)"):
-        aam_loss(Tensor(np.ones((2, 3))), [0, 3], anchors, cfg)
-    assert np.isfinite(aam_loss(Tensor(np.ones((2, 3))), [0, 3], Tensor(np.eye(4, 3) + 0.1), cfg).item())
+    for label in (3, -1):
+        with pytest.raises(DataError, match=r"label out of range \[0, 3\)"):
+            aam_loss(Tensor(np.ones(3)), label, anchors, cfg)
+    assert np.isfinite(aam_loss(Tensor(np.ones(3)), 3, Tensor(np.eye(4, 3) + 0.1), cfg).item())
     with pytest.raises(DataError, match="zero-norm"):
-        aam_loss(Tensor(np.zeros((1, 3))), [0], anchors, cfg)
+        aam_loss(Tensor(np.zeros(3)), 0, anchors, cfg)
 
 
 def test_aam_invariant_to_embedding_rescale():
     rng = np.random.default_rng(1)
     emb = rng.standard_normal((4, 6))
     anchors = Tensor(rng.standard_normal((3, 6)))
-    labels = [0, 1, 2, 1]
     cfg = AamConfig()
-    base = aam_loss(Tensor(emb), labels, anchors, cfg).item()
-    scaled = emb.copy()
-    scaled[2] *= 37.5
-    assert abs(aam_loss(Tensor(scaled), labels, anchors, cfg).item() - base) < 1e-6
+    for row, label in zip(emb, [0, 1, 2, 1]):
+        base = aam_loss(Tensor(row), label, anchors, cfg).item()
+        assert abs(aam_loss(Tensor(row * 37.5), label, anchors, cfg).item() - base) < 1e-6
 
 
 def test_aam_gradient_step_decreases_separable_toy():
@@ -109,13 +176,16 @@ def test_aam_gradient_step_decreases_separable_toy():
     anchors = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     labels = [0, 1, 0, 1, 0, 1]
     cfg = AamConfig(margin=0.0, scale=10.0)
-    loss = aam_loss(emb, labels, anchors, cfg)
+
+    def mean_loss():
+        return sum(aam_loss(emb[i], label, anchors, cfg) for i, label in enumerate(labels)) * (1 / len(labels))
+
+    loss = mean_loss()
     loss.backward()
     before = loss.item()
     emb.data = emb.data - 1e-3 * emb.grad
     anchors.data = anchors.data - 1e-3 * anchors.grad
-    after = aam_loss(emb, labels, anchors, cfg).item()
-    assert after < before
+    assert mean_loss().item() < before
 
 
 def test_aam_config_validation():
@@ -252,9 +322,9 @@ def test_lmft_stage_uses_larger_margin_crop(tiny_corpus, monkeypatch):
 def test_aam_config_sets_stages_1_and_2_and_lmft_keeps_its_scale(tiny_corpus, monkeypatch):
     seen = []
 
-    def spy(embeddings, labels, anchors, cfg):
+    def spy(embedding, label, anchors, cfg):
         seen.append((cfg.margin, cfg.scale))
-        return aam_loss(embeddings, labels, anchors, cfg)
+        return aam_loss(embedding, label, anchors, cfg)
 
     monkeypatch.setattr("svkit.training.aam_loss", spy)
     sched = tiny_schedule(stage2_epochs=1, lmft_epochs=1)
@@ -432,9 +502,9 @@ def stage2_step(n_crops=3):
 
 
 def batch_loss(embs, labels, anchors, cfg):
-    """The batch form: `aam_loss` over `ad.concat` of every embedding, one graph for the
-    whole batch. The reference for `backward_per_utterance`."""
-    return aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, cfg)
+    """The batch form: `batch_aam_loss` over `ad.concat` of every embedding, one graph for
+    the whole batch. The reference for `backward_per_utterance`."""
+    return batch_aam_loss(ad.concat([e.reshape(1, -1) for e in embs]), labels, anchors, cfg)
 
 
 def test_tuned_stage_2_gradients_equal_the_retaining_backward():
@@ -526,8 +596,6 @@ TRAINING_REFUSALS = [
     ("negative_epoch_count", lambda corpus: tiny_schedule(stage2_epochs=-1), ConfigError,
      "schedule.stage2_epochs must be >= 0, got -1"),
     ("batch_size_zero", lambda corpus: tiny_schedule(batch_size=0), ConfigError, "schedule.batch_size must be >= 1, got 0"),
-    ("aam_misaligned_labels", lambda corpus: aam_loss(Tensor(np.ones((2, 3))), [0], Tensor(np.eye(3)), AamConfig()),
-     DataError, "labels must align with the embedding batch"),
     ("crop_under_one_sample", lambda corpus: crop_random(Waveform(np.ones(16)), 1e-5, np.random.default_rng(0)),
      DataError, "crop length must be at least one sample"),
 ]

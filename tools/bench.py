@@ -171,10 +171,18 @@ def rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def run_scoring_chain(work: Path, n_trials: int) -> dict:
+def run_child(name: str, spec: dict) -> dict:
+    """`CHILDREN[name](**spec)` in a fresh child process at one BLAS thread, so that its RSS is its own;
+    returns the dict the child printed."""
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name, json.dumps(spec)],
+                           env={**os.environ, **BLAS_1}, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def run_scoring_chain(work: str, n_trials: int) -> dict:
     """ScoreBulk passes over the inputs its setup wrote to `work`: the fastest chain and the RSS growth."""
     bulk = score_bulk(n_trials)
-    bulk.work, bulk.seed = work, PROBE_SEED  # as setup(work, PROBE_SEED) left them in the parent
+    bulk.work, bulk.seed = Path(work), PROBE_SEED  # as setup(work, PROBE_SEED) left them in the parent
     base, passes = rss_mib(), []
     while len(passes) < CHAIN_MIN_REPEATS or sum(p.chain_s for p in passes) < CHAIN_MIN_S:
         gc.collect()
@@ -187,16 +195,13 @@ def run_scoring_chain(work: Path, n_trials: int) -> dict:
 
 def probe_scoring(sizes) -> list:
     """One printed line per trial count, then the last one's ms per 1k trials over the first's; returns the results."""
-    env = {**os.environ, **BLAS_1}
     results = []
     for n in sizes:
         bulk = score_bulk(n)
         ids = bulk.n_speakers * bulk.utts_per_speaker
         with tempfile.TemporaryDirectory(prefix="svkit-probe-") as tmp:
             bulk.setup(Path(tmp), PROBE_SEED)
-            child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--scoring-chain", tmp, str(n)],
-                                   env=env, stdout=subprocess.PIPE, text=True, check=True)
-        res = {"trials": n, "ids": ids, **json.loads(child.stdout.splitlines()[-1])}
+            res = {"trials": n, "ids": ids, **run_child("scoring_chain", {"work": tmp, "n_trials": n})}
         res["ms_per_1k_trials"] = 1e6 * res["chain_s"] / n
         results.append(res)
         print(f"scoring chain trials={n} ids={ids} chain_s={res['chain_s']:.3f} "
@@ -240,10 +245,8 @@ def probe_ecapa(cases) -> list:
     """One printed line per (EcapaConfig, frames) case, each timed in a fresh child; returns the results."""
     results = []
     for cfg, frames in cases:
-        child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--ecapa-steps",
-                                json.dumps(asdict(cfg)), str(frames)],
-                               env={**os.environ, **BLAS_1}, stdout=subprocess.PIPE, text=True, check=True)
-        res = {"channels": cfg.channels, "frames": frames, **json.loads(child.stdout.splitlines()[-1])}
+        res = {"channels": cfg.channels, "frames": frames,
+               **run_child("ecapa_steps", {"cfg_fields": asdict(cfg), "frames": frames})}
         results.append(res)
         print(f"ecapa forward+backward C={cfg.channels} T={frames} step_ms={res['step_ms']:.2f} "
               f"op_nodes={res['op_nodes']}", flush=True)
@@ -288,13 +291,14 @@ def probe_train(shape, cfg, batch_sizes) -> list:
         for batch_size in batch_sizes:
             spec = {"work": tmp, "batch_size": batch_size, "n_layers": shape[0] - 1,
                     "cfg_fields": {**asdict(cfg), "in_dim": shape[2]}}
-            child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--train-epoch", json.dumps(spec)],
-                                   env={**os.environ, **BLAS_1}, stdout=subprocess.PIPE, text=True, check=True)
-            res = {"batch_size": batch_size, **json.loads(child.stdout.splitlines()[-1])}
+            res = {"batch_size": batch_size, **run_child("train_epoch", spec)}
             results.append(res)
             print(f"train epoch rows=4 stack={'x'.join(map(str, shape))} C={cfg.channels} batch_size={batch_size} "
                   f"train_s={res['train_s']:.2f} rss_growth_mib={res['rss_growth_mib']:.1f}", flush=True)
     return results
+
+
+CHILDREN = {"scoring_chain": run_scoring_chain, "ecapa_steps": run_ecapa_steps, "train_epoch": run_train_epoch}
 
 
 def main(argv=None) -> int:
@@ -304,36 +308,26 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     parser.add_argument("--probe-scoring", action="store_true",
                         help=f"time score_bulk's scoring chain at {' and '.join(map(str, PROBE_TRIALS))} trials")
-    parser.add_argument("--scoring-chain", nargs=2, help=argparse.SUPPRESS)  # the probe's child: DIR TRIALS
     parser.add_argument("--probe-ecapa", action="store_true",
                         help="time one ECAPA forward and backward at desk and default sizes")
-    parser.add_argument("--ecapa-steps", nargs=2, help=argparse.SUPPRESS)  # the probe's child: CONFIG_JSON FRAMES
     parser.add_argument("--probe-train", action="store_true",
                         help="peak RSS growth of one C=512 training epoch on paper-shape stacks at batch sizes 1 and 4")
-    parser.add_argument("--train-epoch", help=argparse.SUPPRESS)  # the probe's child: SPEC_JSON
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)  # a probe's child: NAME SPEC_JSON
     args = parser.parse_args(argv)
-    if any((args.scoring_chain, args.probe_scoring, args.ecapa_steps, args.probe_ecapa, args.train_epoch,
-            args.probe_train)):
+    if any((args.child, args.probe_scoring, args.probe_ecapa, args.probe_train)):
         sys.path.insert(0, str(ROOT / "src"))
-    if args.scoring_chain:
-        work, n_trials = args.scoring_chain
-        print(json.dumps(run_scoring_chain(Path(work), int(n_trials))))
+    if args.child:
+        name, spec = args.child
+        print(json.dumps(CHILDREN[name](**json.loads(spec))))
         return 0
     if args.probe_scoring:
         probe_scoring(PROBE_TRIALS)
-        return 0
-    if args.ecapa_steps:
-        cfg_fields, frames = args.ecapa_steps
-        print(json.dumps(run_ecapa_steps(json.loads(cfg_fields), int(frames))))
         return 0
     if args.probe_ecapa:
         from svkit.ecapa import EcapaConfig
 
         sizes = {"desk": perfbench_workloads().DESK_ECAPA, "default": EcapaConfig()}
         probe_ecapa([(sizes[name], frames) for name, frames in PROBE_FRAMES])
-        return 0
-    if args.train_epoch:
-        print(json.dumps(run_train_epoch(**json.loads(args.train_epoch))))
         return 0
     if args.probe_train:
         from svkit.ecapa import EcapaConfig
