@@ -36,12 +36,9 @@ def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
     flat = np.stack([h.data if isinstance(h, ad.Tensor) else h for h in layers], dtype=np.float64)
     n, t, d = flat.shape
     flat = flat.reshape(n, t * d)
-    parents, vjps = [w], [lambda g: (g.reshape(1, -1) @ flat.T).ravel()]
-    for l, h in enumerate(layers):
-        if isinstance(h, ad.Tensor):
-            parents.append(h)
-            vjps.append(lambda g, wl=w.data[l]: wl * g)
-    return ad.Tensor._op((w.data @ flat).reshape(t, d), tuple(parents), tuple(vjps))
+    tuned = [l for l, h in enumerate(layers) if isinstance(h, ad.Tensor)]
+    return ad.Tensor._op((w.data @ flat).reshape(t, d), (w, *(layers[l] for l in tuned)),
+                         lambda g: ((g.reshape(1, -1) @ flat.T).ravel(), *(w.data[l] * g for l in tuned)))
 
 
 def export_weights(weights) -> list:

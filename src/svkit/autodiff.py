@@ -1,14 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Eager tensors: every operation computes its value immediately and records it
-through ``Tensor._op``, with its parents and one vector-Jacobian product (VJP)
-per parent: the function that turns the output's gradient into that parent's.
-``Tensor.backward()`` walks the recorded graph in reverse topological order
-and, for each parent on a path to a ``requires_grad`` leaf, runs that parent's
-VJP, sums the result down to the parent's shape where numpy broadcasting
-widened it, and accumulates it into the parent's ``.grad``. A parent that
-needs no gradient never has its VJP run. The walk frees the graph as it goes:
-once a node's VJPs have run it drops its gradient, parents and VJPs, so only
+through ``Tensor._op``, with its parents and one vector-Jacobian product (VJP):
+the function that maps the output's gradient to a tuple of one gradient per
+parent, ``None`` for a parent whose gradient it does not compute.
+``Tensor.backward()`` walks the recorded graph in reverse topological order,
+runs each node's VJP once, and for each parent on a path to a
+``requires_grad`` leaf sums its gradient down to the parent's shape where
+numpy broadcasting widened it and accumulates it into the parent's ``.grad``.
+Work a constant parent alone would need (the input gradient of a matmul,
+``linear`` or ``conv1d``) is skipped. The walk frees the graph as it goes:
+once a node's VJP has run it drops its gradient, parents and VJP, so only
 leaves (tensors no op recorded, such as parameters) keep ``.grad``, and a
 released graph cannot be backpropagated again.
 
@@ -26,15 +28,14 @@ those of the composition it replaces to the byte:
   closed-form backward).
 
 ``conv1d`` and ``res2`` share one tap table per (length, kernel, dilation),
-cached, and one input-gradient scatter. A ReLU's mask is built in its VJP,
-so a forward without backward never pays for it. Everything higher-level is
-composed from these.
+cached, and one input-gradient scatter. A ReLU's or a clip's mask is built
+in its VJP, so a forward without backward never pays for it. Everything
+higher-level is composed from these.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -49,11 +50,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _same(g):
-    return g
-
-
-# the `_backward` of a node whose VJPs have run and whose graph `backward` has dropped
+# the `_backward` of a node whose VJP has run and whose graph `backward` has dropped
 _RELEASED = object()
 
 
@@ -91,8 +88,9 @@ class Tensor:
     # -- graph plumbing ----------------------------------------------------
 
     @staticmethod
-    def _op(data: np.ndarray, parents: tuple, vjps: tuple) -> "Tensor":
-        """Record a node: its value and one VJP per parent. A node none of
+    def _op(data: np.ndarray, parents: tuple, vjp) -> "Tensor":
+        """Record a node: its value, its parents and its VJP, which maps the node's
+        gradient to a tuple of one gradient (or `None`) per parent. A node none of
         whose parents needs a gradient is a constant and records no graph."""
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -104,7 +102,7 @@ class Tensor:
                 break
         if out.requires_grad:
             out._parents = parents
-            out._backward = vjps
+            out._backward = vjp
         else:
             out._parents = ()
             out._backward = None
@@ -113,12 +111,13 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf, releasing the graph.
 
-        Each interior node drops its gradient, parents and VJPs as soon as its
-        VJPs have run, so only leaves (tensors no op recorded) keep `.grad`, and
+        Each interior node drops its gradient, parents and VJP as soon as its
+        VJP has run, so only leaves (tensors no op recorded) keep `.grad`, and
         the graph's memory is freed during the walk rather than when the caller
         drops the loss. A released graph cannot be backpropagated again: a
         second `backward()` on the same loss, or on a loss that shares a
-        released node, raises ValueError before any gradient changes.
+        released node, raises ValueError before any gradient changes. A VJP
+        that returns other than one gradient per parent raises ValueError too.
         """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar")
@@ -150,15 +149,14 @@ class Tensor:
             node = topo.pop()
             if node._backward is None:  # a leaf keeps its gradient
                 continue
-            for parent, vjp in zip(node._parents, node._backward):
-                if not parent.requires_grad:
+            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                if grad is None or not parent.requires_grad:
                     continue
-                grad = vjp(node.grad)
                 if grad.shape != parent.data.shape:
                     grad = _unbroadcast(grad, parent.data.shape)
                 if parent.grad is None:
                     # a fresh result is the parent's alone; a view, or the node's own gradient
-                    # (from `_same`), still aliases another array and is copied
+                    # passed through, still aliases another array and is copied
                     parent.grad = grad if grad.base is None and grad is not node.grad else grad.copy()
                 else:
                     parent.grad += grad
@@ -174,47 +172,47 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, Tensor._coerce(other)
-        return Tensor._op(a.data + b.data, (a, b), (_same, _same))
+        return Tensor._op(a.data + b.data, (a, b), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor._op(-self.data, (self,), (np.negative,))
+        return Tensor._op(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         a, b = self, Tensor._coerce(other)
-        return Tensor._op(a.data - b.data, (a, b), (_same, np.negative))
+        return Tensor._op(a.data - b.data, (a, b), lambda g: (g, -g))
 
     def __rsub__(self, other):
         return Tensor._coerce(other) - self
 
     def __mul__(self, other):
         a, b = self, Tensor._coerce(other)
-        return Tensor._op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+        return Tensor._op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, Tensor._coerce(other)
-        return Tensor._op(a.data / b.data, (a, b),
-                          (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
+        return Tensor._op(a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
     def __matmul__(self, other):
         a, b = self, Tensor._coerce(other)
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul supports 2-D operands only")
-        return Tensor._op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+        return Tensor._op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T if a.requires_grad else None,
+                                                              a.data.T @ g if b.requires_grad else None))
 
     # -- shapes ----------------------------------------------------------------
 
     def reshape(self, *shape):
         orig = self.data.shape
-        return Tensor._op(self.data.reshape(shape), (self,), (lambda g: g.reshape(orig),))
+        return Tensor._op(self.data.reshape(shape), (self,), lambda g: (g.reshape(orig),))
 
     def transpose(self):
         if self.data.ndim != 2:
             raise ValueError("transpose supports 2-D tensors only")
-        return Tensor._op(self.data.T.copy(), (self,), (np.transpose,))
+        return Tensor._op(self.data.T.copy(), (self,), lambda g: (g.T,))
 
     def __getitem__(self, key):
         # integer and slice keys only: `full[key] += g` would drop repeated array indices
@@ -226,10 +224,10 @@ class Tensor:
         def vjp(g):
             full = np.zeros_like(a.data)
             full[key] += g
-            return full
+            return (full,)
 
         # one element is a 0-d array (`ascontiguousarray` would make it 1-d); a slice is made contiguous
-        return Tensor._op(np.ascontiguousarray(data) if np.ndim(data) else np.array(data), (a,), (vjp,))
+        return Tensor._op(np.ascontiguousarray(data) if np.ndim(data) else np.array(data), (a,), vjp)
 
     # -- reductions --------------------------------------------------------------
 
@@ -237,7 +235,7 @@ class Tensor:
         shape = self.data.shape
         keep = keepdims or axis is None  # the gradient already broadcasts against `shape`
         return Tensor._op(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), (self,),
-                          (lambda g: np.broadcast_to(g if keep else np.expand_dims(g, axis), shape),))
+                          lambda g: (np.broadcast_to(g if keep else np.expand_dims(g, axis), shape),))
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -247,48 +245,50 @@ class Tensor:
 
     def exp(self):
         data = np.exp(self.data)
-        return Tensor._op(data, (self,), (lambda g: g * data,))
+        return Tensor._op(data, (self,), lambda g: (g * data,))
 
     def log(self):
         a = self
-        return Tensor._op(np.log(a.data), (a,), (lambda g: g / a.data,))
+        return Tensor._op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def sqrt(self):
         data = np.sqrt(self.data)
-        return Tensor._op(data, (self,), (lambda g: g * 0.5 / data,))
+        return Tensor._op(data, (self,), lambda g: (g * 0.5 / data,))
 
     def tanh(self):
         data = np.tanh(self.data)
-        return Tensor._op(data, (self,), (lambda g: g * (1.0 - data * data),))
+        return Tensor._op(data, (self,), lambda g: (g * (1.0 - data * data),))
 
     def sigmoid(self):
         z = np.exp(-np.abs(self.data))
         data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return Tensor._op(data, (self,), (lambda g: g * data * (1.0 - data),))
+        return Tensor._op(data, (self,), lambda g: (g * data * (1.0 - data),))
 
     def relu(self):
         a = self
-        return Tensor._op(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0),))
+        return Tensor._op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
     def clip(self, lo=None, hi=None):
-        mask = np.ones_like(self.data)
-        if lo is not None:
-            mask *= self.data >= lo
-        if hi is not None:
-            mask *= self.data <= hi
-        return Tensor._op(np.clip(self.data, lo, hi), (self,), (lambda g: g * mask,))
+        a = self
+
+        def vjp(g):
+            keep = True
+            if lo is not None:
+                keep = a.data >= lo
+            if hi is not None:
+                keep = keep & (a.data <= hi)
+            return (g * keep,)
+
+        return Tensor._op(np.clip(a.data, lo, hi), (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = tuple(Tensor._coerce(t) for t in tensors)
     data = np.concatenate([t.data for t in ts], axis=axis)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
-    vjps = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * data.ndim
-        idx[axis] = slice(lo, hi)
-        vjps.append(itemgetter(tuple(idx)))  # bound now: each part reads its own slice
-    return Tensor._op(data, ts, tuple(vjps))
+    lead = (slice(None),) * (axis % data.ndim)
+    parts = [lead + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return Tensor._op(data, ts, lambda g: tuple(g[part] for part in parts))
 
 
 @lru_cache(maxsize=16)  # an utterance length takes four (ECAPA's stem and three dilations)
@@ -324,30 +324,23 @@ def _scatter_taps(gp: np.ndarray, taps: tuple) -> np.ndarray:
     return full
 
 
-def _relu_vjp(data: np.ndarray):
-    """The VJP of a ReLU whose output is `data`: `g * (data > 0)`, the mask built in the
-    VJP, so a forward without backward never pays for it, and once per incoming gradient,
-    so every VJP of a fused node shares it."""
-    last = [None, None]
-
-    def vjp(g):
-        if last[0] is not g:
-            last[0], last[1] = g, g * (data > 0)
-        return last[1]
-
-    return vjp
-
-
-def _affine(a: np.ndarray, x: Tensor, w: Tensor, b: Tensor, relu: bool, to_x) -> Tensor:
+def _affine(a: np.ndarray, x: Tensor, w: Tensor, b: Tensor, relu: bool, to_x=None) -> Tensor:
     """One node for `a @ w + b`, ReLU'd if `relu`, with parents (x, w, b): `a` is `x`'s
-    data or patches read from it, and `to_x` maps the gradient of `a` to `x`'s."""
+    data or patches read from it, and `to_x`, if given, maps the gradient of `a` to `x`'s.
+    The ReLU's mask is built in the VJP, and a constant `x` or `w` gets no product."""
     data = a @ w.data + b.data
     if relu:
         np.maximum(data, 0.0, out=data)
-        gy = _relu_vjp(data)
-    else:
-        gy = _same
-    return Tensor._op(data, (x, w, b), (lambda g: to_x(gy(g) @ w.data.T), lambda g: a.T @ gy(g), gy))
+
+    def vjp(g):
+        if relu:
+            g = g * (data > 0)
+        gx = None
+        if x.requires_grad:
+            gx = g @ w.data.T if to_x is None else to_x(g @ w.data.T)
+        return gx, a.T @ g if w.requires_grad else None, g
+
+    return Tensor._op(data, (x, w, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -356,7 +349,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     x, w, b = (Tensor._coerce(v) for v in (x, w, b))
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError("linear supports 2-D operands only")
-    return _affine(x.data, x, w, b, relu, _same)
+    return _affine(x.data, x, w, b, relu)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, kernel: int, dilation: int = 1, relu: bool = False) -> Tensor:
@@ -382,7 +375,7 @@ def res2(x: Tensor, ws, bs, dilation: int) -> Tensor:
     passes through; group i >= 1 adds the previous group's output and runs a 3-tap
     `conv1d` at `dilation` with `ws[i-1]` (3 * width, width) and `bs[i-1]` (width,).
     The values are those of the same conv built from slices, `+`, `conv1d` and `concat`,
-    to the byte. The VJPs share one reverse sweep over the groups per incoming gradient.
+    to the byte. Its VJP is one reverse sweep over the groups.
     """
     x = Tensor._coerce(x)
     ws, bs = tuple(Tensor._coerce(v) for v in ws), tuple(Tensor._coerce(v) for v in bs)
@@ -399,13 +392,10 @@ def res2(x: Tensor, ws, bs, dilation: int) -> Tensor:
     for j, (w, b) in enumerate(zip(ws, bs)):
         patches.append((x.data[:, groups[j + 1]] + prev)[taps[1]].reshape(t, 3 * width))
         data[:, groups[j + 1]] = prev = patches[j] @ w.data + b.data
-    last = [None, None]
 
     def sweep(g):
-        """(gx, gws, gbs) for the output gradient `g`. Conv j's input gradient also
+        """(gx, *gws, *gbs) for the output gradient `g`. Conv j's input gradient also
         reaches the output of conv j - 1 (group 0 for j = 0), so the convs run last to first."""
-        if last[0] is g:
-            return last[1]
         gx = np.zeros_like(x.data)
         gws, gbs = [None] * len(ws), [None] * len(ws)
         gh = None
@@ -416,13 +406,9 @@ def res2(x: Tensor, ws, bs, dilation: int) -> Tensor:
             gh = _scatter_taps((go @ ws[j].data.T).reshape(t, 3, width), taps)
             gx[:, groups[j + 1]] += gh
         gx[:, groups[0]] += g[:, groups[0]] if gh is None else g[:, groups[0]] + gh
-        last[0], last[1] = g, (gx, gws, gbs)
-        return last[1]
+        return (gx, *gws, *gbs)
 
-    vjps = [lambda g: sweep(g)[0]]
-    vjps += [lambda g, j=j: sweep(g)[1][j] for j in range(len(ws))]
-    vjps += [lambda g, j=j: sweep(g)[2][j] for j in range(len(ws))]
-    return Tensor._op(data, (x, *ws, *bs), tuple(vjps))
+    return Tensor._op(data, (x, *ws, *bs), sweep)
 
 
 def frame_norm(x: Tensor, g: Tensor, c: Tensor, eps: float) -> Tensor:
@@ -447,13 +433,13 @@ def frame_norm(x: Tensor, g: Tensor, c: Tensor, eps: float) -> Tensor:
     y = xhat * g.data
     y += c.data
 
-    def vjp_x(gy):
+    def vjp(gy):
         gx = gy * g.data
-        return (gx - gx.sum(axis=1, keepdims=True) * inv_n
-                - xhat * ((gx * xhat).sum(axis=1, keepdims=True) * inv_n)) / s
+        gx = (gx - gx.sum(axis=1, keepdims=True) * inv_n
+              - xhat * ((gx * xhat).sum(axis=1, keepdims=True) * inv_n)) / s
+        return gx, (gy * xhat).sum(axis=0), gy.sum(axis=0)
 
-    return Tensor._op(y, (x, g, c),
-                      (vjp_x, lambda gy: (gy * xhat).sum(axis=0), lambda gy: gy.sum(axis=0)))
+    return Tensor._op(y, (x, g, c), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

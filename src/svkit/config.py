@@ -48,8 +48,11 @@ class RunConfig:
 
 
 def _parse_value(dotted: str, text: str, default):
-    """Parse text as the default's type: int, float or str, or a tuple of exactly as many values as the default."""
+    """Parse text as the default's type: int, float or str, or a tuple of exactly as many values as the default.
+    Text is one line, as a config file holds it: `dump_config` writes it back verbatim."""
     text = text.strip()
+    if isinstance(default, str) and len(text.splitlines()) > 1:
+        raise ConfigError(f"{dotted}: expected one line of text, got {text!r}")
     many = isinstance(default, tuple)
     defaults, parts = (default, text.split(",")) if many else ((default,), [text])
     try:

@@ -182,9 +182,9 @@ def _smooth(x: ad.Tensor) -> ad.Tensor:
         gx[1:] += g3[:-1]  # frame j + 1 was frame j's `nxt`
         gx[0] += g3[0]
         gx[-1] += g3[-1]
-        return gx
+        return (gx,)
 
-    return ad.Tensor._op((prev + a + nxt) * (1.0 / 3), (x,), (vjp,))
+    return ad.Tensor._op((prev + a + nxt) * (1.0 / 3), (x,), vjp)
 
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:

@@ -126,7 +126,7 @@ def _calibration(rng):
     def make_loss():
         # the objective and gradient that scoring.fit_calibration descends, as one node
         value, grad = scoring._bce_value_grad(theta.data, x, y)
-        return Tensor._op(np.asarray(value), (theta,), (lambda g: g * grad,))
+        return Tensor._op(np.asarray(value), (theta,), lambda g: (g * grad,))
 
     return make_loss, {"theta": theta}
 

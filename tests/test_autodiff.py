@@ -47,16 +47,16 @@ OP_CASES = [
     ("div", lambda t: t / (t * t + 2.0)),
     ("softmax", lambda t: ad.softmax(t, axis=1) * np.arange(12.0).reshape(4, 3)),
     ("logsumexp", lambda t: ad.logsumexp(t, axis=1)),
-    # dilation 2 on T=4: taps clip at both edges; w and b are built from t, so all three VJPs are checked
+    # dilation 2 on T=4: taps clip at both edges; w and b are built from t, so all three gradients are checked
     ("conv1d", lambda t: ad.conv1d(t, ad.concat([t[:3], t[1:], t[:3] * t[1:]]), t[3], 3, 2).tanh()),
     ("conv1d_relu", lambda t: ad.conv1d(t, ad.concat([t[:3], t[1:], t[:3] * t[1:]]), t[3], 3, 2, relu=True).tanh()),
-    # w and b are built from t, so the x, w and b VJPs are all checked
+    # w and b are built from t, so the x, w and b gradients are all checked
     ("linear", lambda t: ad.linear(t, t[1:] * t[:3], t[0]).tanh()),
     ("linear_relu", lambda t: ad.linear(t, t[1:] * t[:3], t[0], relu=True).tanh()),
     # three groups of width 2 at dilation 2 on T=4: taps clip at both edges; x, ws and bs are built from t
     ("res2", lambda t: ad.res2(ad.concat([t, t.tanh()], axis=1), [t.reshape(6, 2), (t * t).reshape(6, 2)],
                                [t[0, :2], t[1, 1:]], 2).tanh()),
-    # g and c are built from t, so the x, g and c VJPs are all checked
+    # g and c are built from t, so the x, g and c gradients are all checked
     ("frame_norm", lambda t: ad.frame_norm(t, t[0] * t[1], t[2], 1e-5) * W),
     ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),
     ("rsub", lambda t: 1.0 - t * t),
@@ -129,9 +129,9 @@ def time_patches(x: Tensor, width: int, dilation: int = 1) -> Tensor:
     def vjp(g):
         full = np.zeros_like(x.data)
         np.add.at(full, idx, g)
-        return full
+        return (full,)
 
-    return Tensor._op(x.data[idx], (x,), (vjp,))
+    return Tensor._op(x.data[idx], (x,), vjp)
 
 
 def test_conv1d_replicate_padding():
@@ -228,7 +228,7 @@ def test_integer_index_to_one_element_is_0_d():
 
 def retaining_backward(root: Tensor):
     """`Tensor.backward` before it released the graph: every node keeps its `.grad`,
-    parents and VJPs until the caller drops it. The reference the releasing backward
+    parents and VJP until the caller drops it. The reference the releasing backward
     is checked against."""
     topo = []
     seen = {id(root)}
@@ -250,10 +250,9 @@ def retaining_backward(root: Tensor):
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
-        for parent, vjp in zip(node._parents, node._backward):
-            if not parent.requires_grad:
+        for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+            if grad is None or not parent.requires_grad:
                 continue
-            grad = vjp(node.grad)
             if grad.shape != parent.data.shape:
                 grad = ad._unbroadcast(grad, parent.data.shape)
             if parent.grad is None:
@@ -342,15 +341,45 @@ def test_every_op_has_a_finite_difference_case(monkeypatch):
     assert sorted(set(methods + functions) - exercised) == []
 
 
-def test_backward_never_runs_the_vjp_of_a_parent_that_needs_no_gradient():
-    ran = []
+def test_a_constant_parent_gets_no_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.full(3, 2.0))
-    out = Tensor._op(x.data * c.data, (x, c),
-                     (lambda g: ran.append("x") or g * c.data, lambda g: ran.append("c") or g * x.data))
-    out.sum().backward()
-    assert ran == ["x"] and c.grad is None
-    np.testing.assert_array_equal(x.grad, c.data)
+    # the VJP computes c's gradient too; `backward` drops it
+    out = Tensor._op(x.data * c.data, (x, c), lambda g: (g * c.data, g * x.data))
+    (out.sum() + (x * c).sum()).backward()
+    assert c.grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * c.data)
+
+
+@pytest.mark.parametrize("op", ["linear", "conv1d", "matmul"])
+def test_a_constant_input_gets_no_input_gradient_computed(monkeypatch, op):
+    rng = np.random.default_rng(5)
+    scatters = []
+    scatter = ad._scatter_taps
+    monkeypatch.setattr(ad, "_scatter_taps", lambda *args: scatters.append(1) or scatter(*args))
+    build = {"linear": lambda x, w, b: ad.linear(x, w, b, relu=True),
+             "conv1d": lambda x, w, b: ad.conv1d(x, w, b, 3, 2, relu=True),
+             "matmul": lambda x, w, b: x @ w + b}[op]
+    w_rows = 3 * 4 if op == "conv1d" else 4
+    for x_needs_grad in (False, True):
+        x = Tensor(rng.standard_normal((6, 4)), requires_grad=x_needs_grad)
+        w = Tensor(rng.standard_normal((w_rows, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        out = build(x, w, b)
+        node = out._parents[0] if op == "matmul" else out
+        gx, gw = node._backward(rng.standard_normal(node.shape))[:2]
+        assert (gx is None) != x_needs_grad and gw is not None
+        scatters.clear()
+        (out * rng.standard_normal(out.shape)).sum().backward()
+        assert (x.grad is None) != x_needs_grad and w.grad is not None and b.grad is not None
+        assert len(scatters) == (op == "conv1d" and x_needs_grad)
+
+
+def test_a_vjp_with_the_wrong_number_of_gradients_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    for vjp in (lambda g: (g, g), lambda g: ()):
+        with pytest.raises(ValueError):
+            Tensor._op(x.data * 2.0, (x,), vjp).sum().backward()
 
 
 def test_ndarray_on_the_left_reaches_the_reflected_op():

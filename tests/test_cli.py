@@ -1,10 +1,15 @@
 """Command-line surface tests: one full pipeline walk plus error-code contracts."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svkit
 from svkit.cli import main
 from svkit.errors import ConfigError, DataError, FormatError, ToolkitError
 
@@ -116,6 +121,40 @@ def test_full_pipeline(workspace, capsys):
     assert summary["rows"] == "4"
     lines = (root / "weights.csv").read_text().splitlines()
     assert lines[0] == "layer,weight" and len(lines) == 5
+
+
+# synth-data -> train (all three stages) -> embed -> score, in one interpreter
+SEEDED_RUN = """
+import sys
+from svkit.cli import main
+root, cfg = sys.argv[1:]
+for argv in (["synth-data", "--out-dir", f"{root}/data", "--speakers", "3", "--utts", "4", "--seconds", "1"],
+             ["train", "--manifest", f"{root}/data/train.tsv", "--out-dir", f"{root}/run"],
+             ["embed", "--checkpoint", f"{root}/run/checkpoint.svck",
+              "--manifest", f"{root}/data/heldout.tsv", "--out", f"{root}/held.sveb"],
+             ["score", "--trials", f"{root}/data/trials.txt", "--embeddings", f"{root}/held.sveb",
+              "--out", f"{root}/scores.txt"]):
+    if main(["--deterministic", "--config", cfg, *argv]):
+        sys.exit(1)
+"""
+
+
+def test_a_seeded_run_gives_the_same_bytes_in_fresh_processes(tmp_path):
+    # the hash salt orders sets and dicts of strings; the BLAS thread count can change summation order
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG + "schedule.stage1_epochs = 2\nschedule.stage2_epochs = 1\n"
+                   "schedule.lmft_epochs = 1\nschedule.lmft_crop_seconds = 1.0\nschedule.batch_size = 4\n")
+    outputs = []
+    for salt, threads in (("1", "1"), ("2", "2")):
+        root = tmp_path / f"salt{salt}"
+        env = dict(os.environ, PYTHONHASHSEED=salt, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(svkit.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SEEDED_RUN, str(root), str(cfg)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(root / name).read_bytes() for name in ("run/checkpoint.svck", "held.sveb", "scores.txt")])
+    assert outputs[0] == outputs[1]
 
 
 def test_fbank_writes_exactly_the_out_path(tmp_path, capsys):

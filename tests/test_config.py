@@ -161,6 +161,22 @@ def test_roundtrip_of_paths_holding_equals_and_hash(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize("key", ["paths.noise_dir", "paths.rir_dir"])
+@pytest.mark.parametrize("brk", ["\n", "\x85"])
+def test_a_text_setting_refuses_a_line_break(capsys, key, brk):
+    # the dump of such a value would read back as two lines, the second setting `seed`
+    value = f"a{brk}seed = 7"
+    message = f"{key}: expected one line of text, got {value!r}"
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=[(key, value)])
+    assert str(info.value) == message
+    assert main(["--set", f"{key}={value}", "eval", "--scores", "s.txt", "--trials", "t.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    # a break at either end is stripped with the rest of the surrounding space
+    assert getattr(load_config(overrides=[(key, f"{brk}a b{brk}")]).paths, key[6:]) == "a b"
+
+
 CONFIG_REFUSALS = [
     ("schedule.lr_stage1", "abc", "schedule.lr_stage1: expected a number, got 'abc'"),
     # the count is checked against the default's before the section's own check unpacks the tuple
@@ -184,7 +200,7 @@ def test_refusal_message_from_an_override_and_a_file(tmp_path, key, value, messa
 
 def every_key_refusal():
     """(key, value, message): a value that does not parse for every numeric setting, one too few and one too many
-    for every tuple setting. The `paths.*` settings take any text."""
+    for every tuple setting. The `paths.*` settings take any one line of text."""
     cases = []
     for line in dump_config(RunConfig()).splitlines():
         key, default = line.split(" = ")
