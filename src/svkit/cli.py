@@ -179,10 +179,9 @@ def _cmd_upstream_export(args, cfg: RunConfig):
     if any(single.values()) and any(many.values()):  # one mode, refused before anything is written
         given = ", ".join(f"--{key}" for key, value in {**single, **many}.items() if value)
         raise ConfigError(f"upstream-export takes one mode, --wav with --out or --manifest with --out-dir; got {given}")
-    upstream = MockUpstream(cfg.upstream)
     if any(single.values()):
         wav, out = _require(args.wav, "wav"), _require(args.out, "out")
-        stack = upstream.stack(read_wav(wav), wav)
+        stack = MockUpstream(cfg.upstream).stack(read_wav(wav), wav)
         save_stack(stack, out)
         return list(zip(("layers", "frames", "dim"), stack.layers.shape))
     manifest_path = _require(args.manifest, "manifest")
@@ -193,7 +192,7 @@ def _cmd_upstream_export(args, cfg: RunConfig):
         if Path(rel).name != rel or "\0" in rel:
             raise FormatError(f"{manifest_path}: utt_id {row.utt_id!r} does not make a plain file name; "
                               "stacks are written only inside --out-dir")
-    rows = []
+    upstream, rows = MockUpstream(cfg.upstream), []  # drawn once the flags and names are accepted
     for row in manifest.rows:
         path = manifest.resolve(row)
         stack = upstream.stack(read_wav(path), f"{row.utt_id} ({path})")

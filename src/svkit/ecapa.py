@@ -202,11 +202,16 @@ def embed(features, params: dict, cfg: EcapaConfig) -> np.ndarray:
 _SVCK_MAGIC = b"SVCK"
 
 
+def float32_tensors(tensors: dict) -> dict:
+    """Named tensors or arrays as the float32 arrays SVCK stores, sorted by name; a non-finite one is a DataError."""
+    w = Writer(_SVCK_MAGIC, "checkpoint")
+    return {k: w.float32(v.data if isinstance(v, Tensor) else v, [f"tensor {k}"]) for k, v in sorted(tensors.items())}
+
+
 def save_checkpoint(tensors: dict, path):
     """Write named tensors sorted by name: SVCK, version, then records; nothing if one is not finite in float32."""
     w = Writer(_SVCK_MAGIC, "checkpoint")
-    for name, data in sorted(tensors.items()):
-        arr = w.float32(data.data if isinstance(data, Tensor) else data, [f"tensor {name}"])
+    for name, arr in float32_tensors(tensors).items():
         w.text(name, "tensor name")
         w.pack(f"B{arr.ndim}I", arr.ndim, *arr.shape, what=f"rank/dims of tensor {name}")
         w.array(arr)

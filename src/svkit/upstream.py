@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,20 +87,15 @@ def param_shapes(cfg: MockUpstreamConfig) -> dict:
 class MockUpstream:
     """Seeded random encoder: strided conv stack then tanh mixing layers.
 
-    Parameters are fixed by the seed (or given) and held as frozen float64
-    tensors, built on first use, so a run that never runs the mock draws none.
-    `as_tensors` makes them trainable for the joint fine-tuning stage.
-    Forward passes are pure.
+    Parameters are fixed by the seed (or given, as arrays or as the tensors a
+    `training.Model` trains) and held as float64 tensors. Forward passes are
+    pure.
     """
 
     def __init__(self, cfg: MockUpstreamConfig, params: dict = {}):
         self.cfg = cfg
-        self._given = params
-
-    @cached_property
-    def params(self) -> dict:
-        arrays = self._given or self._init_params(self.cfg)
-        return {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
+        self.params = {k: v if isinstance(v, ad.Tensor) else ad.Tensor(np.asarray(v, dtype=np.float64))
+                       for k, v in (params or self._init_params(cfg)).items()}
 
     @staticmethod
     def _init_params(cfg: MockUpstreamConfig) -> dict:
@@ -152,15 +146,6 @@ class MockUpstream:
             x = _smooth(ad.linear(x, p[f"mix{l}.w"], p[f"mix{l}.b"]).tanh())
             layers.append(x)
         return layers
-
-    def as_tensors(self) -> dict:
-        """Mark the parameters trainable; returns them."""
-        for p in self.params.values():
-            p.requires_grad = True
-        return self.params
-
-    def param_arrays(self) -> dict:
-        return {name: p.data.copy() for name, p in self.params.items()}
 
 
 def _smooth(x: ad.Tensor) -> ad.Tensor:

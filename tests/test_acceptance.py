@@ -168,15 +168,18 @@ def test_criterion_4_freeze_contract(tmp_path):
     ec_cfg = EcapaConfig(in_dim=12, channels=16, res2_scale=8, dilations=(2, 3, 4),
                          se_bottleneck=8, attention_channels=8, embed_dim=12)
 
+    def upstream_tensors(result):
+        return {k: v for k, v in result.checkpoint_tensors().items() if k.startswith("upstream.")}
+
     init_path = tmp_path / "init.svck"
-    save_checkpoint(MockUpstream(up_cfg).params, init_path)
+    save_checkpoint({f"upstream.{k}": p for k, p in MockUpstream(up_cfg).params.items()}, init_path)
 
     stage1 = train(corpus.train,
                    TrainSchedule(stage1_epochs=1, stage2_epochs=0, lmft_epochs=0,
                                  crop_seconds=1.0, batch_size=8, lr_stage1=1e-3),
                    upstream_cfg=up_cfg, ecapa_cfg=ec_cfg, seed=1)
     s1_path = tmp_path / "s1.svck"
-    save_checkpoint(stage1.upstream, s1_path)
+    save_checkpoint(upstream_tensors(stage1), s1_path)
     frozen = init_path.read_bytes() == s1_path.read_bytes()
 
     stage2 = train(corpus.train,
@@ -184,7 +187,7 @@ def test_criterion_4_freeze_contract(tmp_path):
                                  crop_seconds=1.0, batch_size=8, lr_stage1=1e-3, lr_stage2=1e-3),
                    upstream_cfg=up_cfg, ecapa_cfg=ec_cfg, seed=1)
     s2_path = tmp_path / "s2.svck"
-    save_checkpoint(stage2.upstream, s2_path)
+    save_checkpoint(upstream_tensors(stage2), s2_path)
     changed = init_path.read_bytes() != s2_path.read_bytes()
 
     elapsed = time.time() - start
@@ -220,8 +223,8 @@ def test_criterion_6_one_hot_reduction(desk_run):
     one_hot = np.full(DESK_UPSTREAM.n_layers + 1, -40.0)
     one_hot[DESK_PLANT.layer] = 40.0
     result = desk_run["result"]
-    system = System(DESK_UPSTREAM, DESK_ECAPA, result.ecapa, one_hot,
-                    upstream_params=result.upstream, plant=DESK_PLANT)
+    system = System.from_checkpoint({**result.checkpoint_tensors(), "agg.logits": one_hot},
+                                    DESK_UPSTREAM, DESK_ECAPA, plant=DESK_PLANT)
     store = extract_embeddings(system, desk_run["corpus"].heldout)
     onehot_eer, _ = eer(score_trials(desk_run["corpus"].trials, store), desk_run["labels"])
     diff = abs(onehot_eer - learned_eer)

@@ -157,6 +157,47 @@ def test_a_seeded_run_gives_the_same_bytes_in_fresh_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_embed_of_a_saved_result_writes_the_in_memory_systems_bytes(workspace, capsys, tmp_path):
+    # training returns the float32 form its checkpoint reloads to: `svkit embed` of the saved result
+    # reproduces the store of the in-memory system that the acceptance suite and the benchmark score
+    from svkit.config import load_config
+    from svkit.ecapa import save_checkpoint
+    from svkit.pipeline import System, extract_embeddings
+    from svkit.scoring import save_embeddings
+    from svkit.training import train
+    from svkit.upstream import load_manifest
+
+    root, cfg_path = workspace
+    cfg, heldout = load_config(cfg_path), root / "data" / "heldout.tsv"
+    result = train(load_manifest(root / "data" / "train.tsv"), cfg.schedule, upstream_cfg=cfg.upstream,
+                   ecapa_cfg=cfg.ecapa, aam=cfg.aam, plant=cfg.plant, seed=cfg.seed)
+    save_checkpoint(result.checkpoint_tensors(), tmp_path / "c.svck")
+    system = System.from_result(result, cfg.upstream, cfg.ecapa, plant=cfg.plant)
+    save_embeddings(extract_embeddings(system, load_manifest(heldout)), tmp_path / "memory.sveb")
+    run_ok(capsys, ["--config", cfg_path, "embed", "--checkpoint", str(tmp_path / "c.svck"),
+                    "--manifest", str(heldout), "--out", str(tmp_path / "cli.sveb")])
+    assert (tmp_path / "cli.sveb").read_bytes() == (tmp_path / "memory.sveb").read_bytes()
+
+
+def test_embed_refuses_the_dims_train_refuses(workspace, capsys, tmp_path, monkeypatch):
+    # an import-only checkpoint holds no upstream tensor whose shape shows a changed upstream dim:
+    # embed applies train's rule, before it reads a row and with no store written
+    import svkit.pipeline as pipeline_mod
+
+    root, cfg = workspace
+    stacks, run_dir = tmp_path / "stacks", tmp_path / "run"
+    run_ok(capsys, ["--config", cfg, "upstream-export", "--manifest", str(root / "data" / "train.tsv"),
+                    "--out-dir", str(stacks)])
+    run_ok(capsys, ["--config", cfg, "train", "--manifest", str(stacks / "manifest.tsv"), "--out-dir", str(run_dir)])
+    monkeypatch.setattr(pipeline_mod, "load_stack", lambda path: pytest.fail(f"embed read {path}"))
+    for argv in (["train", "--manifest", str(stacks / "manifest.tsv"), "--out-dir", str(tmp_path / "run16")],
+                 ["embed", "--checkpoint", str(run_dir / "checkpoint.svck"), "--manifest", str(stacks / "manifest.tsv"),
+                  "--out", str(tmp_path / "e.sveb")]):
+        code = main(["--config", cfg, "--set", "upstream.dim=16"] + argv)
+        assert (code, capsys.readouterr().err) == (2, "error: ecapa.in_dim must equal the upstream dim\n"), argv[0]
+    assert not (tmp_path / "e.sveb").exists()
+
+
 def test_fbank_writes_exactly_the_out_path(tmp_path, capsys):
     # np.save given a name without ".npy" appends it; the command writes the path it is given
     from svkit.audio import Waveform, write_wav
@@ -658,20 +699,22 @@ def test_upstream_export_builds_the_mock_once(workspace, capsys, tmp_path, monke
 def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys, tmp_path, monkeypatch, command):
     from svkit.audio import Waveform, write_wav
     from svkit.config import load_config
-    from svkit.ecapa import init_params, save_checkpoint
+    from svkit.ecapa import save_checkpoint
+    from svkit.training import Model
     from svkit.upstream import MockUpstream
 
     _, cfg_path = workspace
     cfg = load_config(cfg_path)
-    up = MockUpstream(cfg.upstream).param_arrays()
-    up["conv0.w"] = np.full_like(up["conv0.w"], 3e38)  # finite in float32; the layer-0 output is not
+    model = Model.init(cfg.upstream, cfg.ecapa, n_classes=1, seed=0)
+    model.upstream  # the drawn mock's tensors join the model's
+    tensors = model.checkpoint_tensors()
+    # finite in float32; the layer-0 output is not
+    tensors["upstream.conv0.w"] = np.full_like(tensors["upstream.conv0.w"], 3e38)
+    up = {k[len("upstream.") :]: v for k, v in tensors.items() if k.startswith("upstream.")}
     wav = tmp_path / "u0.wav"
     write_wav(wav, Waveform(np.random.default_rng(3).uniform(-0.5, 0.5, 8000)))
     (tmp_path / "m.tsv").write_text("u0\ts0\tu0.wav\n")
     if command == "embed":
-        tensors = {f"ecapa.{k}": v for k, v in init_params(cfg.ecapa, seed=0).items()}
-        tensors["agg.logits"] = np.zeros(cfg.upstream.n_layers + 1)
-        tensors.update({f"upstream.{k}": v for k, v in up.items()})
         save_checkpoint(tensors, tmp_path / "c.svck")
         argv = ["embed", "--checkpoint", str(tmp_path / "c.svck"), "--manifest", str(tmp_path / "m.tsv"),
                 "--out", str(tmp_path / "out")]

@@ -375,7 +375,8 @@ def test_tuned_desk_utterance_graph_size_is_pinned():
     params = init_params(DESK, seed=0)
     logits = Tensor(np.zeros(13), requires_grad=True)
     frozen = forward(aggregate_graph(upstream.forward_array(Waveform(samples)), logits), params, DESK)
-    upstream.as_tensors()
+    for p in upstream.params.values():  # tuned, as in stage 2
+        p.requires_grad = True
     tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
     assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [173, 284]
 

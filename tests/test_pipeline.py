@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svkit.ecapa import EcapaConfig, save_checkpoint
-from svkit.errors import FormatError
+from svkit.errors import ConfigError, DataError, FormatError
 from svkit.pipeline import System, extract_embeddings, utterance_durations
 from svkit.synthcorpus import SynthSpec, synth_corpus
 from svkit.training import PlantSpec, TrainSchedule, train
@@ -39,8 +39,8 @@ def test_checkpoint_and_result_paths_agree(trained, tmp_path):
     b = extract_embeddings(restored, corpus.heldout)
     assert set(a) == set(b)
     for k in a:
-        # checkpoint stores float32; agreement is at storage precision
-        np.testing.assert_allclose(a[k], b[k], rtol=1e-4, atol=1e-5)
+        # training returns the float32 form the checkpoint stores: one system, one set of bytes
+        assert a[k].tobytes() == b[k].tobytes(), k
 
 
 def test_from_checkpoint_rejects_mismatched_config(trained, tmp_path):
@@ -56,6 +56,17 @@ def test_from_checkpoint_rejects_mismatched_config(trained, tmp_path):
     no_logits = {k: v for k, v in load_checkpoint(path).items() if k != "agg.logits"}
     with pytest.raises(FormatError, match="agg.logits: checkpoint has no such tensor"):
         System.from_checkpoint(no_logits, UP, EC)
+    with pytest.raises(DataError, match="weight logits contain non-finite values"):
+        System.from_checkpoint({**no_logits, "agg.logits": np.full(UP.n_layers + 1, np.nan)}, UP, EC)
+
+
+def test_from_result_refuses_configs_other_than_the_trained_ones(trained):
+    # the result's model carries its configs; another one, even of the same shapes, would embed differently
+    from dataclasses import replace
+
+    _, result = trained
+    with pytest.raises(ConfigError, match="differ from those the result was trained with"):
+        System.from_result(result, UP, replace(EC, dilations=(1, 1, 1)))
 
 
 def test_from_checkpoint_reads_upstream_shapes_without_building_a_mock(trained, tmp_path, monkeypatch):
@@ -198,7 +209,9 @@ def test_frozen_training_features_equal_embed_features(tmp_path, monkeypatch, pl
                           crop_seconds=1.0, batch_size=len(rows), lr_stage1=1e-3)
     result = train(manifest, sched, upstream_cfg=UP, ecapa_cfg=EC, plant=plant, seed=3)
     logits = seen["train"][0][1]
-    system = System(UP, EC, result.ecapa, logits, upstream_params=result.upstream, plant=plant)
+    # without `upstream.*` the system draws the seeded float64 mock the frozen stage ran, not its float32 form
+    tensors = {k: v for k, v in result.checkpoint_tensors().items() if not k.startswith("upstream.")}
+    system = System.from_checkpoint({**tensors, "agg.logits": logits}, UP, EC, plant=plant)
     embs = extract_embeddings(system, manifest)
     assert all(np.array_equal(rec[1], logits) for rec in seen["train"] + seen["embed"])
     assert sorted((layers, out) for layers, _, out in seen["train"]) == sorted(

@@ -149,3 +149,42 @@ def test_every_svkit_call_in_the_workloads_binds_its_arguments():
         checked.add(dotted)
     assert unbound == []
     assert {"training.train", "scoring.build_cohort", "synthcorpus.SynthSpec", "ecapa.EcapaConfig"} <= checked
+
+
+def train_result_attrs(tree):
+    """Attribute names read off `training.train`'s return value: on the name it is bound to, and on the
+    parameter of each `self.<method>` of the same class it is passed to by position."""
+    uses = {id(node): dotted for dotted, _, node in svkit_uses(tree)}
+    found = set()
+
+    def reads(func, name, methods):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name:
+                found.add(node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in methods:
+                callee = methods[node.func.attr]
+                for i, arg in enumerate(node.args, 1):  # parameter 0 is `self`
+                    if isinstance(arg, ast.Name) and arg.id == name:
+                        reads(callee, callee.args.args[i].arg, methods)
+
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        defs = [f for f in scope.body if isinstance(f, ast.FunctionDef)]
+        methods = {f.name: f for f in defs} if isinstance(scope, ast.ClassDef) else {}
+        for func in defs:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                        and uses.get(id(node.value.func)) == "training.train":
+                    reads(func, node.targets[0].id, methods)
+    return found
+
+
+def test_every_train_result_attribute_the_workloads_read_resolves(tmp_path):
+    attrs = train_result_attrs(parse("workloads.py"))
+    assert {"checkpoint_tensors", "agg_logits", "log"} <= attrs
+    corpus = synth_corpus(SynthSpec(2, 3, 1, seed=4), tmp_path / "corpus")
+    up = MockUpstreamConfig(n_layers=2, dim=8, seed=2)
+    ec = EcapaConfig(in_dim=8, channels=8, res2_scale=4, dilations=(2, 3, 4),
+                     se_bottleneck=4, attention_channels=4, embed_dim=8)
+    sched = training.TrainSchedule(stage1_epochs=1, stage2_epochs=0, lmft_epochs=0, crop_seconds=0.5, batch_size=4)
+    result = training.train(corpus.train, sched, upstream_cfg=up, ecapa_cfg=ec, seed=1)
+    assert [attr for attr in sorted(attrs) if not hasattr(result, attr)] == []

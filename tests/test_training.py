@@ -18,6 +18,7 @@ from svkit.synthcorpus import SynthSpec, synth_corpus
 from svkit.training import (
     AamConfig,
     Adam,
+    Model,
     PlantSpec,
     TrainSchedule,
     aam_loss,
@@ -245,8 +246,8 @@ def test_zero_epoch_schedule_returns_initialization(tiny_corpus):
     res = train(tiny_corpus.train, tiny_schedule(stage1_epochs=0),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=1)
     init = em.init_params(EC, seed=1)
-    for name, p in init.items():
-        np.testing.assert_array_equal(res.ecapa[name], p.data)
+    for name, p in init.items():  # in the float32 form the checkpoint stores
+        np.testing.assert_array_equal(res.model.ecapa[name].data, p.data.astype(np.float32))
     np.testing.assert_array_equal(res.agg_logits, np.zeros(4))
     assert res.log == []
 
@@ -258,13 +259,13 @@ def test_stage1_freezes_upstream_stage2_changes_it(tiny_corpus, tmp_path):
     from svkit.upstream import MockUpstream
 
     save_checkpoint(MockUpstream(UP).params, before)
-    save_checkpoint(res1.upstream, after)
+    save_checkpoint(res1.model.upstream.params, after)
     assert before.read_bytes() == after.read_bytes()
 
     res2 = train(tiny_corpus.train, tiny_schedule(stage2_epochs=1),
                  upstream_cfg=UP, ecapa_cfg=EC, seed=1)
     changed = tmp_path / "up_changed.svck"
-    save_checkpoint(res2.upstream, changed)
+    save_checkpoint(res2.model.upstream.params, changed)
     assert before.read_bytes() != changed.read_bytes()
 
 
@@ -296,9 +297,10 @@ def test_training_deterministic_given_seed(tiny_corpus):
     a = train(tiny_corpus.train, tiny_schedule(), **kw)
     b = train(tiny_corpus.train, tiny_schedule(), **kw)
     np.testing.assert_array_equal(a.agg_logits, b.agg_logits)
-    np.testing.assert_array_equal(a.anchors, b.anchors)
-    for name in a.ecapa:
-        np.testing.assert_array_equal(a.ecapa[name], b.ecapa[name])
+    ta, tb = a.checkpoint_tensors(), b.checkpoint_tensors()
+    assert ta.keys() == tb.keys() and "aam.anchors" in ta
+    for name in ta:
+        np.testing.assert_array_equal(ta[name], tb[name])
     assert a.log == b.log
 
 
@@ -359,7 +361,7 @@ def test_import_mode_stage2_freezes_and_notices(imported_corpus, caplog):
     caplog.set_level(logging.INFO, logger="svkit.training")
     res = train(imported_corpus, tiny_schedule(stage1_epochs=1, stage2_epochs=1),
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
-    assert res.upstream == {}
+    assert not any(name.startswith("upstream.") for name in res.checkpoint_tensors())
     assert any("frozen" in n for n in stage_notices(caplog))
     assert [row[1] for row in res.log] == [1, 2]
 
@@ -409,20 +411,21 @@ def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path, c
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert stage_notices(caplog) == []
     assert [row[1] for row in res.log] == [1, 2]
-    initial = MockUpstream(UP).params
-    assert set(res.upstream) == set(initial)
-    assert any(np.any(res.upstream[k] != v.data) for k, v in initial.items())
+    initial, tuned = MockUpstream(UP).params, res.model.upstream.params
+    assert set(tuned) == set(initial)
+    assert any(np.any(tuned[k].data != v.data.astype(np.float32)) for k, v in initial.items())
 
 
 def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus, tmp_path, monkeypatch):
     # at batch size 1 a stage-2 batch of one SVHS row gives the tuned upstream no gradient, and Adam skips
     # a parameter without one: its moments from earlier WAV batches must not move it
     tuned, steps = {}, []
-    as_tensors, step = MockUpstream.as_tensors, Adam.step
+    trainable, step = Model.trainable, Adam.step
 
-    def spy_as_tensors(self):
-        tuned.update(as_tensors(self))
-        return tuned
+    def spy_trainable(self, tune_upstream):
+        if tune_upstream:
+            tuned.update({k: p for k, p in self.tensors.items() if k.startswith("upstream.")})
+        return trainable(self, tune_upstream)
 
     def spy_step(self):
         before = {k: p.data.tobytes() for k, p in tuned.items()}
@@ -431,7 +434,7 @@ def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus
         if tuned:
             steps.append((no_grad, all(p.data.tobytes() == before[k] for k, p in tuned.items())))
 
-    monkeypatch.setattr(MockUpstream, "as_tensors", spy_as_tensors)
+    monkeypatch.setattr(Model, "trainable", spy_trainable)
     monkeypatch.setattr(Adam, "step", spy_step)
     manifest = mixed_manifest(tiny_corpus, tmp_path)
     train(manifest, tiny_schedule(stage2_epochs=1, batch_size=1), upstream_cfg=UP, ecapa_cfg=EC, seed=4)
@@ -489,16 +492,14 @@ def stage2_step(n_crops=3):
     """One tuned stage-2 batch from fresh parameters: a generator that builds each crop's
     embedding when drawn (a `forward_graph` crop, `aggregate_graph` and `ecapa.forward`),
     the crops' labels, and the parameters by checkpoint name."""
-    upstream = MockUpstream(UP)
-    params = {f"upstream.{k}": p for k, p in upstream.as_tensors().items()}
-    ecapa = em.init_params(EC, seed=3)
-    logits = Tensor(np.linspace(-0.5, 0.5, UP.n_layers + 1), requires_grad=True)
-    anchors = Tensor(np.random.default_rng(4).standard_normal((2, EC.embed_dim)), requires_grad=True)
+    model = Model.init(UP, EC, n_classes=2, seed=3)
+    model.logits.data = np.linspace(-0.5, 0.5, UP.n_layers + 1)  # a mix that is not uniform
+    upstream = model.upstream  # the drawn mock's tensors join the model's
+    model.trainable(tune_upstream=True)
     crops = np.random.default_rng(5).uniform(-0.5, 0.5, (n_crops, 8 * 320))
-    embs = (em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), logits), ecapa, EC) for c in crops)
-    params.update({f"ecapa.{k}": p for k, p in ecapa.items()})
-    params.update({"agg.logits": logits, "aam.anchors": anchors})
-    return embs, [0, 1, 0][:n_crops], params
+    embs = (em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), model.logits), model.ecapa, EC)
+            for c in crops)
+    return embs, [0, 1, 0][:n_crops], model.tensors
 
 
 def batch_loss(embs, labels, anchors, cfg):

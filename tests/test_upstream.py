@@ -30,6 +30,13 @@ from gradcheck import fd_report
 from test_autodiff import check_op, time_patches
 
 
+def tuned(model):
+    """The mock's parameters, marked trainable as a tuned training stage marks them."""
+    for p in model.params.values():
+        p.requires_grad = True
+    return model.params
+
+
 def rand_wav(n, seed=0):
     return Waveform(np.random.default_rng(seed).uniform(-0.5, 0.5, n))
 
@@ -84,23 +91,30 @@ def test_given_parameters_replace_the_seeded_ones():
     cfg = MockUpstreamConfig(n_layers=1, dim=2, seed=1)
     given = {name: np.full(shape, 0.5) for name, shape in param_shapes(cfg).items()}
     assert all(np.array_equal(p.data, given[k]) for k, p in MockUpstream(cfg, given).params.items())
+    tensors = {k: Tensor(v) for k, v in given.items()}  # a model's tensors: shared, so training moves the mock
+    assert all(p is tensors[k] for k, p in MockUpstream(cfg, tensors).params.items())
     seeded = MockUpstream(cfg, {}).params
     assert all(np.array_equal(p.data, loop_init_params(cfg)[k]) for k, p in seeded.items())
 
 
 def test_seeded_parameters_are_drawn_on_first_use_and_once(monkeypatch):
+    # a system's mock is drawn when its model first runs it, not when the model is built
+    from svkit.ecapa import EcapaConfig
+    from svkit.training import Model
+
     cfg = MockUpstreamConfig(n_layers=2, dim=4, seed=3)
     calls = []
     monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda c: calls.append(c) or loop_init_params(c)))
-    model = MockUpstream(cfg)
-    assert calls == []  # building the mock draws nothing
+    ec = EcapaConfig(in_dim=4, channels=8, res2_scale=4, se_bottleneck=4, attention_channels=4, embed_dim=4)
+    model = Model.init(cfg, ec, n_classes=2, seed=0)
+    assert calls == []  # building the model draws nothing
     wav = Waveform(np.linspace(-0.5, 0.5, 3200))
-    model.forward_array(wav)
-    model.stack(wav, "w")
-    model.as_tensors()
-    model.param_arrays()
+    model.upstream.forward_array(wav)
+    model.upstream.stack(wav, "w")
+    model.trainable(tune_upstream=True)
     assert calls == [cfg]
-    MockUpstream(cfg, loop_init_params(cfg)).params  # given parameters are never drawn
+    assert all(model.tensors[f"upstream.{k}"] is p for k, p in model.upstream.params.items())
+    MockUpstream(cfg, loop_init_params(cfg))  # given parameters are never drawn
     assert calls == [cfg]
 
 
@@ -150,8 +164,7 @@ def test_mock_graph_parameters_receive_gradients():
     cfg = MockUpstreamConfig(n_layers=2, dim=8, seed=4)
     model = MockUpstream(cfg)
     assert all(isinstance(p, Tensor) and not p.requires_grad for p in model.params.values())
-    params = model.as_tensors()
-    assert params is model.params
+    params = tuned(model)
     layers = model.forward_graph(Tensor(rand_wav(1600, seed=6).samples))
     sum(h.sum() for h in layers).backward()
     for name, p in params.items():
@@ -190,7 +203,7 @@ def test_patch_map_matches_conv_by_conv_reference(n):
     cfg = MockUpstreamConfig(n_layers=3, dim=16, seed=11)
     samples = rand_wav(n, seed=n).samples
     composed, reference = MockUpstream(cfg), MockUpstream(cfg)
-    params, ref_params = composed.as_tensors(), reference.as_tensors()
+    params, ref_params = tuned(composed), tuned(reference)
     got = composed.forward_graph(Tensor(samples))
     want = reference_forward(reference, Tensor(samples))
     assert len(got) == len(want) == cfg.n_layers + 1
@@ -210,7 +223,7 @@ def test_patch_map_matches_conv_by_conv_reference(n):
 def test_tuned_mock_gradients_match_finite_differences():
     # the composed conv stack, the mixing layers and the smoothing, all trainable
     model = MockUpstream(MockUpstreamConfig(n_layers=2, dim=4, seed=2))
-    params = model.as_tensors()
+    params = tuned(model)
     samples = Tensor(rand_wav(5 * 320, seed=4).samples)
     probe = np.random.default_rng(5).standard_normal((3, 5, 4))
 
