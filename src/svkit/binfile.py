@@ -77,21 +77,26 @@ class Reader:
         return ((n, line.split(sep)) for n, line in enumerate(text.splitlines(), 1) if line.strip())
 
     def float32(self, chunks, what: str) -> np.ndarray:
-        """The float32 values of `chunks` as one flat array, checked finite once per file."""
+        """The float32 values of `chunks` as one flat, read-only array, checked finite."""
         values = np.frombuffer(b"".join(chunks), dtype="<f4")
         if not np.isfinite(values).all():
             raise self.error(f"non-finite value in {what}")
         return values
 
     def unique(self, names: list, what: str):
-        if len(set(names)) != len(names):
-            dup = next(n for n, c in Counter(names).items() if c > 1)
+        dup = first_duplicate(names)
+        if dup is not None:
             raise self.error(f"duplicate {what}: {dup!r}")
 
     def end(self):
         """Reject bytes left after the last record."""
         if self.remaining:
             raise self.error(f"payload size mismatch ({self.remaining} trailing bytes)")
+
+
+def first_duplicate(names):
+    """The first name that occurs more than once, else None."""
+    return next((n for n, c in Counter(names).items() if c > 1), None)
 
 
 class Writer:

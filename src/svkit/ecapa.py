@@ -221,17 +221,16 @@ def save_checkpoint(tensors: dict, path):
 def load_checkpoint(path) -> dict:
     r = Reader(path)
     r.header(_SVCK_MAGIC, "SVCK checkpoint")
-    names, chunks, tensors = [], [], {}
+    names, tensors = [], {}
     while r.remaining:
         name = r.text("tensor name")
         (rank,) = r.unpack("B", f"rank of {name}")
         dims = r.unpack(f"{rank}I", f"dims of {name}")
         names.append(name)
-        chunks.append(r.take(4 * math.prod(dims), f"payload of {name}"))
+        values = r.float32([r.take(4 * math.prod(dims), f"payload of {name}")], f"tensor {name}")
         try:
-            tensors[name] = np.frombuffer(chunks[-1], dtype="<f4").reshape(dims).copy()
+            tensors[name] = values.reshape(dims).copy()
         except ValueError as exc:
             raise r.error(f"bad shape {dims} for {name}: {exc}") from None
     r.unique(names, "tensor name")
-    r.float32(chunks, "tensor payload")
     return tensors

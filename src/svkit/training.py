@@ -11,30 +11,27 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import ecapa as ecapa_mod
-from .aggregator import aggregate_graph, normalized_weights
+from .aggregator import aggregate_graph
 from .audio import SAMPLE_RATE, AugmentBanks, AugmentConfig, Waveform, augment, read_wav
 from .ecapa import EcapaConfig
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
+from .pipeline import System
 from .rng import child_rng
-from .upstream import (Manifest, MockUpstream, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack, param_shapes,
-                       row_layers)
+from .upstream import Manifest, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack, row_layers
 
 logger = logging.getLogger(__name__)
 
 
-def check_aam(margin_key: str, margin: float, scale: float = 1.0):
-    """Raise ConfigError unless 0 <= margin < pi/2 and 0 < scale < inf."""
+def check_aam(margin_key: str, margin: float):
+    """Raise ConfigError unless 0 <= margin < pi/2."""
     if not 0.0 <= margin < math.pi / 2:
         raise ConfigError(f"{margin_key} must lie in [0, pi/2)")
-    if not 0.0 < scale < math.inf:
-        raise ConfigError(f"aam.scale must be finite and > 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,9 @@ class AamConfig:
     scale: float = 30.0
 
     def __post_init__(self):
-        check_aam("aam.margin", self.margin, self.scale)
+        check_aam("aam.margin", self.margin)
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError(f"aam.scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -71,83 +70,20 @@ class TrainSchedule:
         check_aam("schedule.lmft_margin", self.lmft_margin)
 
 
-class Model:
-    """Every named tensor of one system by checkpoint name (`ecapa.*`, `agg.logits`, `aam.anchors`, `upstream.*`),
-    as the float64 tensors `train` updates and `System` embeds with; `checkpoint_tensors` is its one output.
-    `upstream.*` are given, or drawn from `upstream_cfg`'s seed when the mock first runs: a model that never runs
-    it draws and exports none."""
-
-    def __init__(self, upstream_cfg: MockUpstreamConfig, ecapa_cfg: EcapaConfig, tensors: dict):
-        if ecapa_cfg.in_dim != upstream_cfg.dim:
-            raise ConfigError("ecapa.in_dim must equal the upstream dim")
-        self.upstream_cfg, self.ecapa_cfg = upstream_cfg, ecapa_cfg
-        self.tensors = {name: Tensor(np.asarray(v, dtype=np.float64)) for name, v in tensors.items()}
-        self.ecapa, self.logits = self._group("ecapa."), self.tensors["agg.logits"]
-        normalized_weights(self.logits.data)  # refuses non-finite logits
-
-    @classmethod
-    def init(cls, upstream_cfg: MockUpstreamConfig, ecapa_cfg: EcapaConfig, n_classes: int, seed: int) -> "Model":
-        """Seeded initial state: `ecapa.init_params`, zero layer logits and N(0, 1) class anchors."""
-        tensors = {f"ecapa.{k}": p.data for k, p in ecapa_mod.init_params(ecapa_cfg, seed=seed).items()}
-        tensors["agg.logits"] = np.zeros(upstream_cfg.n_layers + 1)
-        tensors["aam.anchors"] = child_rng(seed, "aam-anchors").normal(0.0, 1.0, (n_classes, ecapa_cfg.embed_dim))
-        return cls(upstream_cfg, ecapa_cfg, tensors)
-
-    @classmethod
-    def from_checkpoint(cls, tensors: dict, upstream_cfg: MockUpstreamConfig, ecapa_cfg: EcapaConfig) -> "Model":
-        """Checkpoint tensors, each checked by name and shape against the configs; `upstream.*` and an unchecked
-        `aam.anchors` are optional, and no other name is read."""
-        expected = {f"ecapa.{k}": tuple(s) for k, s in ecapa_mod.param_shapes(ecapa_cfg).items()}
-        expected["agg.logits"] = (upstream_cfg.n_layers + 1,)
-        found = {k: np.shape(v) for k, v in tensors.items()
-                 if k == "agg.logits" or k.startswith(("ecapa.", "upstream."))}
-        if any(k.startswith("upstream.") for k in found):
-            expected.update({f"upstream.{k}": s for k, s in param_shapes(upstream_cfg).items()})
-        for name in sorted(expected.keys() | found.keys()):
-            if found.get(name) != expected.get(name):
-                raise FormatError(
-                    f"checkpoint tensors do not match the configured system: {name}: checkpoint has "
-                    f"{found.get(name, 'no such tensor')}, config expects {expected.get(name, 'no such tensor')}"
-                )
-        return cls(upstream_cfg, ecapa_cfg, {k: v for k, v in tensors.items() if k in expected or k == "aam.anchors"})
-
-    def _group(self, prefix: str) -> dict:
-        return {name[len(prefix) :]: t for name, t in self.tensors.items() if name.startswith(prefix)}
-
-    @cached_property
-    def upstream(self) -> MockUpstream:
-        """The mock upstream over the `upstream.*` tensors, built on first use; a drawn mock's tensors join
-        the model's."""
-        mock = MockUpstream(self.upstream_cfg, self._group("upstream."))
-        self.tensors.update({f"upstream.{k}": p for k, p in mock.params.items()})
-        return mock
-
-    def trainable(self, tune_upstream: bool) -> list:
-        """The tensors a stage trains, sorted by name and marked trainable: `upstream.*` only if it tunes them."""
-        params = [t for name, t in sorted(self.tensors.items()) if tune_upstream or not name.startswith("upstream.")]
-        for p in params:
-            p.requires_grad = True
-        return params
-
-    def checkpoint_tensors(self) -> dict:
-        """Every tensor by name as the float32 array SVCK stores; one not finite in float32 is a DataError."""
-        return ecapa_mod.float32_tensors(self.tensors)
-
-
 @dataclass
 class TrainResult:
-    """A trained model, its speakers (the anchors' rows) and one (epoch, stage, loss, lr) row per epoch."""
+    """A trained system, its speakers (the anchors' rows) and one (epoch, stage, loss, lr) row per epoch."""
 
-    model: Model
+    system: System
     speakers: list
     log: list
 
     def checkpoint_tensors(self) -> dict:
-        return self.model.checkpoint_tensors()
+        return self.system.checkpoint_tensors()
 
     @property
     def agg_logits(self) -> np.ndarray:
-        return self.model.logits.data
+        return self.system.logits.data
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +218,17 @@ def train(
     tensors. Each batch is backpropagated one utterance at a time
     (`backward_per_utterance`), then Adam steps once. A non-finite loss, or a
     non-finite parameter after an optimizer step, is a DataError that names
-    the stage, epoch and batch. The model returned is the float32 form its
-    checkpoint reloads to (`Model.checkpoint_tensors`).
+    the stage, epoch and batch. The system returned, with `plant`, is the
+    float32 form its checkpoint reloads to (`System.checkpoint_tensors`).
     """
     speakers = manifest.speakers
     if len(speakers) < 2:
         raise DataError("training requires at least two speakers in the manifest")
     spk_index = {s: i for i, s in enumerate(speakers)}
-    model = Model.init(upstream_cfg, ecapa_cfg, len(speakers), seed)
+    system = System.init(upstream_cfg, ecapa_cfg, len(speakers), seed, plant)
     rows = list(manifest.rows)
     has_wav = not all(is_stack_file(row.path) for row in rows)
-    upstream = model.upstream if has_wav else None  # an import-only run never draws the mock
+    upstream = system.upstream if has_wav else None  # an import-only run never draws the mock
     rng_order = child_rng(seed, "batch-order")
     rng_crop = child_rng(seed, "crop")
     rng_aug = child_rng(seed, "augment")
@@ -308,8 +244,8 @@ def train(
             wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
             layers = (upstream.forward_graph(Tensor(wav.samples)) if tune_upstream
                       else upstream.stack(wav, f"{row.utt_id} ({path})").layers)
-        return aggregate_graph(row_layers(layers, manifest, row, model.logits.data.size, upstream_cfg.dim, plant),
-                               model.logits)
+        return aggregate_graph(row_layers(layers, manifest, row, system.logits.data.size, upstream_cfg.dim,
+                                          system.plant), system.logits)
 
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),
@@ -323,7 +259,7 @@ def train(
             continue
         if stage > 1 and not has_wav:
             logger.info("stage %d: imported stacks are frozen; training downstream only", stage)
-        trainable = model.trainable(tune_upstream)
+        trainable = system.trainable(tune_upstream)
         opt = Adam(trainable, lr=lr)
         for _ in range(n_epochs):
             epoch = len(log) + 1
@@ -331,12 +267,12 @@ def train(
             losses = []
             for batch_no, start in enumerate(range(0, len(perm), schedule.batch_size), 1):
                 batch = [rows[i] for i in perm[start : start + schedule.batch_size]]
-                embs = (ecapa_mod.forward(features(row, crop_s, tune_upstream), model.ecapa, ecapa_cfg)
+                embs = (ecapa_mod.forward(features(row, crop_s, tune_upstream), system.ecapa, ecapa_cfg)
                         for row in batch)
                 labels = [spk_index[row.speaker_id] for row in batch]
                 where = f"stage {stage} epoch {epoch} batch {batch_no}"
                 opt.zero_grad()
-                value = backward_per_utterance(embs, labels, model.tensors["aam.anchors"], aam_cfg, where)
+                value = backward_per_utterance(embs, labels, system.tensors["aam.anchors"], aam_cfg, where)
                 opt.step()
                 if not all(np.isfinite(p.data).all() for p in trainable):
                     raise DataError(f"training diverged at {where}: non-finite parameter after the "
@@ -345,4 +281,5 @@ def train(
             log.append((epoch, stage, float(np.mean(losses)), lr))
             logger.info("epoch %d stage %d loss %.6f lr %g", *log[-1])
 
-    return TrainResult(Model.from_checkpoint(model.checkpoint_tensors(), upstream_cfg, ecapa_cfg), speakers, log)
+    return TrainResult(System.from_checkpoint(system.checkpoint_tensors(), upstream_cfg, ecapa_cfg, plant),
+                       speakers, log)

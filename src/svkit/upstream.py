@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import SAMPLE_RATE, Waveform
-from .binfile import Reader, Writer, write_lines
+from .binfile import Reader, Writer, first_duplicate, write_lines
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 
@@ -88,7 +88,7 @@ class MockUpstream:
     """Seeded random encoder: strided conv stack then tanh mixing layers.
 
     Parameters are fixed by the seed (or given, as arrays or as the tensors a
-    `training.Model` trains) and held as float64 tensors. Forward passes are
+    `pipeline.System` trains) and held as float64 tensors. Forward passes are
     pure.
     """
 
@@ -277,9 +277,9 @@ class Manifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
-        ids = [r.utt_id for r in self.rows]
-        if len(set(ids)) != len(ids):
-            raise FormatError("manifest contains duplicate utterance ids")
+        dup = first_duplicate(r.utt_id for r in self.rows)
+        if dup is not None:
+            raise FormatError(f"manifest contains duplicate utterance id: {dup!r}")
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
 
@@ -307,16 +307,18 @@ def load_manifest(path, check_paths: bool = False) -> Manifest:
     Relative paths resolve against the manifest's directory.
     """
     path = Path(path)
+    r = Reader(path)
     rows = []
-    for lineno, parts in Reader(path).rows("\t"):
+    for lineno, parts in r.rows("\t"):
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         rows.append(ManifestRow(*parts))
+    r.unique([row.utt_id for row in rows], "utterance id")
     manifest = Manifest(tuple(rows), base_dir=path.parent)
     if check_paths:
-        for r in manifest.rows:
-            if not manifest.resolve(r).is_file():
-                raise FormatError(f"manifest entry {r.utt_id}: file not found: {manifest.resolve(r)}")
+        for row in manifest.rows:
+            if not manifest.resolve(row).is_file():
+                raise FormatError(f"manifest entry {row.utt_id}: file not found: {manifest.resolve(row)}")
     return manifest
 
 

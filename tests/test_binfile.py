@@ -73,8 +73,8 @@ DEFECTS = [
     ),
     ("sveb_nan", sveb(2, 1, sveb_record(b"a", [1, np.nan])), load_embeddings, "non-finite"),
     ("sveb_inf", sveb(2, 1, sveb_record(b"a", [np.inf, 1])), load_embeddings, "non-finite"),
-    ("svck_nan", svck(svck_record(b"w", [2], [np.nan, 1])), load_checkpoint, "non-finite"),
-    ("svck_inf", svck(svck_record(b"w", [2], [1, -np.inf])), load_checkpoint, "non-finite"),
+    ("svck_nan", svck(svck_record(b"w", [2], [np.nan, 1])), load_checkpoint, "non-finite value in tensor w"),
+    ("svck_inf", svck(svck_record(b"w", [2], [1, -np.inf])), load_checkpoint, "non-finite value in tensor w"),
     ("svhs_nan_payload", svhs(values=np.full(24, np.nan)), load_stack, "non-finite"),
     ("svhs_one_layer", svhs(n=1, values=np.zeros(12)), load_stack, "L >= 1"),
     ("svhs_nan_frame_rate", svhs(rate=float("nan")), load_stack, "frame rate"),
@@ -88,6 +88,8 @@ DEFECTS = [
     ("trials_invalid_utf8", b"1 a b\n0 a \xff\n", load_trials, "UTF-8"),
     ("scores_invalid_utf8", b"a \xff 0.5\n", lambda path: load_scores(path, []), "UTF-8"),
     ("manifest_invalid_utf8", b"u\ts\t\xff.wav\n", load_manifest, "UTF-8"),
+    ("manifest_duplicate_id", b"u1\ta\tx.wav\nu2\ta\ty.wav\nu1\tb\tz.wav\n", load_manifest,
+     "duplicate utterance id: 'u1'"),
     ("wav_short_fmt_chunk", wav(fmt_size=14), read_wav, "malformed fmt chunk"),
     ("wav_odd_data_chunk", wav(data=b"\x00" * 3), read_wav, "malformed data chunk"),
     ("wav_empty_data_chunk", wav(data=b""), read_wav, "malformed data chunk"),

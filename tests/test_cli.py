@@ -700,14 +700,14 @@ def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys
     from svkit.audio import Waveform, write_wav
     from svkit.config import load_config
     from svkit.ecapa import save_checkpoint
-    from svkit.training import Model
+    from svkit.pipeline import System
     from svkit.upstream import MockUpstream
 
     _, cfg_path = workspace
     cfg = load_config(cfg_path)
-    model = Model.init(cfg.upstream, cfg.ecapa, n_classes=1, seed=0)
-    model.upstream  # the drawn mock's tensors join the model's
-    tensors = model.checkpoint_tensors()
+    system = System.init(cfg.upstream, cfg.ecapa, n_classes=1, seed=0)
+    system.upstream  # the drawn mock's tensors join the system's
+    tensors = system.checkpoint_tensors()
     # finite in float32; the layer-0 output is not
     tensors["upstream.conv0.w"] = np.full_like(tensors["upstream.conv0.w"], 3e38)
     up = {k[len("upstream.") :]: v for k, v in tensors.items() if k.startswith("upstream.")}

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,26 @@ def test_module_uses_every_name_it_imports(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def svkit_imports(module: str) -> set:
+    """The svkit modules `module` imports, by `from .x`, `from . import x`, `from svkit.x` or `import svkit.x`."""
+    out = set()
+    for node in ast.walk(module_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "svkit"):
+            parts = [p for p in (node.module or "").split(".") if p][0 if node.level else 1 :]
+            out |= {parts[0]} if parts else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("svkit.")}
+    return out
+
+
+def test_the_embed_path_does_not_import_training_and_no_import_cycle_exists():
+    # training builds a pipeline.System, so pipeline importing training would make a cycle
+    graph = {module: svkit_imports(module) for module in MODULES}
+    assert "pipeline" in graph["training"] and "ecapa" in graph["pipeline"]  # the guard sees both relative forms
+    assert "training" not in graph["pipeline"]
+    tuple(TopologicalSorter(graph).static_order())  # a cycle raises CycleError, naming it
 
 
 def scope_name(node, parents) -> str:

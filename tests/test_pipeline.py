@@ -43,6 +43,16 @@ def test_checkpoint_and_result_paths_agree(trained, tmp_path):
         assert a[k].tobytes() == b[k].tobytes(), k
 
 
+def test_the_trained_system_holds_its_plant_and_embeds_as_from_result(trained):
+    corpus, result = trained
+    plant = PlantSpec(layer=1, strength=2.0)
+    assert result.system.plant == plant
+    a = extract_embeddings(result.system, corpus.heldout)
+    b = extract_embeddings(System.from_result(result, UP, EC, plant=plant), corpus.heldout)
+    assert a.keys() == b.keys()
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
 def test_from_checkpoint_rejects_mismatched_config(trained, tmp_path):
     _, result = trained
     path = tmp_path / "ck.svck"

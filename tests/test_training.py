@@ -14,11 +14,11 @@ from svkit.autodiff import Tensor
 from svkit.audio import Waveform
 from svkit.ecapa import EcapaConfig, save_checkpoint
 from svkit.errors import ConfigError, DataError
+from svkit.pipeline import System
 from svkit.synthcorpus import SynthSpec, synth_corpus
 from svkit.training import (
     AamConfig,
     Adam,
-    Model,
     PlantSpec,
     TrainSchedule,
     aam_loss,
@@ -247,7 +247,7 @@ def test_zero_epoch_schedule_returns_initialization(tiny_corpus):
                 upstream_cfg=UP, ecapa_cfg=EC, seed=1)
     init = em.init_params(EC, seed=1)
     for name, p in init.items():  # in the float32 form the checkpoint stores
-        np.testing.assert_array_equal(res.model.ecapa[name].data, p.data.astype(np.float32))
+        np.testing.assert_array_equal(res.system.ecapa[name].data, p.data.astype(np.float32))
     np.testing.assert_array_equal(res.agg_logits, np.zeros(4))
     assert res.log == []
 
@@ -259,13 +259,13 @@ def test_stage1_freezes_upstream_stage2_changes_it(tiny_corpus, tmp_path):
     from svkit.upstream import MockUpstream
 
     save_checkpoint(MockUpstream(UP).params, before)
-    save_checkpoint(res1.model.upstream.params, after)
+    save_checkpoint(res1.system.upstream.params, after)
     assert before.read_bytes() == after.read_bytes()
 
     res2 = train(tiny_corpus.train, tiny_schedule(stage2_epochs=1),
                  upstream_cfg=UP, ecapa_cfg=EC, seed=1)
     changed = tmp_path / "up_changed.svck"
-    save_checkpoint(res2.model.upstream.params, changed)
+    save_checkpoint(res2.system.upstream.params, changed)
     assert before.read_bytes() != changed.read_bytes()
 
 
@@ -411,7 +411,7 @@ def test_mixed_manifest_tunes_upstream_through_wav_rows(tiny_corpus, tmp_path, c
                 upstream_cfg=UP, ecapa_cfg=EC, seed=4)
     assert stage_notices(caplog) == []
     assert [row[1] for row in res.log] == [1, 2]
-    initial, tuned = MockUpstream(UP).params, res.model.upstream.params
+    initial, tuned = MockUpstream(UP).params, res.system.upstream.params
     assert set(tuned) == set(initial)
     assert any(np.any(tuned[k].data != v.data.astype(np.float32)) for k, v in initial.items())
 
@@ -420,7 +420,7 @@ def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus
     # at batch size 1 a stage-2 batch of one SVHS row gives the tuned upstream no gradient, and Adam skips
     # a parameter without one: its moments from earlier WAV batches must not move it
     tuned, steps = {}, []
-    trainable, step = Model.trainable, Adam.step
+    trainable, step = System.trainable, Adam.step
 
     def spy_trainable(self, tune_upstream):
         if tune_upstream:
@@ -434,7 +434,7 @@ def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus
         if tuned:
             steps.append((no_grad, all(p.data.tobytes() == before[k] for k, p in tuned.items())))
 
-    monkeypatch.setattr(Model, "trainable", spy_trainable)
+    monkeypatch.setattr(System, "trainable", spy_trainable)
     monkeypatch.setattr(Adam, "step", spy_step)
     manifest = mixed_manifest(tiny_corpus, tmp_path)
     train(manifest, tiny_schedule(stage2_epochs=1, batch_size=1), upstream_cfg=UP, ecapa_cfg=EC, seed=4)
@@ -492,14 +492,14 @@ def stage2_step(n_crops=3):
     """One tuned stage-2 batch from fresh parameters: a generator that builds each crop's
     embedding when drawn (a `forward_graph` crop, `aggregate_graph` and `ecapa.forward`),
     the crops' labels, and the parameters by checkpoint name."""
-    model = Model.init(UP, EC, n_classes=2, seed=3)
-    model.logits.data = np.linspace(-0.5, 0.5, UP.n_layers + 1)  # a mix that is not uniform
-    upstream = model.upstream  # the drawn mock's tensors join the model's
-    model.trainable(tune_upstream=True)
+    system = System.init(UP, EC, n_classes=2, seed=3)
+    system.logits.data = np.linspace(-0.5, 0.5, UP.n_layers + 1)  # a mix that is not uniform
+    upstream = system.upstream  # the drawn mock's tensors join the system's
+    system.trainable(tune_upstream=True)
     crops = np.random.default_rng(5).uniform(-0.5, 0.5, (n_crops, 8 * 320))
-    embs = (em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), model.logits), model.ecapa, EC)
+    embs = (em.forward(aggregate_graph(upstream.forward_graph(Tensor(c)), system.logits), system.ecapa, EC)
             for c in crops)
-    return embs, [0, 1, 0][:n_crops], model.tensors
+    return embs, [0, 1, 0][:n_crops], system.tensors
 
 
 def batch_loss(embs, labels, anchors, cfg):

@@ -98,22 +98,22 @@ def test_given_parameters_replace_the_seeded_ones():
 
 
 def test_seeded_parameters_are_drawn_on_first_use_and_once(monkeypatch):
-    # a system's mock is drawn when its model first runs it, not when the model is built
+    # a system's mock is drawn when it first runs it, not when the system is built
     from svkit.ecapa import EcapaConfig
-    from svkit.training import Model
+    from svkit.pipeline import System
 
     cfg = MockUpstreamConfig(n_layers=2, dim=4, seed=3)
     calls = []
     monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda c: calls.append(c) or loop_init_params(c)))
     ec = EcapaConfig(in_dim=4, channels=8, res2_scale=4, se_bottleneck=4, attention_channels=4, embed_dim=4)
-    model = Model.init(cfg, ec, n_classes=2, seed=0)
-    assert calls == []  # building the model draws nothing
+    system = System.init(cfg, ec, n_classes=2, seed=0)
+    assert calls == []  # building the system draws nothing
     wav = Waveform(np.linspace(-0.5, 0.5, 3200))
-    model.upstream.forward_array(wav)
-    model.upstream.stack(wav, "w")
-    model.trainable(tune_upstream=True)
+    system.upstream.forward_array(wav)
+    system.upstream.stack(wav, "w")
+    system.trainable(tune_upstream=True)
     assert calls == [cfg]
-    assert all(model.tensors[f"upstream.{k}"] is p for k, p in model.upstream.params.items())
+    assert all(system.tensors[f"upstream.{k}"] is p for k, p in system.upstream.params.items())
     MockUpstream(cfg, loop_init_params(cfg))  # given parameters are never drawn
     assert calls == [cfg]
 
@@ -452,7 +452,7 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_manifest_duplicate_ids_rejected():
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(FormatError, match="duplicate utterance id: 'u1'"):
         Manifest((ManifestRow("u1", "a", "x"), ManifestRow("u1", "b", "y")))
 
 
