@@ -88,18 +88,17 @@ class FbankConfig:
         return 1 << (self.win_samples - 1).bit_length()
 
 
+# The fixed part of the augmentation recipe: additive noise at an SNR drawn uniformly from 0-20 dB.
+NOISE_SNR_DB = (0.0, 20.0)
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     probability: float = 0.6
-    noise_snr_db_range: tuple = (0.0, 20.0)
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError("augment.probability must lie in [0, 1]")
-        lo, hi = self.noise_snr_db_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"augment.noise_snr_db_range must be finite with low <= high, got {lo},{hi}")
-        object.__setattr__(self, "noise_snr_db_range", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,8 @@ def mix_noise(wav: Waveform, noise: Waveform, snr_db: float, rng: np.random.Gene
     """Add a random crop of `noise` at the requested segmental SNR.
 
     The gain g satisfies 20*log10(rms(wav) / (g*rms(crop))) = snr_db; the sum
-    is hard-clipped to [-1, 1]. snr_db = +inf returns the input unchanged.
+    is hard-clipped to [-1, 1].
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return wav
     n = len(wav)
     nz = noise.samples
     if nz.size < n:
@@ -278,8 +275,7 @@ def augment(
     kind = kinds[int(rng.integers(0, len(kinds)))]
     if kind == "noise":
         noise = banks.noises[int(rng.integers(0, len(banks.noises)))]
-        lo, hi = cfg.noise_snr_db_range
-        snr = float(rng.uniform(lo, hi))
+        snr = float(rng.uniform(*NOISE_SNR_DB))
         return mix_noise(wav, noise, snr, rng)
     ir = banks.rirs[int(rng.integers(0, len(banks.rirs)))]
     return apply_rir(wav, ir)

@@ -76,11 +76,13 @@ class Reader:
             raise self.error("not valid UTF-8 text") from None
         return ((n, line.split(sep)) for n, line in enumerate(text.splitlines(), 1) if line.strip())
 
-    def float32(self, chunks, what: str) -> np.ndarray:
-        """The float32 values of `chunks` as one flat, read-only array, checked finite."""
+    def float32(self, chunks, labels) -> np.ndarray:
+        """The float32 values of `chunks` as one flat, read-only array; a non-finite one names its chunk's label."""
         values = np.frombuffer(b"".join(chunks), dtype="<f4")
-        if not np.isfinite(values).all():
-            raise self.error(f"non-finite value in {what}")
+        if not np.isfinite(values).all():  # one pass over the whole payload; the chunk is found only on failure
+            bad = next(label for label, chunk in zip(labels, chunks)
+                       if not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all())
+            raise self.error(f"non-finite value in {bad}")
         return values
 
     def unique(self, names: list, what: str):

@@ -9,6 +9,7 @@ stage of the pipeline, and prints a single machine-parsable summary line
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -33,12 +34,8 @@ logger = logging.getLogger("svkit")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s"
-        if args.deterministic
-        else "%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         overrides = [_split_override(s) for s in args.set or []]
         cfg = load_config(args.config, overrides=overrides)
@@ -64,12 +61,13 @@ def _require(value, key: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="svkit", description=__doc__)
+    # a flag is spelled in full: an abbreviation would let a removed flag (`--out`) stand for another (`--out-dir`)
+    parser = argparse.ArgumentParser(prog="svkit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="config file (section.key = value lines)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--deterministic", action="store_true", help="suppress timestamps in logs")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth-data", help="generate a synthetic speaker corpus")
     p.add_argument("--out-dir", required=True)
@@ -84,10 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fbank)
 
     p = sub.add_parser("upstream-export", help="export mock-upstream layer stacks")
-    p.add_argument("--wav", help="single waveform to export")
-    p.add_argument("--manifest", help="manifest of waveforms to export")
-    p.add_argument("--out", help="output .svhs path (single-wav mode)")
-    p.add_argument("--out-dir", help="output directory (manifest mode)")
+    p.add_argument("--manifest", required=True, help="manifest of waveforms to export")
+    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_upstream_export)
 
     p = sub.add_parser("train", help="run the staged training pipeline")
@@ -175,24 +171,14 @@ def _cmd_fbank(args, cfg: RunConfig):
 
 
 def _cmd_upstream_export(args, cfg: RunConfig):
-    single, many = {"wav": args.wav, "out": args.out}, {"manifest": args.manifest, "out-dir": args.out_dir}
-    if any(single.values()) and any(many.values()):  # one mode, refused before anything is written
-        given = ", ".join(f"--{key}" for key, value in {**single, **many}.items() if value)
-        raise ConfigError(f"upstream-export takes one mode, --wav with --out or --manifest with --out-dir; got {given}")
-    if any(single.values()):
-        wav, out = _require(args.wav, "wav"), _require(args.out, "out")
-        stack = MockUpstream(cfg.upstream).stack(read_wav(wav), wav)
-        save_stack(stack, out)
-        return list(zip(("layers", "frames", "dim"), stack.layers.shape))
-    manifest_path = _require(args.manifest, "manifest")
-    manifest = load_manifest(manifest_path, check_paths=True)
-    out_dir = Path(_require(args.out_dir, "out-dir"))
+    manifest = load_manifest(args.manifest, check_paths=True)
+    out_dir = Path(args.out_dir)
     for row in manifest.rows:  # refused before any stack is written
         rel = f"{row.utt_id}.svhs"
         if Path(rel).name != rel or "\0" in rel:
-            raise FormatError(f"{manifest_path}: utt_id {row.utt_id!r} does not make a plain file name; "
+            raise FormatError(f"{args.manifest}: utt_id {row.utt_id!r} does not make a plain file name; "
                               "stacks are written only inside --out-dir")
-    upstream, rows = MockUpstream(cfg.upstream), []  # drawn once the flags and names are accepted
+    upstream, rows = MockUpstream(cfg.upstream), []  # drawn once the names are accepted
     for row in manifest.rows:
         path = manifest.resolve(row)
         stack = upstream.stack(read_wav(path), f"{row.utt_id} ({path})")

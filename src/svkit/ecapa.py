@@ -227,7 +227,7 @@ def load_checkpoint(path) -> dict:
         (rank,) = r.unpack("B", f"rank of {name}")
         dims = r.unpack(f"{rank}I", f"dims of {name}")
         names.append(name)
-        values = r.float32([r.take(4 * math.prod(dims), f"payload of {name}")], f"tensor {name}")
+        values = r.float32([r.take(4 * math.prod(dims), f"payload of {name}")], [f"tensor {name}"])
         try:
             tensors[name] = values.reshape(dims).copy()
         except ValueError as exc:

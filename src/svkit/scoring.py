@@ -415,4 +415,4 @@ def load_embeddings(path) -> dict:
         chunks.append(r.take(4 * dim, "embedding vector"))
     r.end()
     r.unique(ids, "embedding id")
-    return dict(zip(ids, r.float32(chunks, "embeddings").reshape(count, dim).astype(np.float64)))
+    return dict(zip(ids, r.float32(chunks, (f"embedding {u}" for u in ids)).reshape(count, dim).astype(np.float64)))

@@ -277,10 +277,10 @@ class Manifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))  # first: an iterator is read once
         dup = first_duplicate(r.utt_id for r in self.rows)
         if dup is not None:
             raise FormatError(f"manifest contains duplicate utterance id: {dup!r}")
-        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
 
     def __len__(self):

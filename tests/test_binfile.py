@@ -71,8 +71,10 @@ DEFECTS = [
         load_checkpoint,
         "duplicate tensor name: 'w'",
     ),
-    ("sveb_nan", sveb(2, 1, sveb_record(b"a", [1, np.nan])), load_embeddings, "non-finite"),
-    ("sveb_inf", sveb(2, 1, sveb_record(b"a", [np.inf, 1])), load_embeddings, "non-finite"),
+    ("sveb_nan", sveb(2, 2, sveb_record(b"a", [1, 2]), sveb_record(b"b", [1, np.nan])), load_embeddings,
+     "non-finite value in embedding b$"),
+    ("sveb_inf", sveb(2, 2, sveb_record(b"a", [1, 2]), sveb_record(b"b", [np.inf, 1])), load_embeddings,
+     "non-finite value in embedding b$"),
     ("svck_nan", svck(svck_record(b"w", [2], [np.nan, 1])), load_checkpoint, "non-finite value in tensor w"),
     ("svck_inf", svck(svck_record(b"w", [2], [1, -np.inf])), load_checkpoint, "non-finite value in tensor w"),
     ("svhs_nan_payload", svhs(values=np.full(24, np.nan)), load_stack, "non-finite"),

@@ -64,9 +64,10 @@ def test_full_pipeline(workspace, capsys):
     assert summary["frames"] == "98" and summary["dim"] == "40"
     assert np.load(root / "f.npy").shape == (98, 40)
 
-    summary = run_ok(capsys, ["--config", cfg, "upstream-export", "--wav", str(wav0),
-                              "--out", str(root / "one.svhs")])
-    assert summary["layers"] == "4" and summary["dim"] == "12"
+    (root / "one.tsv").write_text(f"u0\ts0\t{wav0}\n")
+    summary = run_ok(capsys, ["--config", cfg, "upstream-export", "--manifest", str(root / "one.tsv"),
+                              "--out-dir", str(root / "one")])
+    assert summary["stacks"] == "1" and summary["layers"] == "4" and summary["dim"] == "12"
 
     run_dir = root / "run"
     summary = run_ok(capsys, ["--config", cfg, "train",
@@ -134,7 +135,7 @@ for argv in (["synth-data", "--out-dir", f"{root}/data", "--speakers", "3", "--u
               "--manifest", f"{root}/data/heldout.tsv", "--out", f"{root}/held.sveb"],
              ["score", "--trials", f"{root}/data/trials.txt", "--embeddings", f"{root}/held.sveb",
               "--out", f"{root}/scores.txt"]):
-    if main(["--deterministic", "--config", cfg, *argv]):
+    if main(["--config", cfg, *argv]):
         sys.exit(1)
 """
 
@@ -305,11 +306,11 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
                  "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "plant.strength" in capsys.readouterr().err
-    # a non-finite SNR range stops at config load, not at the first noise draw
-    code = main(["--set", "augment.noise_snr_db_range=nan,nan", "train",
+    # the noise SNR range is a fixed part of the recipe, no setting
+    code = main(["--set", "augment.noise_snr_db_range=0,20", "train",
                  "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "augment.noise_snr_db_range" in capsys.readouterr().err
+    assert "unknown config key: augment.noise_snr_db_range" in capsys.readouterr().err
     # a zero-width ECAPA stops at config load, not in parameter initialization
     code = main(["--set", "ecapa.channels=0", "train", "--manifest", "m.tsv", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -567,14 +568,14 @@ def test_commands_idempotent_byte_identical(workspace, capsys, tmp_path):
     out1 = tmp_path / "s1.txt"
     out2 = tmp_path / "s2.txt"
     for out in (out1, out2):
-        run_ok(capsys, ["--config", cfg, "--deterministic", "score",
+        run_ok(capsys, ["--config", cfg, "score",
                         "--trials", str(data / "trials.txt"),
                         "--embeddings", str(root / "held.sveb"), "--out", str(out)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_option_tripwire():
-    """Every config key and global flag; a new option must be added here on purpose."""
+    """Every config key, global flag and subcommand option; a new option must be added here on purpose."""
     from svkit.cli import _build_parser
     from svkit.config import RunConfig, dump_config
 
@@ -589,13 +590,30 @@ def test_option_tripwire():
         "schedule.stage1_epochs", "schedule.stage2_epochs", "schedule.lmft_epochs", "schedule.crop_seconds",
         "schedule.lmft_crop_seconds", "schedule.lmft_margin", "schedule.batch_size", "schedule.lr_stage1",
         "schedule.lr_stage2", "schedule.lr_lmft",
-        "augment.probability", "augment.noise_snr_db_range",
+        "augment.probability",
         "scoring.cohort_top_k",
         "plant.layer", "plant.strength",
         "paths.noise_dir", "paths.rir_dir",
     ]
-    flags = [s for action in _build_parser()._actions for s in action.option_strings]
-    assert flags == ["-h", "--help", "--config", "--set", "--deterministic", "--verbose"]
+    parser = _build_parser()
+    flags = [s for action in parser._actions for s in action.option_strings]
+    assert flags == ["-h", "--help", "--config", "--set", "--verbose"]
+    [commands] = [action.choices for action in parser._actions if action.choices]
+    options = {name: [s for action in p._actions for s in action.option_strings][2:] for name, p in commands.items()}
+    assert options == {
+        "synth-data": ["--out-dir", "--speakers", "--utts", "--seconds"],
+        "fbank": ["--wav", "--out"],
+        "upstream-export": ["--manifest", "--out-dir"],
+        "train": ["--manifest", "--out-dir"],
+        "embed": ["--checkpoint", "--manifest", "--out"],
+        "score": ["--trials", "--embeddings", "--out"],
+        "snorm": ["--scores", "--trials", "--embeddings", "--cohort-embeddings", "--cohort-manifest", "--out"],
+        "calibrate": ["--scores", "--trials", "--manifest", "--model-out", "--apply-scores", "--apply-trials",
+                      "--out"],
+        "ensemble": ["--scores", "--trials", "--weights", "--out"],
+        "eval": ["--scores", "--trials"],
+        "export-weights": ["--checkpoint", "--out"],
+    }
 
 
 def test_train_with_noise_bank_only(workspace, capsys, tmp_path):
@@ -695,7 +713,24 @@ def test_upstream_export_builds_the_mock_once(workspace, capsys, tmp_path, monke
         assert (tmp_path / "stacks" / f"{row.utt_id}.svhs").read_bytes() == (tmp_path / "ref.svhs").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["embed", "export-manifest", "export-wav"])
+def test_upstream_export_of_a_one_row_manifest_writes_the_stack_of_its_wav(workspace, capsys, tmp_path):
+    # the one export path: a one-row manifest gives the bytes one WAV's stack saves to
+    from svkit.audio import read_wav
+    from svkit.config import load_config
+    from svkit.upstream import MockUpstream, save_stack
+
+    root, cfg_path = workspace
+    wav = next((root / "data" / "wav").glob("*.wav"))
+    (tmp_path / "one.tsv").write_text(f"u0\ts0\t{wav}\n")
+    summary = run_ok(capsys, ["--config", cfg_path, "upstream-export", "--manifest", str(tmp_path / "one.tsv"),
+                              "--out-dir", str(tmp_path / "out")])
+    assert summary == {"stacks": "1", "layers": "4", "dim": "12"}
+    save_stack(MockUpstream(load_config(cfg_path).upstream).stack(read_wav(wav), str(wav)), tmp_path / "ref.svhs")
+    assert (tmp_path / "out" / "u0.svhs").read_bytes() == (tmp_path / "ref.svhs").read_bytes()
+    assert (tmp_path / "out" / "manifest.tsv").read_text() == "u0\ts0\tu0.svhs\n"
+
+
+@pytest.mark.parametrize("command", ["embed", "export-manifest"])
 def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys, tmp_path, monkeypatch, command):
     from svkit.audio import Waveform, write_wav
     from svkit.config import load_config
@@ -720,13 +755,11 @@ def test_exit_code_4_on_upstream_output_that_overflows_float32(workspace, capsys
                 "--out", str(tmp_path / "out")]
     else:
         monkeypatch.setattr(MockUpstream, "_init_params", staticmethod(lambda _cfg: up))
-        argv = (["upstream-export", "--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "out")]
-                if command == "export-manifest" else ["upstream-export", "--wav", str(wav), "--out", str(tmp_path / "out")])
+        argv = ["upstream-export", "--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "out")]
     code = main(["--config", cfg_path] + argv)
     err = capsys.readouterr().err
     assert code == 4, err
-    source = str(wav) if command == "export-wav" else f"u0 ({wav})"
-    assert f"{source}: mock upstream output does not fit float32" in err and "Traceback" not in err
+    assert f"u0 ({wav}): mock upstream output does not fit float32" in err and "Traceback" not in err
     assert not (tmp_path / "out").is_file() and not (tmp_path / "out" / "u0.svhs").exists()
 
 
@@ -759,19 +792,23 @@ def test_upstream_export_writes_only_inside_the_out_dir(write_inputs, capsys, tm
     assert not out_dir.exists() and list(tmp_path.rglob("*.svhs")) == []  # refused before any stack is written
 
 
-@pytest.mark.parametrize("given, named", [
-    (["--wav", "W", "--out", "one.svhs", "--manifest", "M", "--out-dir", "D"], "--wav, --out, --manifest, --out-dir"),
-    (["--wav", "W", "--out-dir", "D"], "--wav, --out-dir"),
-    (["--manifest", "M", "--out", "one.svhs"], "--out, --manifest"),
-])
-def test_upstream_export_refuses_flags_of_both_modes(write_inputs, capsys, tmp_path, monkeypatch, given, named):
+@pytest.mark.parametrize("given, message", [
+    (["--deterministic", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --deterministic"),
+    (["--seed=3", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --seed=3"),
+    (["upstream-export", "--wav", "w.wav", "--out", "o.svhs"],
+     "the following arguments are required: --manifest, --out-dir"),
+    (["upstream-export", "--wav", "w.wav", "--out", "o.svhs", "--manifest", "m.tsv", "--out-dir", "d"],
+     "unrecognized arguments: --wav w.wav --out o.svhs"),
+    (["upstream-export", "--wav", "w.wav", "--out-dir", "d"], "the following arguments are required: --manifest"),
+    (["upstream-export", "--manifest", "m.tsv", "--out", "o.svhs"], "the following arguments are required: --out-dir"),
+], ids=["deterministic", "seed", "export-wav-out", "export-both-modes", "export-wav-out-dir", "export-manifest-out"])
+def test_a_removed_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, given, message):
+    # a removed flag is no abbreviation of a kept one either: `--out` does not stand for `--out-dir`
     monkeypatch.chdir(tmp_path)
-    wav = next((write_inputs / "data" / "wav").glob("*.wav"))
-    paths = {"W": str(wav), "M": str(write_inputs / "data" / "heldout.tsv"), "D": str(tmp_path / "out")}
-    assert main(["upstream-export"] + [paths.get(a, a) for a in given]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: upstream-export takes one mode, --wav with --out or --manifest with --out-dir; "
-                   f"got {named}\n")
+    with pytest.raises(SystemExit) as info:
+        main(given)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
@@ -784,7 +821,6 @@ def writing_command(root, name):
     return {
         "synth-data": (["synth-data", "--speakers", "3", "--utts", "3", "--seconds", "1"], "--out-dir", "manifest.tsv"),
         "fbank": (["fbank", "--wav", wav], "--out", None),
-        "export-wav": (["upstream-export", "--wav", wav], "--out", None),
         "export-manifest": (["upstream-export", "--manifest", str(data / "heldout.tsv")], "--out-dir", "manifest.tsv"),
         "train": (["train", "--manifest", str(data / "train.tsv")], "--out-dir", "config.txt"),
         "embed": (["embed", "--checkpoint", ckpt, "--manifest", str(data / "heldout.tsv")], "--out", None),
@@ -800,7 +836,7 @@ def writing_command(root, name):
 
 
 @pytest.mark.parametrize("case", ["directory", "below-a-file", "missing-directory"])
-@pytest.mark.parametrize("command", ["synth-data", "fbank", "export-wav", "export-manifest", "train", "embed", "score",
+@pytest.mark.parametrize("command", ["synth-data", "fbank", "export-manifest", "train", "embed", "score",
                                      "snorm", "calibrate", "calibrate-apply", "ensemble", "export-weights"])
 def test_exit_code_2_on_an_output_that_cannot_be_written(write_inputs, capsys, tmp_path, command, case):
     argv, flag, in_dir = writing_command(write_inputs, command)

@@ -32,7 +32,6 @@ def test_load_file_and_overrides(tmp_path):
         "ecapa.channels = 64\n"
         "ecapa.se_bottleneck = 32\n"
         "ecapa.dilations = 3, 5,7\n"
-        "augment.noise_snr_db_range = 5,15\n"
         "schedule.lr_stage1 = 5e-3\n"
     )
     cfg = load_config(path, overrides=[("ecapa.embed_dim", "64")])
@@ -40,7 +39,6 @@ def test_load_file_and_overrides(tmp_path):
     assert cfg.ecapa.channels == 64
     assert cfg.ecapa.embed_dim == 64
     assert cfg.ecapa.dilations == (3, 5, 7)
-    assert cfg.augment.noise_snr_db_range == (5.0, 15.0)
     assert cfg.schedule.lr_stage1 == 5e-3
 
 
@@ -57,7 +55,8 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(path)
     # settings that were removed stay rejected
     for key, value in (("scoring.calibration_trials", "100"), ("upstream.conv_strides", "5,4,4,4"),
-                       ("upstream.smoothing", "3"), ("augment.kinds", "noise")):
+                       ("upstream.smoothing", "3"), ("augment.kinds", "noise"),
+                       ("augment.noise_snr_db_range", "0,20")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
             load_config(path)
@@ -85,9 +84,6 @@ def test_bad_values_rejected(tmp_path):
             load_config(path)
     with pytest.raises(ConfigError, match="schedule.lr_stage1"):
         load_config(overrides=[("schedule.lr_stage1", "nan")])
-    for value in ("nan,nan", "-inf,5", "0,inf", "nan,5"):
-        with pytest.raises(ConfigError, match="augment.noise_snr_db_range must be finite"):
-            load_config(overrides=[("augment.noise_snr_db_range", value)])
     # ECAPA sizes that cannot build a network: zero widths, and dilations whose taps all read one frame
     for key, value, message in (("channels", "0", "ecapa.channels must be >= 1, got 0"),
                                 ("res2_scale", "0", "ecapa.res2_scale must be >= 1, got 0"),
@@ -180,8 +176,7 @@ def test_a_text_setting_refuses_a_line_break(capsys, key, brk):
 CONFIG_REFUSALS = [
     ("schedule.lr_stage1", "abc", "schedule.lr_stage1: expected a number, got 'abc'"),
     # the count is checked against the default's before the section's own check unpacks the tuple
-    ("augment.noise_snr_db_range", "1",
-     "augment.noise_snr_db_range: expected comma-separated numbers (2 values), got '1'"),
+    ("ecapa.dilations", "1", "ecapa.dilations: expected comma-separated numbers (3 values), got '1'"),
     ("scoring.cohort_top_k", "0", "scoring.cohort_top_k must be >= 1"),
 ]
 

@@ -456,6 +456,14 @@ def test_manifest_duplicate_ids_rejected():
         Manifest((ManifestRow("u1", "a", "x"), ManifestRow("u1", "b", "y")))
 
 
+def test_manifest_of_an_iterator_keeps_every_row():
+    # the rows are read once: the duplicate check runs over the kept tuple, not the spent iterator
+    rows = (ManifestRow("u1", "a", "x"), ManifestRow("u2", "b", "y"))
+    assert Manifest(r for r in rows).rows == Manifest(iter(rows)).rows == rows
+    with pytest.raises(FormatError, match="duplicate utterance id: 'u1'"):
+        Manifest(iter(rows + rows[:1]))
+
+
 def test_manifest_path_check(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("u1\tspkA\tmissing.wav\n")
