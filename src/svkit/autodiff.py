@@ -176,9 +176,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor._op(-self.data, (self,), lambda g: (-g,))
-
     def __sub__(self, other):
         a, b = self, Tensor._coerce(other)
         return Tensor._op(a.data - b.data, (a, b), lambda g: (g, -g))

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_upstream_export)
 
     p = sub.add_parser("train", help="run the staged training pipeline")
-    p.add_argument("--manifest")
+    p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -190,8 +190,7 @@ def _cmd_upstream_export(args, cfg: RunConfig):
 
 
 def _cmd_train(args, cfg: RunConfig):
-    manifest_path = _require(args.manifest, "manifest")
-    manifest = load_manifest(manifest_path, check_paths=True)
+    manifest = load_manifest(args.manifest, check_paths=True)
     banks = AugmentBanks(
         noises=load_bank(cfg.paths.noise_dir) if cfg.paths.noise_dir else (),
         rirs=load_bank(cfg.paths.rir_dir) if cfg.paths.rir_dir else (),

@@ -15,10 +15,10 @@ from .aggregator import aggregate, normalized_weights
 from .audio import read_wav, read_wav_duration
 from .autodiff import Tensor
 from .ecapa import EcapaConfig
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 from .upstream import (LayerStack, Manifest, MockUpstream, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack,
-                       param_shapes, row_layers)
+                       param_shapes, speaker_offset)
 
 
 class System:
@@ -31,6 +31,9 @@ class System:
                  plant: PlantSpec = PlantSpec()):
         if ecapa_cfg.in_dim != upstream_cfg.dim:
             raise ConfigError("ecapa.in_dim must equal the upstream dim")
+        if plant.layer > upstream_cfg.n_layers:
+            raise ConfigError(f"plant.layer must be -1 (off) or an upstream layer in 0..{upstream_cfg.n_layers}, "
+                              f"got {plant.layer}")
         self.upstream_cfg, self.ecapa_cfg, self.plant = upstream_cfg, ecapa_cfg, plant
         self.tensors = {name: Tensor(np.asarray(v, dtype=np.float64)) for name, v in tensors.items()}
         self.ecapa, self.logits = self._group("ecapa."), self.tensors["agg.logits"]
@@ -102,9 +105,22 @@ class System:
             return load_stack(path)
         return self.upstream.stack(read_wav(path), f"{row.utt_id} ({path})")
 
+    def row_layers(self, layers, manifest: Manifest, row) -> list:
+        """A row's (T, D) arrays or tensors as a list, checked to be the upstream's L+1 layers of its dim, with
+        the plant's speaker offset added to its layer: that entry is float64, or a tensor when the layer is one."""
+        n, d = len(layers), layers[0].shape[-1]
+        if (n, d) != (self.upstream_cfg.n_layers + 1, self.upstream_cfg.dim):
+            raise DataError(
+                f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
+                f"expected {self.upstream_cfg.n_layers + 1} layers of dim {self.upstream_cfg.dim}"
+            )
+        layers, k = list(layers), self.plant.layer
+        if k != -1:
+            layers[k] = layers[k] + self.plant.strength * speaker_offset(row.speaker_id, d)
+        return layers
+
     def embed_row(self, manifest: Manifest, row) -> np.ndarray:
-        layers = row_layers(self.stack_for(manifest, row).layers, manifest, row, self.logits.data.size,
-                            self.ecapa_cfg.in_dim, self.plant)
+        layers = self.row_layers(self.stack_for(manifest, row).layers, manifest, row)
         return ecapa_mod.embed(aggregate(layers, self.logits.data), self.ecapa, self.ecapa_cfg)
 
 

@@ -23,7 +23,7 @@ from .ecapa import EcapaConfig
 from .errors import ConfigError, DataError
 from .pipeline import System
 from .rng import child_rng
-from .upstream import Manifest, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack, row_layers
+from .upstream import Manifest, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +235,7 @@ def train(
 
     def features(row, crop_s: float, tune_upstream: bool) -> Tensor:
         """Aggregated (T, D) features for one training utterance. Every row's layers (a stored stack, or the
-        tuned upstream's graph) go through `row_layers`, as in `embed`, so frozen stages compute embed's
+        tuned upstream's graph) go through `System.row_layers`, as in `embed`, so frozen stages compute embed's
         features bit for bit."""
         path = manifest.resolve(row)
         if is_stack_file(path):
@@ -244,8 +244,7 @@ def train(
             wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
             layers = (upstream.forward_graph(Tensor(wav.samples)) if tune_upstream
                       else upstream.stack(wav, f"{row.utt_id} ({path})").layers)
-        return aggregate_graph(row_layers(layers, manifest, row, system.logits.data.size, upstream_cfg.dim,
-                                          system.plant), system.logits)
+        return aggregate_graph(system.row_layers(layers, manifest, row), system.logits)
 
     stages = [
         (1, schedule.stage1_epochs, schedule.lr_stage1, aam, schedule.crop_seconds, False),

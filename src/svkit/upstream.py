@@ -189,7 +189,8 @@ def is_stack_file(path) -> bool:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """The `plant` config section: a fixed per-speaker offset in one upstream layer; layer -1 is off."""
+    """The `plant` config section: a fixed per-speaker offset in one upstream layer; layer -1 is off. A layer past
+    the upstream's last is refused by `pipeline.System`, which holds both configs."""
 
     layer: int = -1
     strength: float = 0.0
@@ -206,31 +207,6 @@ def speaker_offset(speaker_id, dim: int) -> np.ndarray:
     rng = child_rng(_PLANT_SALT, f"plant:{speaker_id}")
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def plant_speaker_info(layers: list, speaker_id, plant: PlantSpec):
-    """Add strength * unit_vector(speaker_id) to every frame of the planted layer of a list of (T, D) layers,
-    replacing that entry; -1 is off. The planted entry is float64, or a tensor when its layer is one.
-    """
-    k = plant.layer
-    if k == -1:
-        return
-    if k >= len(layers):
-        raise DataError(f"plant layer {k} out of range 0..{len(layers) - 1}")
-    layers[k] = layers[k] + plant.strength * speaker_offset(speaker_id, layers[k].shape[-1])
-
-
-def row_layers(layers, manifest: Manifest, row, n_layers_plus_1: int, dim: int, plant) -> list:
-    """A row's L+1 (T, D) arrays or tensors as a planted list, checked to be n_layers_plus_1 layers of `dim`."""
-    n, d = len(layers), layers[0].shape[-1]
-    if (n, d) != (n_layers_plus_1, dim):
-        raise DataError(
-            f"{row.utt_id} ({manifest.resolve(row)}): stack has {n} layers of dim {d}, "
-            f"expected {n_layers_plus_1} layers of dim {dim}"
-        )
-    layers = list(layers)
-    plant_speaker_info(layers, row.speaker_id, plant)
-    return layers
 
 
 # ---------------------------------------------------------------------------

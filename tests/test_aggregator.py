@@ -6,8 +6,10 @@ import pytest
 from svkit import autodiff as ad
 from svkit.aggregator import aggregate, aggregate_graph, export_weights, normalized_weights, write_weights_csv
 from svkit.autodiff import Tensor
+from svkit.ecapa import EcapaConfig
 from svkit.errors import DataError
-from svkit.upstream import LayerStack, Manifest, ManifestRow, PlantSpec, row_layers, speaker_offset
+from svkit.pipeline import System
+from svkit.upstream import LayerStack, Manifest, ManifestRow, MockUpstreamConfig, PlantSpec, speaker_offset
 
 
 def stack_from(layers):
@@ -137,7 +139,9 @@ def test_one_node_matches_the_former_forms_byte_for_byte(case, t):
         layers, old = ([Tensor(h, requires_grad=True) for h in arrays] for _ in range(2))
     else:
         stack = rng.standard_normal((13, t, 64)).astype(np.float32)
-        layers = row_layers(stack, Manifest((row,)), row, 13, 64, plant)
+        ecapa_cfg = EcapaConfig(in_dim=64, channels=16, se_bottleneck=8, attention_channels=8, embed_dim=8)
+        system = System.init(MockUpstreamConfig(n_layers=12, dim=64), ecapa_cfg, n_classes=2, seed=0, plant=plant)
+        layers = system.row_layers(stack, Manifest((row,)), row)
         old = former_row_layers(stack, row.speaker_id, plant)
     ref, ref_grad, ref_layer_grads = former_graph(old, logits, probe)
     assert former_numpy(old, logits).tobytes() == ref.tobytes()

@@ -60,7 +60,6 @@ OP_CASES = [
     ("frame_norm", lambda t: ad.frame_norm(t, t[0] * t[1], t[2], 1e-5) * W),
     ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),
     ("rsub", lambda t: 1.0 - t * t),
-    ("neg", lambda t: -t * W),
     ("add_column", lambda t: (t + t[:, :1]).tanh()),
     ("radd", lambda t: (0.5 + t).tanh()),
     ("mul_column", lambda t: t * t[:, 1:2]),

@@ -102,6 +102,22 @@ def test_fold_refusals_are_one_usage_line_and_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "BENCH.json").exists()
 
 
+@pytest.mark.parametrize("modes, second", [(["--compare", "old.json", "new.json", "--out", "x.json"], "--out"),
+                                           (["--probe-ecapa", "--probe-train"], "--probe-train")],
+                         ids=["compare_and_out", "two_probes"])
+def test_a_second_mode_is_a_usage_error(tmp_path, capsys, monkeypatch, modes, second):
+    # a second mode was dropped: `--compare` ran and ignored `--out`, `--probe-ecapa` ran and `--probe-train` not
+    monkeypatch.chdir(tmp_path)
+    old = bench_file(tmp_path / "old.json", 1000.0, 200.0, 0.12, "aaaa", 3013)
+    bench_file(tmp_path / "new.json", 1050.0, 230.0, 0.10, "bbbb", 3000)
+    with pytest.raises(SystemExit) as info:
+        bench.main([*modes, str(old)])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: argument {second}: not allowed with argument {modes[0]}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+
+
 @pytest.mark.parametrize("case", ["not_json", "missing_field"])
 def test_fold_names_a_record_that_is_not_one_and_exits_2(tmp_path, capsys, case):
     good = tmp_path / "score_bulk-seed1-trace0.json"

@@ -447,9 +447,12 @@ def test_calibrate_apply_settings_are_all_or_none(tmp_path, capsys, monkeypatch,
 
 
 def test_exit_code_2_on_missing_manifest_setting(tmp_path, capsys):
-    code = main(["train", "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "manifest" in capsys.readouterr().err
+    # a usage error, as for every other missing mandatory flag
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--out-dir", str(tmp_path / "run")])
+    assert info.value.code == 2
+    assert "the following arguments are required: --manifest" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_3_on_bad_input_format(tmp_path, capsys):
@@ -777,6 +780,19 @@ def write_inputs(tmp_path_factory):
                   "--out", str(root / "scores.txt")]):
         assert main(["--config", str(root / "run.cfg")] + argv) == 0
     return root
+
+
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_exit_code_2_on_plant_past_the_last_layer(write_inputs, tmp_path, capsys, command):
+    # the bound is the config's alone, so the system refuses it when it is built, before any row is read
+    argv = {"train": ["train", "--manifest", str(write_inputs / "data" / "train.tsv"), "--out-dir", str(tmp_path)],
+            "embed": ["embed", "--checkpoint", str(write_inputs / "run" / "checkpoint.svck"),
+                      "--manifest", str(write_inputs / "data" / "manifest.tsv"), "--out", str(tmp_path / "e.sveb")]}
+    code = main(["--config", str(write_inputs / "run.cfg"), "--set", "plant.layer=4"] + argv[command])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "plant.layer must be -1 (off) or an upstream layer in 0..3, got 4" in err and "Traceback" not in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"config.txt"}  # `train` writes its config first
 
 
 @pytest.mark.parametrize("utt_id", ["../esc", "x/y", "ABSOLUTE", "nul\0byte"])

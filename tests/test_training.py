@@ -26,7 +26,7 @@ from svkit.training import (
     crop_random,
     train,
 )
-from svkit.upstream import MockUpstream, MockUpstreamConfig, row_layers
+from svkit.upstream import MockUpstream, MockUpstreamConfig
 from gradcheck import fd_report, grad_check
 from test_autodiff import retaining_backward
 
@@ -448,24 +448,23 @@ def test_adam_leaves_the_upstream_untouched_after_an_svhs_only_batch(tiny_corpus
 
 def test_row_layers_is_the_one_shape_and_plant_site(tiny_corpus, tmp_path, monkeypatch):
     # every crop of every stage, WAV or SVHS, frozen or tuned, is checked and planted by one call
-    import svkit.training as training_mod
-    import svkit.upstream as upstream_mod
+    import svkit.pipeline as pipeline_mod
 
     calls, planted = [], []
-    plant_speaker_info = upstream_mod.plant_speaker_info
+    row_layers, speaker_offset = System.row_layers, pipeline_mod.speaker_offset
 
-    def spy(layers, manifest, row, *args):
-        out = row_layers(layers, manifest, row, *args)
+    def spy(system, layers, manifest, row):
+        out = row_layers(system, layers, manifest, row)
         calls.append((row.utt_id, row.path.endswith(".svhs"), type(out[0])))
         return out
 
-    def count_plant(layers, speaker_id, plant):
+    def count_plant(speaker_id, dim):
         planted.append(speaker_id)
-        plant_speaker_info(layers, speaker_id, plant)
+        return speaker_offset(speaker_id, dim)
 
     manifest = mixed_manifest(tiny_corpus, tmp_path)
-    monkeypatch.setattr(training_mod, "row_layers", spy)
-    monkeypatch.setattr(upstream_mod, "plant_speaker_info", count_plant)
+    monkeypatch.setattr(System, "row_layers", spy)
+    monkeypatch.setattr(pipeline_mod, "speaker_offset", count_plant)
     train(manifest, tiny_schedule(stage2_epochs=1, lmft_epochs=1), upstream_cfg=UP, ecapa_cfg=EC,
           plant=PlantSpec(layer=1, strength=3.0), seed=4)
     n = len(manifest)  # one crop per row per epoch

@@ -6,7 +6,9 @@ import pytest
 import svkit.autodiff as ad
 from svkit.audio import Waveform
 from svkit.autodiff import Tensor
+from svkit.ecapa import EcapaConfig
 from svkit.errors import ConfigError, DataError, FormatError
+from svkit.pipeline import System
 from svkit.rng import child_rng
 from svkit.upstream import (
     CONV_STRIDES,
@@ -21,7 +23,6 @@ from svkit.upstream import (
     load_stack,
     mock_forward,
     param_shapes,
-    plant_speaker_info,
     save_manifest,
     save_stack,
     speaker_offset,
@@ -264,18 +265,26 @@ def test_smooth_gradient_matches_finite_differences(shape):
 # ---------------------------------------------------------------------------
 
 
+PLANT_UP = MockUpstreamConfig(n_layers=4, dim=16, seed=1)
+PLANT_EC = EcapaConfig(in_dim=16, channels=16, se_bottleneck=8, attention_channels=8, embed_dim=8)
+
+
 def stack_fixture():
-    return mock_forward(rand_wav(3200, seed=7), MockUpstreamConfig(n_layers=4, dim=16, seed=1))
+    return mock_forward(rand_wav(3200, seed=7), PLANT_UP)
 
 
 def layers_fixture():
     return stack_fixture().layers.astype(np.float64)
 
 
+def row_layers(layers, speaker_id, plant):
+    """`System.row_layers` of a system with this plant, on a row of `speaker_id`."""
+    row = ManifestRow("u", speaker_id, "u.svhs")
+    return System.init(PLANT_UP, PLANT_EC, n_classes=2, seed=0, plant=plant).row_layers(layers, Manifest((row,)), row)
+
+
 def planted(layers, speaker_id, layer, strength):
-    out = layers.copy()
-    plant_speaker_info(out, speaker_id, PlantSpec(layer, strength))
-    return out
+    return np.stack(row_layers(layers, speaker_id, PlantSpec(layer, strength)))
 
 
 def test_plant_zero_strength_unchanged():
@@ -294,19 +303,31 @@ def test_plant_same_speaker_same_offset():
     assert np.any(c != a)
 
 
-def test_plant_out_of_range_layer_errors():
-    layers = layers_fixture()
-    for layer in (layers.shape[0], layers.shape[0] + 2):
-        with pytest.raises(DataError, match="out of range"):
-            planted(layers, "spk1", layer, 1.0)
+@pytest.mark.parametrize("build", ["init", "from_checkpoint", "from_result"])
+def test_plant_out_of_range_layer_errors(build):
+    # the bound is the config's alone: every way to build a system refuses a layer past the upstream's last
+    from svkit.training import TrainResult
+
+    system = System.init(PLANT_UP, PLANT_EC, n_classes=2, seed=0)
+    builders = {
+        "init": lambda plant: System.init(PLANT_UP, PLANT_EC, n_classes=2, seed=0, plant=plant),
+        "from_checkpoint": lambda plant: System.from_checkpoint(system.checkpoint_tensors(), PLANT_UP, PLANT_EC,
+                                                                plant=plant),
+        "from_result": lambda plant: System.from_result(TrainResult(system, ["a", "b"], []), PLANT_UP, PLANT_EC,
+                                                        plant=plant),
+    }
+    assert builders[build](PlantSpec(PLANT_UP.n_layers, 1.0)).plant.layer == 4  # the last layer is planted
+    for layer in (PLANT_UP.n_layers + 1, PLANT_UP.n_layers + 3):
+        with pytest.raises(ConfigError) as info:
+            builders[build](PlantSpec(layer, 1.0))
+        assert str(info.value) == f"plant.layer must be -1 (off) or an upstream layer in 0..4, got {layer}"
 
 
 def test_plant_off_leaves_layers_unchanged():
     layers = layers_fixture()
     assert PlantSpec() == PlantSpec(layer=-1, strength=0.0)
     assert planted(layers, "spk1", -1, 3.0).tobytes() == layers.tobytes()
-    tensors = [Tensor(h) for h in layers]
-    plant_speaker_info(tensors, "spk1", PlantSpec())
+    tensors = row_layers([Tensor(h) for h in layers], "spk1", PlantSpec())
     assert np.stack([h.data for h in tensors]).tobytes() == layers.tobytes()
 
 
@@ -342,8 +363,7 @@ def test_plant_commutes_across_layers():
 
 def test_plant_tensor_list_matches_array():
     layers = layers_fixture()
-    tensors = [Tensor(h) for h in layers]
-    plant_speaker_info(tensors, "spk3", PlantSpec(2, 1.5))
+    tensors = row_layers([Tensor(h) for h in layers], "spk3", PlantSpec(2, 1.5))
     np.testing.assert_array_equal(np.stack([h.data for h in tensors]), planted(layers, "spk3", 2, 1.5))
 
 

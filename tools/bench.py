@@ -304,14 +304,15 @@ CHILDREN = {"scoring_chain": run_scoring_chain, "ecapa_steps": run_ecapa_steps, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("records", nargs="*", type=Path, help="perfbench run records to fold")
-    parser.add_argument("--out", type=Path, help="BENCH file to write from the records")
-    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
-    parser.add_argument("--probe-scoring", action="store_true",
-                        help=f"time score_bulk's scoring chain at {' and '.join(map(str, PROBE_TRIALS))} trials")
-    parser.add_argument("--probe-ecapa", action="store_true",
-                        help="time one ECAPA forward and backward at desk and default sizes")
-    parser.add_argument("--probe-train", action="store_true",
-                        help="peak RSS growth of one C=512 training epoch on paper-shape stacks at batch sizes 1 and 4")
+    mode = parser.add_mutually_exclusive_group()  # one mode a run: a second one is a usage error
+    mode.add_argument("--out", type=Path, help="BENCH file to write from the records")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    mode.add_argument("--probe-scoring", action="store_true",
+                      help=f"time score_bulk's scoring chain at {' and '.join(map(str, PROBE_TRIALS))} trials")
+    mode.add_argument("--probe-ecapa", action="store_true",
+                      help="time one ECAPA forward and backward at desk and default sizes")
+    mode.add_argument("--probe-train", action="store_true",
+                      help="peak RSS growth of one C=512 training epoch on paper-shape stacks at batch sizes 1 and 4")
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)  # a probe's child: NAME SPEC_JSON
     args = parser.parse_args(argv)
     if any((args.child, args.probe_scoring, args.probe_ecapa, args.probe_train)):
