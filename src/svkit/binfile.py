@@ -74,7 +74,10 @@ class Reader:
             text = str(self._buf, "utf-8")
         except UnicodeDecodeError:
             raise self.error("not valid UTF-8 text") from None
-        return ((n, line.split(sep)) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+        lines = enumerate(text.splitlines(), 1)
+        if sep is None:  # `split` and `strip` share one whitespace set, so a blank line splits to []
+            return ((n, parts) for n, line in lines if (parts := line.split()))
+        return ((n, line.split(sep)) for n, line in lines if line.strip())
 
     def float32(self, chunks, labels) -> np.ndarray:
         """The float32 values of `chunks` as one flat, read-only array; a non-finite one names its chunk's label."""

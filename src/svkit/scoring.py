@@ -10,6 +10,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+from sys import intern
 from typing import NamedTuple
 
 import numpy as np
@@ -72,10 +75,10 @@ def _finite_scores(scores, what: str) -> np.ndarray:
 
 def _trial_rows(trials, store: dict):
     """Unit rows of the trials' distinct ids, in trial order, and each trial's enroll and test row."""
-    sides = [uid for t in trials for uid in (t.enroll_id, t.test_id)]
-    index = {uid: i for i, uid in enumerate(dict.fromkeys(sides))}
-    pairs = np.fromiter(map(index.__getitem__, sides), dtype=np.intp, count=len(sides))
-    ids = list(index)
+    enroll, test = list(map(itemgetter(0), trials)), list(map(itemgetter(1), trials))
+    ids = list(dict.fromkeys(chain.from_iterable(zip(enroll, test))))
+    index = dict(zip(ids, range(len(ids))))
+    e, t = (np.fromiter(map(index.__getitem__, side), dtype=np.intp, count=len(side)) for side in (enroll, test))
     try:
         emb = np.array([store[uid] for uid in ids], dtype=np.float64).reshape(len(ids), -1)
     except KeyError as exc:
@@ -84,15 +87,15 @@ def _trial_rows(trials, store: dict):
     for bad, what in ((~np.isfinite(emb).all(axis=1), "non-finite"), (norms == 0.0, "zero-norm")):
         if bad.any():
             raise DataError(f"{what} embedding for {ids[int(np.argmax(bad))]}")
-    return emb / norms[:, None], pairs[0::2], pairs[1::2]
+    return emb / norms[:, None], e, t
 
 
 def score_trials(trials, store: dict) -> np.ndarray:
     out = np.empty(len(trials))
     if trials:
         unit, e, t = _trial_rows(trials, store)
-        for lo in range(0, len(out), 4096):  # cache-sized row gathers; memory stays flat at any trial count
-            block = slice(lo, lo + 4096)
+        for lo in range(0, len(out), 512):  # cache-sized row gathers; memory stays flat at any trial count
+            block = slice(lo, lo + 512)
             out[block] = np.einsum("ij,ij->i", unit[e[block]], unit[t[block]])
     return np.clip(out, -1.0, 1.0, out=out)
 
@@ -150,23 +153,33 @@ def adaptive_snorm(scores, trials, store: dict, cohort: Cohort) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def quality_features(trial: Trial, durations: dict) -> np.ndarray:
-    """Duration-based pair features: [log(min(d_e, d_t)), log(d_e) + log(d_t)].
+def _duration(durations: dict, uid: str) -> float:
+    """The duration of `uid`, positive and finite, else a DataError naming it."""
+    try:
+        d = durations[uid]
+    except KeyError:
+        raise DataError(f"no duration recorded for {uid}") from None
+    if not 0 < d < math.inf:
+        raise DataError(f"nonpositive or non-finite duration {d} for {uid}")
+    return d
+
+
+def quality_features(trial: Trial, durations: dict) -> tuple:
+    """Duration-based pair features, a float pair: (log(min(d_e, d_t)), log(d_e) + log(d_t)).
 
     Each duration must be positive and finite; a missing, nonpositive, NaN or
-    infinite one is a DataError naming the utterance.
+    infinite one is a DataError naming the utterance, the enroll side first.
     """
-    logs = []
-    for uid in (trial.enroll_id, trial.test_id):
-        try:
-            d = durations[uid]
-        except KeyError:
-            raise DataError(f"no duration recorded for {uid}") from None
-        if not 0 < d < math.inf:
-            raise DataError(f"nonpositive or non-finite duration {d} for {uid}")
-        logs.append(np.log(d))
-    le, lt = logs
-    return np.array([min(le, lt), le + lt])  # log is monotone: min(le, lt) == log(min(d_e, d_t))
+    # np.log, not math.log: the two can differ in the last bit
+    le, lt = np.log(_duration(durations, trial.enroll_id)), np.log(_duration(durations, trial.test_id))
+    return float(min(le, lt)), float(le + lt)  # log is monotone: min(le, lt) == log(min(d_e, d_t))
+
+
+def _check_binary_labels(labels: np.ndarray, what: str):
+    """A DataError naming the first label that is neither 0 nor 1."""
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise DataError(f"{what} labels must be 0 or 1, got {labels[bad[0]].item()!r} at trial {bad[0]}")
 
 
 def _quality_rows(quality, n: int) -> np.ndarray:
@@ -207,6 +220,7 @@ def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != scores.shape or not np.isfinite(labels).all():
         raise DataError("calibration labels must be finite and aligned with the scores")
+    _check_binary_labels(labels, "calibration")
     if not labels.size or np.all(labels == labels[0]):
         raise DataError("calibration labels are degenerate (none, or a single class)")
     x = np.column_stack([scores, _quality_rows(quality, scores.size)])
@@ -288,6 +302,7 @@ def eer(scores, labels) -> tuple:
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must be aligned 1-D arrays")
+    _check_binary_labels(labels, "EER")
     tar = np.sort(scores[labels == 1])
     non = np.sort(scores[labels == 0])
     if tar.size == 0 or non.size == 0:
@@ -320,29 +335,33 @@ def eer(scores, labels) -> tuple:
 _LABELS = {"0": 0, "1": 1}
 
 
+def _refuse_trial_row(path, lineno: int, parts: list, width: int):
+    """Raise the FormatError for a row that does not fit a trial list whose first row has `width` fields."""
+    if len(parts) not in (2, 3):
+        raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
+    if len(parts) != width:
+        raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
+    raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+
+
 def load_trials(path) -> list:
-    """Space-separated trials: 'label enroll test' or unlabeled 'enroll test'."""
+    """Space-separated trials: 'label enroll test' or unlabeled 'enroll test'.
 
-    def parse():
-        width = None  # the first row's field count decides for the whole file
-        for lineno, parts in Reader(path).rows():
-            if len(parts) != width:
-                if len(parts) not in (2, 3):
-                    raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
-                if width is not None:
-                    raise FormatError(f"{path}:{lineno}: mixed labeled/unlabeled rows")
-                width = len(parts)
-            if width == 2:
-                yield Trial(parts[0], parts[1])
-            elif (label := _LABELS.get(parts[0])) is None:
-                raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
-            else:
-                yield Trial(parts[1], parts[2], label)
-
-    trials = list(parse())
-    if not trials:
+    Each Trial is built as its row is split; the first row's field count decides for the whole file.
+    Ids are interned: the list holds each distinct id once, however many trials name it.
+    """
+    rows = Reader(path).rows()
+    first = next(rows, None)
+    if first is None:
         raise FormatError(f"{path}: empty trial list")
-    return trials
+    width = len(first[1])
+    rows, new, label_of = chain((first,), rows), tuple.__new__, _LABELS.get  # skips Trial.__new__'s Python frame
+    if width == 2:
+        return [new(Trial, (intern(p[0]), intern(p[1]), None)) if len(p) == 2
+                else _refuse_trial_row(path, n, p, width) for n, p in rows]
+    # a first row of any width but 2 or 3 is refused here, as the first row of the list
+    return [new(Trial, (intern(p[1]), intern(p[2]), label)) if len(p) == 3 and (label := label_of(p[0])) is not None
+            else _refuse_trial_row(path, n, p, width) for n, p in rows]
 
 
 def save_trials(trials, path):
@@ -351,10 +370,13 @@ def save_trials(trials, path):
 
 
 def trial_labels(trials) -> np.ndarray:
-    labels = [t.label for t in trials]
-    if any(l is None for l in labels):
+    """The trials' labels as integers; an unlabeled trial, or a label other than 0 or 1, is a DataError."""
+    # read as floats, so that a label of 0.5 is refused rather than truncated to 0; None reads as NaN
+    labels = np.fromiter(map(itemgetter(2), trials), dtype=float, count=len(trials))
+    if np.isnan(labels).any():
         raise DataError("trial list is unlabeled")
-    return np.asarray(labels)
+    _check_binary_labels(labels, "trial")
+    return labels.astype(int)
 
 
 def load_scores(path, trials) -> np.ndarray:
@@ -379,8 +401,11 @@ def load_scores(path, trials) -> np.ndarray:
 
 
 def save_scores(trials, scores, path):
+    scores = np.asarray(scores)
+    if scores.shape != (len(trials),):
+        raise DataError(f"{scores.size} scores for {len(trials)} trials; no score file written")
     # Python floats format faster than numpy scalars, with the same digits
-    write_lines(path, (f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, np.asarray(scores).tolist())))
+    write_lines(path, (f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(trials, scores.tolist())))
 
 
 _SVEB_MAGIC = b"SVEB"

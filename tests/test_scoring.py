@@ -313,11 +313,17 @@ def test_score_trials_and_snorm_match_loop_reference():
             continue
         # a small top-k spread scales s-norm values (and rounding) up, hence also a relative bound
         np.testing.assert_allclose(adaptive_snorm(raw, trials, store, cohort), want, rtol=1e-12, atol=1e-12)
-    # a trial list longer than score_trials' 4096-trial blocks, not a multiple of them
+    # a trial list longer than score_trials' 512-trial blocks, not a multiple of them
     store, trials, _ = random_scoring_case(rng)
     ids = sorted(store)
     trials = [Trial(ids[a], ids[b]) for a, b in rng.integers(len(ids), size=(9001, 2))]
-    assert np.max(np.abs(score_trials(trials, store) - loop_score_trials(trials, store))) <= 1e-12
+    raw = score_trials(trials, store)
+    assert np.max(np.abs(raw - loop_score_trials(trials, store))) <= 1e-12
+    # einsum reduces each row alone, so the block size moves no bit: one unblocked gather is the byte reference
+    emb = np.array([store[uid] for uid in ids])
+    unit = dict(zip(ids, emb / np.linalg.norm(emb, axis=1)[:, None]))
+    gather = [np.array([unit[getattr(t, side)] for t in trials]) for side in ("enroll_id", "test_id")]
+    assert raw.tobytes() == np.clip(np.einsum("ij,ij->i", *gather), -1.0, 1.0).tobytes()
 
 
 def test_empty_trial_list_scores_empty():
@@ -376,6 +382,20 @@ SCORING_REFUSALS = [
                               manifest_for([("u1", "a"), ("u2", "a"), ("u3", "b")]), 600),
      "speaker a has a zero-norm mean embedding"),
     ("eer_misaligned_labels", lambda out: eer([0.1, 0.9], [1]), "scores and labels must be aligned 1-D arrays"),
+    # a label of 2 was dropped from both classes
+    ("eer_label_not_0_or_1", lambda out: eer([0.1, 0.2, 0.3, 0.4], [1, 0, 2, 1]),
+     "EER labels must be 0 or 1, got 2 at trial 2"),
+    # a label of 2 was fitted, with only the non-positive-weight warning
+    ("calibration_label_not_0_or_1", lambda out: fit_calibration([0.1, 0.2, 0.3, 0.4], [1, 0, 2, 1]),
+     "calibration labels must be 0 or 1, got 2.0 at trial 2"),
+    ("calibration_label_negative", lambda out: fit_calibration([0.1, 0.2, 0.3], [1.0, -1.0, 0.0]),
+     "calibration labels must be 0 or 1, got -1.0 at trial 1"),
+    # zip wrote one line for the one score
+    ("save_scores_count_mismatch",
+     lambda out: save_scores([Trial("a", "b", 1), Trial("a", "c", 0)], [0.5], out / "s.txt"),
+     "1 scores for 2 trials; no score file written"),
+    ("save_scores_extra_score", lambda out: save_scores([Trial("a", "b", 1)], [0.5, 0.25], out / "s.txt"),
+     "2 scores for 1 trials; no score file written"),
     ("cohort_top_k_zero", lambda out: Cohort(np.eye(2), top_k=0), "cohort top_k must lie in [1, member count]"),
     ("cohort_top_k_above_members", lambda out: Cohort(np.eye(2), top_k=3),
      "cohort top_k must lie in [1, member count]"),
@@ -593,6 +613,8 @@ def test_apply_calibration_arity_mismatch():
 
 def test_quality_features_values_and_errors():
     trial = Trial("e", "t")
+    pair = quality_features(trial, {"e": 2.0, "t": 3.0})
+    assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
     np.testing.assert_allclose(quality_features(trial, {"e": 1.0, "t": 1.0}), [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
         quality_features(trial, {"e": np.e, "t": np.e**2}), [1.0, 3.0], atol=1e-12
@@ -791,6 +813,8 @@ MALFORMED_TRIALS = [
     ("a b\n2 c d\n", "2: mixed labeled/unlabeled rows"),  # mixed rows are reported before a bad label
     ("2 a b\n", "1: label must be 0 or 1, got '2'"),
     ("1 a b\n0 c d e\n", "2: expected 2 or 3 fields, got 4"),
+    ("a\nb c\n", "1: expected 2 or 3 fields, got 1"),  # a first row of another width decides nothing
+    ("1 a b c\n", "1: expected 2 or 3 fields, got 4"),
 ]
 
 
@@ -828,6 +852,57 @@ def test_load_trials_raises_as_the_former_loader(tmp_path, data):
         dataclass_load_trials(path)
     with pytest.raises(FormatError, match=f"^{re.escape(str(want.value))}$"):
         load_trials(path)
+
+
+# Line semantics of the trial and score loaders: lines end as `str.splitlines` ends them (CRLF, a lone CR,
+# form feed, U+2028, ...), fields part on any whitespace run, and a whitespace-only line is skipped but
+# counted. (file text, the trials or scores it loads or the message that follows the path)
+TRIAL_LINE_CASES = [
+    ("1 a b\r\n0 c d\r\n", [Trial("a", "b", 1), Trial("c", "d", 0)]),
+    ("1 a b\r0 c d\r", [Trial("a", "b", 1), Trial("c", "d", 0)]),
+    ("a b\x0cc d\u2028e f\u2029", [Trial("a", "b"), Trial("c", "d"), Trial("e", "f")]),
+    ("1\ta\t\tb\n0 \t c\td\n", [Trial("a", "b", 1), Trial("c", "d", 0)]),
+    (" \t \n1 a b\n\n   \n0 c d\n\n\n", [Trial("a", "b", 1), Trial("c", "d", 0)]),
+    ("1 a b\r\n\r\n0 c d e\r\n", ":3: expected 2 or 3 fields, got 4"),
+    ("1 a b\r\r0 c\r", ":3: mixed labeled/unlabeled rows"),
+    ("1 a b\x0c \x0c2 c d", ":3: label must be 0 or 1, got '2'"),
+    ("a b\u2028\u2028c", ":3: expected 2 or 3 fields, got 1"),
+    ("1\x0ca b\n", ":1: expected 2 or 3 fields, got 1"),  # a form feed ends the line, it does not part fields
+    (" \r\n\t\r\n", ": empty trial list"),
+]
+SCORE_LINE_CASES = [
+    ("a b 0.5\r\nc d -0.25\r\n", [0.5, -0.25]),
+    ("a b 0.5\rc d -0.25", [0.5, -0.25]),
+    ("a\tb\t 0.5\x0c c d\t-0.25\n\n \n", [0.5, -0.25]),
+    ("a b 0.5\u2028\u2028c d -0.25\u2028", [0.5, -0.25]),
+    ("a b 0.5\r\n\r\nc d x\r\n", ":3: bad score value 'x'"),
+    ("a b\t0.5\x0c \x0cc d", ":3: expected 'enroll test score'"),
+    ("a b 0.5\u2028c d -0.25 1\n", ":2: expected 'enroll test score'"),
+    ("\n\na b 0.5\n \t\n", ": 1 scores for 2 trials"),
+]
+
+
+@pytest.mark.parametrize("text, want", TRIAL_LINE_CASES)
+def test_load_trials_line_semantics(tmp_path, text, want):
+    path = tmp_path / "trials.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(want, str):
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{want}')}$"):
+            load_trials(path)
+    else:
+        assert load_trials(path) == want
+
+
+@pytest.mark.parametrize("text, want", SCORE_LINE_CASES)
+def test_load_scores_line_semantics(tmp_path, text, want):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(text.encode("utf-8"))
+    trials = [Trial("a", "b", 1), Trial("c", "d", 0)]
+    if isinstance(want, str):
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{want}')}$"):
+            load_scores(path, trials)
+    else:
+        assert load_scores(path, trials).tolist() == want
 
 
 def test_save_scores_formats_as_numpy_scalars_did(tmp_path):
@@ -890,3 +965,14 @@ def test_score_trials_unknown_id():
 def test_trial_labels_requires_labels():
     with pytest.raises(DataError, match="unlabeled"):
         trial_labels([Trial("a", "b")])
+    with pytest.raises(DataError, match="^trial list is unlabeled$"):
+        trial_labels([Trial("a", "b", 1), Trial("a", "c"), Trial("b", "c", 0)])
+    for bad, shown in ((2, "2.0"), (0.5, "0.5"), (-1, "-1.0")):  # an int cast would have read 0.5 as 0
+        with pytest.raises(DataError, match=f"^trial labels must be 0 or 1, got {re.escape(shown)} at trial 1$"):
+            trial_labels([Trial("a", "b", 1), Trial("a", "c", bad)])
+
+
+def test_trial_labels_as_the_former_list_form():
+    trials = score_bulk_trials()
+    labels, want = trial_labels(trials), np.asarray([t.label for t in trials])
+    assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
