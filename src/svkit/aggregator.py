@@ -26,18 +26,32 @@ def aggregate(layers, logits) -> np.ndarray:
     return aggregate_graph(layers, ad.Tensor(logits)).data
 
 
+MIX_BLOCK_BYTES = 16 << 20  # the float64 frames a mix with no gradient casts at a time
+
+
 def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
     """The (T, D) softmax(logits)-weighted sum of a list of L+1 (T, D) layers, as one node.
 
     A layer is a constant array (a stored float32 layer, or a float64 planted one) or, while the upstream
-    is fine-tuned, a tensor. They are stacked once in float64; gradients flow to the logits and each tensor.
+    is fine-tuned, a tensor. With a gradient to compute they are stacked once in float64, the matrix the
+    logits' VJP reads; gradients flow to the logits and each tensor. With none (embed), at most
+    MIX_BLOCK_BYTES of float64 frames are cast and mixed at a time: each output entry is the same product
+    of the same column, so the values are those of the whole matrix to the byte.
     """
     w = ad.softmax(logits)
-    flat = np.stack([h.data if isinstance(h, ad.Tensor) else h for h in layers], dtype=np.float64)
-    n, t, d = flat.shape
-    flat = flat.reshape(n, t * d)
+    arrays = [h.data if isinstance(h, ad.Tensor) else h for h in layers]
+    n, (t, d) = len(arrays), arrays[0].shape
     tuned = [l for l, h in enumerate(layers) if isinstance(h, ad.Tensor)]
-    return ad.Tensor._op((w.data @ flat).reshape(t, d), (w, *(layers[l] for l in tuned)),
+    parents = (w, *(layers[l] for l in tuned))
+    if not any(p.requires_grad for p in parents):
+        out = np.empty((t, d))
+        step = max(1, MIX_BLOCK_BYTES // (8 * n * d))
+        for lo in range(0, t, step):
+            block = np.stack([h[lo : lo + step] for h in arrays], dtype=np.float64)
+            np.matmul(w.data, block.reshape(n, -1), out=out[lo : lo + step].reshape(-1))
+        return ad.Tensor(out)
+    flat = np.stack(arrays, dtype=np.float64).reshape(n, t * d)
+    return ad.Tensor._op((w.data @ flat).reshape(t, d), parents,
                          lambda g: ((g.reshape(1, -1) @ flat.T).ravel(), *(w.data[l] * g for l in tuned)))
 
 

@@ -26,7 +26,19 @@ class Waveform:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)  # a copy: the waveform owns its data
+        arr = np.asarray(self.samples)
+        if arr.dtype.kind not in "iuf":  # numpy would parse strings and drop imaginary parts
+            raise ValueError(f"waveform samples must be integers or floats, got {arr.dtype}")
+        self._keep(np.array(arr, dtype=np.float64))  # a copy: the waveform owns its data
+
+    @classmethod
+    def _own(cls, samples: np.ndarray) -> "Waveform":
+        """A waveform over `samples`, a fresh float64 array no caller holds, kept read-only rather than copied."""
+        wav = object.__new__(cls)
+        wav._keep(samples)
+        return wav
+
+    def _keep(self, arr: np.ndarray):
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("waveform must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
@@ -116,8 +128,9 @@ class AugmentBanks:
 
 def read_wav(path) -> Waveform:
     """Read a 16-bit PCM mono 16 kHz WAV file, scaling samples by 1/32768."""
-    pcm = np.frombuffer(_pcm_data(path), dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / 32768.0)
+    samples = np.frombuffer(_pcm_data(path), dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return Waveform._own(samples)
 
 
 def read_wav_duration(path) -> float:
@@ -236,7 +249,9 @@ def mix_noise(wav: Waveform, noise: Waveform, snr_db: float, rng: np.random.Gene
         raise DataError("noise crop has zero energy; SNR is undefined")
     rms_s = wav.rms()
     gain = rms_s / (rms_n * 10.0 ** (snr_db / 20.0))
-    return Waveform(np.clip(wav.samples + gain * crop, -1.0, 1.0))
+    out = gain * crop
+    out += wav.samples
+    return Waveform._own(np.clip(out, -1.0, 1.0, out=out))
 
 
 def apply_rir(wav: Waveform, ir: Waveform) -> Waveform:
@@ -252,8 +267,8 @@ def apply_rir(wav: Waveform, ir: Waveform) -> Waveform:
     rms_in = wav.rms()
     rms_out = float(np.sqrt(np.mean(out**2)))
     if rms_out > 0.0:
-        out = out * (rms_in / rms_out)
-    return Waveform(np.clip(out, -1.0, 1.0))
+        out *= rms_in / rms_out
+    return Waveform._own(np.clip(out, -1.0, 1.0, out=out))
 
 
 def augment(

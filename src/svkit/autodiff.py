@@ -325,7 +325,11 @@ def _affine(a: np.ndarray, x: Tensor, w: Tensor, b: Tensor, relu: bool, to_x=Non
     """One node for `a @ w + b`, ReLU'd if `relu`, with parents (x, w, b): `a` is `x`'s
     data or patches read from it, and `to_x`, if given, maps the gradient of `a` to `x`'s.
     The ReLU's mask is built in the VJP, and a constant `x` or `w` gets no product."""
-    data = a @ w.data + b.data
+    data = a @ w.data
+    if b.data.dtype == data.dtype:
+        data += b.data  # in place: the sum `a @ w + b` makes, without a second fresh array
+    else:
+        data = data + b.data
     if relu:
         np.maximum(data, 0.0, out=data)
 

@@ -32,15 +32,32 @@ class LayerStack:
     frame_rate_hz: float
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # an overflow is a non-finite entry or rate, refused below
-            arr = np.array(self.layers, dtype=np.float32)  # a copy: the stack owns its data
-            rate = np.float32(self.frame_rate_hz)
+        arr = np.asarray(self.layers)
+        if arr.dtype.kind not in "iuf":  # numpy would parse strings and drop imaginary parts
+            raise ValueError(f"layer stack entries must be integers or floats, got {arr.dtype}")
+        with np.errstate(over="ignore"):  # an overflow is a non-finite entry, refused by `_keep`
+            arr = np.array(arr, dtype=np.float32)  # a copy: the stack owns its data
+        self._keep(arr)
+
+    @classmethod
+    def _own(cls, layers: np.ndarray, frame_rate_hz) -> "LayerStack":
+        """A stack over `layers`, a float32 array that no caller can write (a fresh array, or a view of the
+        immutable bytes of a file), kept read-only rather than copied."""
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "frame_rate_hz", frame_rate_hz)
+        stack._keep(layers)
+        return stack
+
+    def _keep(self, arr: np.ndarray):
         if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("layer stack contains non-finite entries")
-        if not (isinstance(self.frame_rate_hz, (int, float, np.number)) and 0 < rate < np.inf):  # numpy parses a str
-            raise ValueError(f"stack frame rate must be positive and finite in float32, got {self.frame_rate_hz!r}")
+        rate = self.frame_rate_hz
+        real = isinstance(rate, (int, float, np.number)) and not isinstance(rate, bool)  # numpy parses a str
+        with np.errstate(over="ignore"):  # an overflow is an infinite rate
+            if not (real and 0 < np.float32(rate) < np.inf):
+                raise ValueError(f"stack frame rate must be positive and finite in float32, got {rate!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
 
@@ -107,9 +124,13 @@ class MockUpstream:
         }
 
     def forward_array(self, wav: Waveform) -> np.ndarray:
-        """Float64 (L+1) x T x D stack; the float32 LayerStack is a storage view."""
+        """The float32 (L+1) x T x D stack, each layer cast once into it; an entry past float32's range is inf."""
         graph = self.forward_graph(ad.Tensor(wav.samples))
-        return np.stack([h.data for h in graph])
+        out = np.empty((len(graph), *graph[0].shape), dtype=np.float32)
+        with np.errstate(over="ignore"):  # refused by `stack` as a non-finite entry
+            for l, h in enumerate(graph):
+                out[l] = h.data
+        return out
 
     def stack(self, wav: Waveform, source: str) -> LayerStack:
         """The forward pass stored as a float32 LayerStack, like an imported SVHS stack.
@@ -118,7 +139,7 @@ class MockUpstream:
         """
         layers = self.forward_array(wav)
         try:
-            return LayerStack(layers, frame_rate_hz=self.cfg.frame_rate_hz)
+            return LayerStack._own(layers, self.cfg.frame_rate_hz)
         except ValueError as exc:  # a forward's shape and rate are valid, so its values are not finite
             raise DataError(f"{source}: mock upstream output does not fit float32: {exc}") from None
 
@@ -157,8 +178,13 @@ def _smooth(x: ad.Tensor) -> ad.Tensor:
     to the frames it read, the clipped reads to the first and last frame.
     """
     a = x.data
-    prev = np.concatenate([a[:1], a[:-1]])
-    nxt = np.concatenate([a[1:], a[-1:]])
+    # `(prev + a + nxt) * (1 / 3)`, op for op, in one fresh array: `out` starts as `prev`, each frame's
+    # previous frame, then takes `a`, then `nxt`, each frame's next frame
+    out = np.concatenate([a[:1], a[:-1]])
+    out += a
+    out[:-1] += a[1:]
+    out[-1] += a[-1]
+    out *= 1.0 / 3
 
     def vjp(g):
         g3 = g * (1.0 / 3)
@@ -169,7 +195,7 @@ def _smooth(x: ad.Tensor) -> ad.Tensor:
         gx[-1] += g3[-1]
         return (gx,)
 
-    return ad.Tensor._op((prev + a + nxt) * (1.0 / 3), (x,), vjp)
+    return ad.Tensor._op(out, (x,), vjp)
 
 
 def mock_forward(wav: Waveform, cfg: MockUpstreamConfig) -> LayerStack:
@@ -230,7 +256,7 @@ def load_stack(path) -> LayerStack:
     payload = r.take(n * t * d * 4, "payload")
     r.end()
     try:
-        return LayerStack(np.frombuffer(payload, dtype="<f4").reshape(n, t, d), frame_rate_hz=float(rate))
+        return LayerStack._own(np.frombuffer(payload, dtype="<f4").reshape(n, t, d), float(rate))
     except ValueError as exc:
         raise r.error(str(exc)) from None
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svkit import aggregator
 from svkit import autodiff as ad
 from svkit.aggregator import aggregate, aggregate_graph, export_weights, normalized_weights, write_weights_csv
 from svkit.autodiff import Tensor
@@ -197,3 +198,21 @@ def test_csv_writer_layout(tmp_path):
     assert lines[0] == "layer,weight"
     assert lines[1] == "layer_0,0.333333"
     assert text.endswith("\n") and "\r" not in text
+
+
+@pytest.mark.parametrize("shape", [(25, 1000, 1024), (13, 1000, 64), (13, 377, 64), (25, 301, 768)])
+@pytest.mark.parametrize("frames_per_block", [None, 1, 7])
+def test_a_mix_without_gradient_in_blocks_matches_the_one_matrix_product(shape, frames_per_block, monkeypatch):
+    # embed casts and mixes MIX_BLOCK_BYTES of float64 frames at a time; the former form, still training's,
+    # cast the whole stack into one (L+1, T*D) matrix
+    n, t, d = shape
+    if frames_per_block is not None:  # several blocks per row, the last one short where 7 does not divide T
+        monkeypatch.setattr(aggregator, "MIX_BLOCK_BYTES", frames_per_block * n * d * 8)
+    rng = np.random.default_rng(t + d)
+    layers = list(rng.standard_normal(shape, dtype=np.float32))
+    layers[3] = layers[3] + rng.standard_normal(d)  # a planted layer is float64
+    logits = rng.standard_normal(n)
+    w = normalized_weights(logits)
+    former = (w @ np.stack(layers, dtype=np.float64).reshape(n, t * d)).reshape(t, d)
+    assert aggregate(layers, logits).tobytes() == former.tobytes()
+    assert aggregate_graph(layers, Tensor(logits, requires_grad=True)).data.tobytes() == former.tobytes()

@@ -118,6 +118,25 @@ def test_waveform_owns_a_read_only_copy(dtype):
     np.testing.assert_array_equal(wav.samples, np.arange(-3.0, 5.0))
 
 
+@pytest.mark.parametrize("samples, message", [
+    (np.array([1 + 2j]), "waveform samples must be integers or floats, got complex128"),
+    (["1", "2"], "waveform samples must be integers or floats, got <U1"),
+    ([True, False], "waveform samples must be integers or floats, got bool"),
+], ids=["complex", "strings", "bools"])
+def test_waveform_refuses_what_is_not_a_real_number(samples, message):
+    # before: a complex sample kept its real part with only a warning, and strings were parsed
+    with pytest.raises(ValueError, match=message):
+        Waveform(samples)
+
+
+def test_read_wav_scales_in_place_as_the_former_division(tmp_path):
+    pcm = np.array([-32768, -12345, -1, 0, 1, 3, 12345, 32767], dtype="<i2")
+    write_wav(tmp_path / "w.wav", Waveform(pcm / 32768.0))
+    wav = read_wav(tmp_path / "w.wav")
+    assert wav.samples.tobytes() == (pcm.astype(np.float64) / 32768.0).tobytes()
+    assert wav.samples.flags.owndata and not wav.samples.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Fbank
 # ---------------------------------------------------------------------------
@@ -276,6 +295,29 @@ def test_mix_noise_tiles_short_noise():
     assert np.any(out.samples != wav.samples)
 
 
+def former_mix_noise(wav, noise, snr_db, rng):
+    """`mix_noise` as it was before its sum was finished in place."""
+    n = len(wav)
+    nz = noise.samples
+    if nz.size < n:
+        nz = np.tile(nz, -(-n // nz.size))
+    offset = int(rng.integers(0, nz.size - n + 1))
+    crop = nz[offset : offset + n]
+    gain = wav.rms() / (float(np.sqrt(np.mean(crop**2))) * 10.0 ** (snr_db / 20.0))
+    return np.clip(wav.samples + gain * crop, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n_noise, snr", [(40000, 0.0), (3000, 12.5), (16000, -20.0)])
+def test_mix_noise_in_place_matches_the_former_sum(n_noise, snr):
+    rng = np.random.default_rng(n_noise)
+    wav = Waveform(rng.uniform(-0.9, 0.9, 16000))
+    noise = Waveform(rng.uniform(-0.5, 0.5, n_noise))
+    out = mix_noise(wav, noise, snr, np.random.default_rng(3))
+    former = former_mix_noise(wav, noise, snr, np.random.default_rng(3))
+    assert out.samples.tobytes() == former.tobytes()
+    assert not out.samples.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # apply_rir
 # ---------------------------------------------------------------------------
@@ -308,6 +350,20 @@ def test_rir_matches_direct_convolution(n, taps):
     ref = np.clip(ref * (np.sqrt(np.mean(x**2)) / np.sqrt(np.mean(ref**2))), -1.0, 1.0)
     out = apply_rir(Waveform(x), Waveform(ir))
     assert np.max(np.abs(out.samples - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, taps, gain", [(4000, 1, 1.0), (4000, 11, 3.0), (48000, 4000, 1.0)])
+def test_rir_in_place_matches_the_former_scaling(n, taps, gain):
+    from scipy.signal import convolve
+
+    rng = np.random.default_rng(n + taps)
+    x = rng.uniform(-0.9, 0.9, n)
+    ir = gain * rng.standard_normal(taps) * np.exp(-np.arange(taps) / (1.0 + taps / 5))
+    conv = convolve(x, ir)[:n]
+    former = np.clip(conv * (Waveform(x).rms() / float(np.sqrt(np.mean(conv**2)))), -1.0, 1.0)
+    out = apply_rir(Waveform(x), Waveform(ir))
+    assert out.samples.tobytes() == former.tobytes()
+    assert not out.samples.flags.writeable
 
 
 def test_rir_zero_energy_errors():

@@ -398,3 +398,49 @@ def test_equality_raises_and_hash_is_identity():
         with pytest.raises(TypeError, match=r"compare \.data"):
             compare()
     assert {t: 1}[t] == 1 and hash(t) == object.__hash__(t)
+
+
+@pytest.mark.parametrize("rows, relu", [(1, False), (150, False), (1000, True)])
+def test_affine_bias_added_in_place_matches_the_former_sum(rows, relu):
+    # `_affine` adds the bias into the fresh product; the former form made a second array with `a @ w + b`
+    rng = np.random.default_rng(rows)
+    a, w, b = rng.standard_normal((rows, 64)), rng.standard_normal((64, 48)), rng.standard_normal(48)
+    former = a @ w + b
+    if relu:
+        former = np.maximum(former, 0.0)
+    assert ad.linear(a, w, b, relu=relu).data.tobytes() == former.tobytes()
+    patches = a.reshape(-1, 16)[ad._taps(a.size // 16, 3, 2)[1]].reshape(-1, 48)
+    conv_former = patches @ w[:48] + b
+    assert ad.conv1d(a.reshape(-1, 16), w[:48], b, 3, dilation=2).data.tobytes() == conv_former.tobytes()
+
+
+def test_affine_keeps_the_wider_dtype_of_a_float64_bias():
+    x, w = np.ones((2, 3), dtype=np.float32), np.full((3, 2), 1 / 3, dtype=np.float32)
+    b = np.array([1e-9, 0.0])
+    out = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    assert out.dtype == np.float64 and out.tobytes() == (x @ w + b).tobytes()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Tensor(np.ones(3)) @ Tensor(np.ones((3, 2))), "matmul supports 2-D operands only"),
+    (lambda: Tensor(np.ones(3)).transpose(), "transpose supports 2-D tensors only"),
+    (lambda: ad.linear(np.ones(3), np.ones((3, 2)), np.ones(2)), "linear supports 2-D operands only"),
+    (lambda: ad.conv1d(np.ones(4), np.ones((3, 2)), np.ones(2), 3), r"conv1d expects a \(T, C\) tensor"),
+    (lambda: ad.res2(np.ones((4, 6)), [np.ones((6, 2))] * 3, [np.ones(2)] * 3, 1),
+     r"res2 expects a \(T, C\) tensor, C a multiple of len\(ws\) \+ 1"),
+    (lambda: ad.frame_norm(np.ones(4), np.ones(4), np.zeros(4), 1e-5), r"frame_norm expects a \(T, C\) tensor"),
+], ids=["matmul", "transpose", "linear", "conv1d", "res2", "frame_norm"])
+def test_shape_guards_refuse_a_wrong_shape(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_repr_names_the_shape_and_the_gradient_flag():
+    assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == "Tensor(shape=(2, 3), grad=True)"
+
+
+def test_backward_of_a_constant_changes_nothing():
+    leaf = Tensor(np.ones(3))
+    loss = (leaf * 2.0).sum()
+    assert loss.backward() is None
+    assert loss.grad is None and leaf.grad is None

@@ -103,8 +103,9 @@ def test_fold_refusals_are_one_usage_line_and_exit_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("modes, second", [(["--compare", "old.json", "new.json", "--out", "x.json"], "--out"),
-                                           (["--probe-ecapa", "--probe-train"], "--probe-train")],
-                         ids=["compare_and_out", "two_probes"])
+                                           (["--probe-ecapa", "--probe-train"], "--probe-train"),
+                                           (["--probe-train", "--probe-embed"], "--probe-embed")],
+                         ids=["compare_and_out", "two_probes", "train_and_embed_probes"])
 def test_a_second_mode_is_a_usage_error(tmp_path, capsys, monkeypatch, modes, second):
     # a second mode was dropped: `--compare` ran and ignored `--out`, `--probe-ecapa` ran and `--probe-train` not
     monkeypatch.chdir(tmp_path)
@@ -164,6 +165,17 @@ def test_train_probe_runs_one_epoch_in_a_child_per_batch_size(capsys):
         assert res["train_s"] > 0 and res["rss_growth_mib"] >= 0
         assert line == (f"train epoch rows=4 stack=3x6x8 C=16 batch_size={res['batch_size']} "
                         f"train_s={res['train_s']:.2f} rss_growth_mib={res['rss_growth_mib']:.1f}")
+
+
+def test_embed_probe_embeds_one_row_in_a_child(capsys):
+    from svkit.ecapa import EcapaConfig
+
+    tiny = EcapaConfig(channels=16, se_bottleneck=8, attention_channels=8, embed_dim=8)
+    res = bench.probe_embed((3, 6, 8), tiny)
+    assert res["load_mix_ms"] > 0 and res["ecapa_ms"] > 0 and res["rss_growth_mib"] >= 0 and res["minflt"] >= 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"embed row stack=3x6x8 C=16 load_mix_ms={res['load_mix_ms']:.1f} ecapa_ms={res['ecapa_ms']:.1f} "
+        f"rss_growth_mib={res['rss_growth_mib']:.1f} minflt={res['minflt']}"]
 
 
 def test_scoring_probe_runs_the_chain_in_a_child_at_each_size(capsys):

@@ -345,6 +345,13 @@ def test_exit_code_2_on_unusable_setting(tmp_path, capsys, monkeypatch, argv, ex
     assert list(tmp_path.iterdir()) == []
 
 
+def test_exit_code_2_on_a_setting_that_names_a_whole_section(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--set", "ecapa=3", "eval", "--scores", "s.txt", "--trials", "t.txt"]) == 2
+    assert capsys.readouterr().err == "error: unknown config key: ecapa\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_huge_fbank_window_is_refused_before_anything_allocates(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--set", "fbank.win_ms=99999999999", "fbank", "--wav", "w.wav", "--out", "f.npy"]) == 2
@@ -677,7 +684,7 @@ def test_exit_code_4_on_stack_that_does_not_fit(workspace, capsys, tmp_path, com
 # at lr 1e150 the second epoch's loss is NaN; after one epoch the anchors are
 # still finite in float64 but past float32's range, which the checkpoint refuses.
 # The NaN case's autodiff ops overflow before the divergence check fires, which
-# warns; an earlier divergence rule is ROADMAP item 7.
+# warns; an earlier divergence rule is ROADMAP item 1.
 @pytest.mark.parametrize("epochs,message", [
     pytest.param("2", "training diverged at stage 1 epoch 2 batch 1: non-finite loss",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),

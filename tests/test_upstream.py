@@ -157,8 +157,9 @@ def test_mock_graph_matches_array_path():
     wav = rand_wav(4800, seed=3)
     arr = model.forward_array(wav)
     graph = model.forward_graph(Tensor(wav.samples))
+    assert arr.dtype == np.float32 and arr.shape == (len(graph), *graph[0].shape)
     for l, h in enumerate(graph):
-        np.testing.assert_allclose(h.data, arr[l], atol=1e-12)
+        assert arr[l].tobytes() == h.data.astype(np.float32).tobytes()  # each layer cast once, as stored
 
 
 def test_mock_graph_parameters_receive_gradients():
@@ -496,3 +497,63 @@ def test_manifest_bad_field_count(tmp_path):
     path.write_text("u1\tspkA\n")
     with pytest.raises(FormatError, match="3 tab-separated"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 150])
+def test_smooth_in_place_matches_the_former_sum(t):
+    a = np.random.default_rng(t).standard_normal((t, 16))
+    prev, nxt = np.concatenate([a[:1], a[:-1]]), np.concatenate([a[1:], a[-1:]])
+    assert _smooth(Tensor(a)).data.tobytes() == ((prev + a + nxt) * (1.0 / 3)).tobytes()
+
+
+@pytest.mark.parametrize("layers, rate, message", [
+    (np.zeros((2, 3, 4), dtype=complex) + 1j, 50.0, "entries must be integers or floats, got complex128"),
+    ([[["1", "2"]], [["3", "4"]]], 50.0, "entries must be integers or floats, got <U1"),
+    (np.zeros((2, 3, 4), dtype=bool), 50.0, "entries must be integers or floats, got bool"),
+    (np.zeros((2, 3, 4)), True, "frame rate must be positive and finite in float32, got True"),
+], ids=["complex", "strings", "bools", "bool_rate"])
+def test_layer_stack_refuses_what_is_not_a_real_number(layers, rate, message):
+    # before: a complex stack kept its real part with a warning, strings were parsed, and True was a rate of 1
+    with pytest.raises(ValueError, match=message):
+        LayerStack(layers, frame_rate_hz=rate)
+
+
+def test_a_loaded_stack_is_a_read_only_view_of_the_file_bytes(tmp_path):
+    stack = stack_fixture()
+    save_stack(stack, tmp_path / "s.svhs")
+    loaded = load_stack(tmp_path / "s.svhs")
+    assert not loaded.layers.flags.owndata and not loaded.layers.flags.writeable
+    owner = loaded.layers
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, bytes)  # immutable: nothing else can write under the stack
+    assert loaded.layers.tobytes() == stack.layers.tobytes() and loaded.frame_rate_hz == stack.frame_rate_hz
+
+
+def test_the_mock_stack_keeps_the_array_its_forward_made(monkeypatch):
+    model = MockUpstream(MockUpstreamConfig(n_layers=2, dim=8, seed=1))
+    made = []
+    forward_array = model.forward_array
+
+    def recorded(wav):
+        made.append(forward_array(wav))
+        return made[-1]
+
+    monkeypatch.setattr(model, "forward_array", recorded)
+    stack = model.stack(rand_wav(1600, seed=2), "w")
+    assert stack.layers is made[0] and not stack.layers.flags.writeable
+
+
+@pytest.mark.parametrize("layers, rate, message", [
+    (np.zeros((1, 3, 4), dtype=np.float32), 50.0, r"must be \(L\+1\) x T x D"),
+    (np.full((2, 3, 4), np.inf, dtype=np.float32), 50.0, "non-finite entries"),
+    (np.zeros((2, 3, 4), dtype=np.float32), 0.0, "frame rate must be positive"),
+    (np.zeros((2, 3, 4), dtype=np.float32), 1e39, "frame rate must be positive"),
+])
+def test_a_kept_stack_makes_every_check_of_a_copied_one(layers, rate, message):
+    messages = []
+    for build in (LayerStack, LayerStack._own):
+        with pytest.raises(ValueError, match=message) as info:
+            build(layers.copy(), rate)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

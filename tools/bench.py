@@ -51,6 +51,16 @@ the real `training.train` for one stage-1 epoch with the default C=512 ECAPA
 and prints the epoch's seconds and its peak RSS growth over the child's
 baseline before `train`: memory that grows with the batch shows as the
 difference between the two lines.
+
+    python3 tools/bench.py --probe-embed
+
+`--probe-embed` is an ungated probe of embedding one imported row at the
+paper's shape: a 25 x 1000 x 1024 SVHS stack (20 s of a 24-layer, 1024-dim
+model at 50 frames/s), written once to a temp directory. A fresh child process
+with one BLAS thread embeds it with the default C=512 `System` and prints the
+ms to load the stack and mix its layers, the ms of the ECAPA forward, and the
+growth of its peak RSS over its RSS before the row, and of its minor page
+faults (`ru_minflt`): the memory the row's full-size arrays take.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ PROBE_FRAMES = (("desk", 5), ("desk", 150), ("desk", 300), ("default", 300))
 ECAPA_STEPS = 7
 TRAIN_SHAPE = (25, 300, 1024)  # (layers, frames, dims) of one probe row
 TRAIN_BATCHES = (1, 4)
+EMBED_SHAPE = (25, 1000, 1024)  # (layers, frames, dims) of the embed probe's row
 BLAS_1 = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
@@ -172,6 +183,12 @@ def rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
+def current_rss_mib() -> float:
+    """This process's RSS now."""
+    with open("/proc/self/statm", encoding="ascii") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 def run_child(name: str, spec: dict) -> dict:
     """`CHILDREN[name](**spec)` in a fresh child process at one BLAS thread, so that its RSS is its own;
     returns the dict the child printed."""
@@ -255,15 +272,16 @@ def probe_ecapa(cases) -> list:
     return results
 
 
-def write_train_rows(work: Path, shape) -> None:
-    """Four SVHS rows of `shape` (layers, frames, dims), two per speaker, and their `manifest.tsv`, in `work`."""
+def write_rows(work, shape, count: int) -> None:
+    """`count` SVHS rows of `shape` (layers, frames, dims), of two speakers in turn, and their `manifest.tsv`,
+    in the directory `work`."""
     import numpy as np
 
     from svkit.upstream import LayerStack, Manifest, ManifestRow, save_manifest, save_stack
 
-    rng = np.random.default_rng(PROBE_SEED)
+    work, rng = Path(work), np.random.default_rng(PROBE_SEED)
     rows = []
-    for i in range(4):
+    for i in range(count):
         save_stack(LayerStack(rng.standard_normal(shape, dtype=np.float32), frame_rate_hz=50.0), work / f"u{i}.svhs")
         rows.append(ManifestRow(f"u{i}", f"s{i % 2}", f"u{i}.svhs"))
     save_manifest(Manifest(tuple(rows)), work / "manifest.tsv")
@@ -289,7 +307,7 @@ def probe_train(shape, cfg, batch_sizes) -> list:
     """One printed line per batch size, each epoch run in a fresh child; returns the results."""
     results = []
     with tempfile.TemporaryDirectory(prefix="svkit-probe-") as tmp:
-        write_train_rows(Path(tmp), shape)
+        write_rows(Path(tmp), shape, 4)
         for batch_size in batch_sizes:
             spec = {"work": tmp, "batch_size": batch_size, "n_layers": shape[0] - 1,
                     "cfg_fields": {**asdict(cfg), "in_dim": shape[2]}}
@@ -300,7 +318,45 @@ def probe_train(shape, cfg, batch_sizes) -> list:
     return results
 
 
-CHILDREN = {"scoring_chain": run_scoring_chain, "ecapa_steps": run_ecapa_steps, "train_epoch": run_train_epoch}
+def run_embed_row(work: str, n_layers: int, cfg_fields: dict) -> dict:
+    """`System.embed_row`'s two steps on the first row in `work`, timed apart, and the growth of the peak RSS
+    and of the minor page faults over the RSS and count before the row (the peak so far may be the System's
+    initialization)."""
+    from svkit import ecapa
+    from svkit.aggregator import aggregate
+    from svkit.pipeline import System
+    from svkit.upstream import MockUpstreamConfig, load_manifest
+
+    manifest = load_manifest(Path(work) / "manifest.tsv")
+    row, cfg = manifest.rows[0], ecapa.EcapaConfig(**cfg_fields)
+    system = System.init(MockUpstreamConfig(n_layers=n_layers, dim=cfg.in_dim), cfg, n_classes=2, seed=PROBE_SEED)
+    gc.collect()
+    base, base_rss = resource.getrusage(resource.RUSAGE_SELF), current_rss_mib()
+    start = time.perf_counter()
+    feats = aggregate(system.row_layers(system.stack_for(manifest, row).layers, manifest, row), system.logits.data)
+    mixed = time.perf_counter()
+    ecapa.embed(feats, system.ecapa, cfg)
+    end = time.perf_counter()
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"load_mix_ms": 1e3 * (mixed - start), "ecapa_ms": 1e3 * (end - mixed),
+            "rss_growth_mib": usage.ru_maxrss / 1024 - base_rss, "minflt": usage.ru_minflt - base.ru_minflt}
+
+
+def probe_embed(shape, cfg) -> dict:
+    """One printed line for one row of `shape` embedded in a fresh child; returns the result."""
+    with tempfile.TemporaryDirectory(prefix="svkit-probe-") as tmp:
+        # written by a child too: a child starts with the peak RSS of the process it was spawned from
+        run_child("rows", {"work": tmp, "shape": shape, "count": 1})
+        res = run_child("embed_row", {"work": tmp, "n_layers": shape[0] - 1,
+                                      "cfg_fields": {**asdict(cfg), "in_dim": shape[2]}})
+    print(f"embed row stack={'x'.join(map(str, shape))} C={cfg.channels} load_mix_ms={res['load_mix_ms']:.1f} "
+          f"ecapa_ms={res['ecapa_ms']:.1f} rss_growth_mib={res['rss_growth_mib']:.1f} minflt={res['minflt']}",
+          flush=True)
+    return res
+
+
+CHILDREN = {"scoring_chain": run_scoring_chain, "ecapa_steps": run_ecapa_steps, "train_epoch": run_train_epoch,
+            "embed_row": run_embed_row, "rows": write_rows}
 
 
 def main(argv=None) -> int:
@@ -315,9 +371,11 @@ def main(argv=None) -> int:
                       help="time one ECAPA forward and backward at desk and default sizes")
     mode.add_argument("--probe-train", action="store_true",
                       help="peak RSS growth of one C=512 training epoch on paper-shape stacks at batch sizes 1 and 4")
+    mode.add_argument("--probe-embed", action="store_true",
+                      help="load+mix and ECAPA ms, peak RSS and minor fault growth of one paper-shape embed")
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)  # a probe's child: NAME SPEC_JSON
     args = parser.parse_args(argv)
-    if any((args.child, args.probe_scoring, args.probe_ecapa, args.probe_train)):
+    if any((args.child, args.probe_scoring, args.probe_ecapa, args.probe_train, args.probe_embed)):
         sys.path.insert(0, str(ROOT / "src"))
     if args.child:
         name, spec = args.child
@@ -337,6 +395,11 @@ def main(argv=None) -> int:
 
         probe_train(TRAIN_SHAPE, EcapaConfig(), TRAIN_BATCHES)
         return 0
+    if args.probe_embed:
+        from svkit.ecapa import EcapaConfig
+
+        probe_embed(EMBED_SHAPE, EcapaConfig())
+        return 0
     if args.compare:
         old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
@@ -344,8 +407,8 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return 1 if flagged else 0
     if not args.out:
-        parser.error("give --out with records to fold, --compare OLD NEW, --probe-scoring, --probe-ecapa "
-                     "or --probe-train")
+        parser.error("give --out with records to fold, --compare OLD NEW, --probe-scoring, --probe-ecapa, "
+                     "--probe-train or --probe-embed")
     try:
         bench = fold([read_record(p) for p in args.records])
     except ValueError as exc:  # a file that is no run record, no records, or records from two checkouts or hosts
