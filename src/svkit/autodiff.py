@@ -1,7 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Eager tensors: every operation computes its value immediately and records it
-through ``Tensor._op``, with its parents and one vector-Jacobian product (VJP):
+Eager float64 tensors: a ``Tensor`` stores its data as float64 whatever it
+is given (float32, integers, booleans), so every op computes in float64;
+float32 is only the precision stacks and checkpoints keep at rest. Every
+operation computes its value immediately and records it through
+``Tensor._op``, with its parents and one vector-Jacobian product (VJP):
 the function that maps the output's gradient to a tuple of one gradient per
 parent, ``None`` for a parent whose gradient it does not compute.
 ``Tensor.backward()`` walks the recorded graph in reverse topological order,
@@ -61,10 +64,7 @@ class Tensor:
     __hash__ = object.__hash__
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -307,7 +307,7 @@ def _scatter_taps(gp: np.ndarray, taps: tuple) -> np.ndarray:
     """The input gradient of a conv from the gradient `gp` (T, kernel, C) of its patches."""
     offs, _idx, edge, edge_idx = taps
     t = gp.shape[0]
-    full = np.zeros((t, gp.shape[2]), dtype=gp.dtype)
+    full = np.zeros((t, gp.shape[2]))
     # An interior frame j (0 < j < t-1) is read unclipped, by tap k from frame j - offs[k].
     # Adding the taps in descending order sums those reads in the order `np.add.at`
     # over `idx` would (row-major, frame j - offs[k] ascending), so the result is the same bytes.
@@ -326,10 +326,7 @@ def _affine(a: np.ndarray, x: Tensor, w: Tensor, b: Tensor, relu: bool, to_x=Non
     data or patches read from it, and `to_x`, if given, maps the gradient of `a` to `x`'s.
     The ReLU's mask is built in the VJP, and a constant `x` or `w` gets no product."""
     data = a @ w.data
-    if b.data.dtype == data.dtype:
-        data += b.data  # in place: the sum `a @ w + b` makes, without a second fresh array
-    else:
-        data = data + b.data
+    data += b.data  # in place: the sum `a @ w + b` makes, without a second fresh array
     if relu:
         np.maximum(data, 0.0, out=data)
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, FormatError
 from .pipeline import System, extract_embeddings, utterance_durations
 from .synthcorpus import SynthSpec, synth_corpus
 from .training import train
-from .upstream import Manifest, ManifestRow, MockUpstream, load_manifest, save_manifest, save_stack
+from .upstream import Manifest, ManifestRow, MockUpstream, is_stack_file, load_manifest, save_manifest, save_stack
 
 logger = logging.getLogger("svkit")
 
@@ -178,6 +178,9 @@ def _cmd_upstream_export(args, cfg: RunConfig):
         if Path(rel).name != rel or "\0" in rel:
             raise FormatError(f"{args.manifest}: utt_id {row.utt_id!r} does not make a plain file name; "
                               "stacks are written only inside --out-dir")
+        if is_stack_file(row.path):
+            raise FormatError(f"{args.manifest}: row {row.utt_id!r} ({manifest.resolve(row)}) is a stored stack; "
+                              "upstream-export reads WAV rows only")
     upstream, rows = MockUpstream(cfg.upstream), []  # drawn once the names are accepted
     for row in manifest.rows:
         path = manifest.resolve(row)
@@ -302,7 +305,23 @@ def _cmd_eval(args, cfg: RunConfig):
     scores = scoring.load_scores(args.scores, trials)
     labels = scoring.trial_labels(trials)
     value, threshold = scoring.eer(scores, labels)
+    _log_worst_trials(trials, scores, labels)
     return [("eer", f"{value:.6f}"), ("threshold", f"{threshold:.6f}")]
+
+
+WORST_TRIALS = 5  # how many target and how many non-target trials `eval --verbose` names
+
+
+def _log_worst_trials(trials, scores, labels):
+    """At --verbose, log the WORST_TRIALS lowest-scoring target trials and highest-scoring non-target trials,
+    worst first (ties in trial order), with their ids and scores."""
+    if not logger.isEnabledFor(logging.INFO):
+        return
+    for kind, label, sign in (("target", 1, 1.0), ("non-target", 0, -1.0)):
+        picks = np.flatnonzero(labels == label)
+        for i in picks[np.argsort(sign * scores[picks], kind="stable")[:WORST_TRIALS]]:
+            t = trials[i]
+            logger.info("worst %s trial: %s %s score %.6f", kind, t.enroll_id, t.test_id, scores[i])
 
 
 def _cmd_export_weights(args, cfg: RunConfig):

@@ -35,7 +35,7 @@ class System:
             raise ConfigError(f"plant.layer must be -1 (off) or an upstream layer in 0..{upstream_cfg.n_layers}, "
                               f"got {plant.layer}")
         self.upstream_cfg, self.ecapa_cfg, self.plant = upstream_cfg, ecapa_cfg, plant
-        self.tensors = {name: Tensor(np.asarray(v, dtype=np.float64)) for name, v in tensors.items()}
+        self.tensors = {name: Tensor(v) for name, v in tensors.items()}
         self.ecapa, self.logits = self._group("ecapa."), self.tensors["agg.logits"]
         normalized_weights(self.logits.data)  # refuses non-finite logits
 

@@ -23,7 +23,7 @@ from .ecapa import EcapaConfig
 from .errors import ConfigError, DataError
 from .pipeline import System
 from .rng import child_rng
-from .upstream import Manifest, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack
+from .upstream import Manifest, MockUpstreamConfig, PlantSpec, is_stack_file
 
 logger = logging.getLogger(__name__)
 
@@ -234,12 +234,12 @@ def train(
     rng_aug = child_rng(seed, "augment")
 
     def features(row, crop_s: float, tune_upstream: bool) -> Tensor:
-        """Aggregated (T, D) features for one training utterance. Every row's layers (a stored stack, or the
-        tuned upstream's graph) go through `System.row_layers`, as in `embed`, so frozen stages compute embed's
-        features bit for bit."""
+        """Aggregated (T, D) features for one training utterance. A stored stack is read by `System.stack_for`,
+        and every row's layers (that stack, or the tuned upstream's graph) go through `System.row_layers`, as in
+        `embed`, so frozen stages compute embed's features bit for bit."""
         path = manifest.resolve(row)
         if is_stack_file(path):
-            layers = load_stack(path).layers
+            layers = system.stack_for(manifest, row).layers
         else:
             wav = augment(crop_random(read_wav(path), crop_s, rng_crop), banks, augment_cfg, rng_aug)
             layers = (upstream.forward_graph(Tensor(wav.samples)) if tune_upstream

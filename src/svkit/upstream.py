@@ -111,7 +111,7 @@ class MockUpstream:
 
     def __init__(self, cfg: MockUpstreamConfig, params: dict = {}):
         self.cfg = cfg
-        self.params = {k: v if isinstance(v, ad.Tensor) else ad.Tensor(np.asarray(v, dtype=np.float64))
+        self.params = {k: v if isinstance(v, ad.Tensor) else ad.Tensor(v)
                        for k, v in (params or self._init_params(cfg)).items()}
 
     @staticmethod
@@ -304,7 +304,7 @@ class Manifest:
 
 
 def load_manifest(path, check_paths: bool = False) -> Manifest:
-    """Read a tab-separated manifest (utt_id, speaker_id, path per line).
+    """Read a tab-separated manifest (utt_id, speaker_id, path per line); a file with no row is a FormatError.
 
     Relative paths resolve against the manifest's directory.
     """
@@ -315,6 +315,8 @@ def load_manifest(path, check_paths: bool = False) -> Manifest:
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         rows.append(ManifestRow(*parts))
+    if not rows:
+        raise FormatError(f"{path}: empty manifest")
     r.unique([row.utt_id for row in rows], "utterance id")
     manifest = Manifest(tuple(rows), base_dir=path.parent)
     if check_paths:

@@ -414,11 +414,17 @@ def test_affine_bias_added_in_place_matches_the_former_sum(rows, relu):
     assert ad.conv1d(a.reshape(-1, 16), w[:48], b, 3, dilation=2).data.tobytes() == conv_former.tobytes()
 
 
-def test_affine_keeps_the_wider_dtype_of_a_float64_bias():
-    x, w = np.ones((2, 3), dtype=np.float32), np.full((3, 2), 1 / 3, dtype=np.float32)
-    b = np.array([1e-9, 0.0])
-    out = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
-    assert out.dtype == np.float64 and out.tobytes() == (x @ w + b).tobytes()
+def test_a_tensor_holds_float64_so_float32_operands_compute_in_float64():
+    for data in (np.full((2, 3), 1 / 3, dtype=np.float32), np.arange(6).reshape(2, 3), np.eye(2, 3, dtype=bool)):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, data.astype(np.float64))
+    rng = np.random.default_rng(0)
+    x, w, b = (rng.standard_normal(shape).astype(np.float32) for shape in ((8, 16), (16, 4), (4,)))
+    out = ad.linear(x, w, b).data
+    wide = x.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
+    assert out.dtype == np.float64 and out.tobytes() == wide.tobytes()
+    assert out.tobytes() != (x @ w + b).astype(np.float64).tobytes()  # not the float32 product, widened after
 
 
 @pytest.mark.parametrize("build, message", [

@@ -92,6 +92,7 @@ DEFECTS = [
     ("manifest_invalid_utf8", b"u\ts\t\xff.wav\n", load_manifest, "UTF-8"),
     ("manifest_duplicate_id", b"u1\ta\tx.wav\nu2\ta\ty.wav\nu1\tb\tz.wav\n", load_manifest,
      "duplicate utterance id: 'u1'"),
+    ("manifest_empty", b"\n \t\n", load_manifest, ": empty manifest$"),
     ("wav_short_fmt_chunk", wav(fmt_size=14), read_wav, "malformed fmt chunk"),
     ("wav_odd_data_chunk", wav(data=b"\x00" * 3), read_wav, "malformed data chunk"),
     ("wav_empty_data_chunk", wav(data=b""), read_wav, "malformed data chunk"),

@@ -815,6 +815,67 @@ def test_upstream_export_writes_only_inside_the_out_dir(write_inputs, capsys, tm
     assert not out_dir.exists() and list(tmp_path.rglob("*.svhs")) == []  # refused before any stack is written
 
 
+def test_upstream_export_refuses_a_stored_stack_row_before_writing_anything(write_inputs, capsys, tmp_path):
+    from svkit.upstream import LayerStack, save_stack
+
+    wav0, wav1 = sorted((write_inputs / "data" / "wav").glob("*.wav"))[:2]
+    save_stack(LayerStack(np.zeros((4, 5, 12)), 50.0), tmp_path / "s.svhs")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"u0\ts0\t{wav0}\nu1\ts1\t{wav1}\nu2\ts2\ts.svhs\n")
+    out_dir = tmp_path / "out"
+    code = main(["--config", str(write_inputs / "run.cfg"), "upstream-export", "--manifest", str(manifest),
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == (f"error: {manifest}: row 'u2' ({tmp_path / 's.svhs'}) is a stored stack; "
+                   "upstream-export reads WAV rows only\n")
+    assert not out_dir.exists()  # not even the WAV rows' stacks
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "upstream-export"])
+def test_exit_code_3_on_an_empty_manifest(write_inputs, capsys, tmp_path, command):
+    # refused when it is read, as an empty trial list is: before a checkpoint is used or anything is written
+    manifest, out = tmp_path / "m.tsv", tmp_path / "out"
+    manifest.write_text("\n \n")
+    argv = {"train": ["train", "--manifest", str(manifest), "--out-dir", str(out)],
+            "embed": ["embed", "--checkpoint", str(write_inputs / "run" / "checkpoint.svck"),
+                      "--manifest", str(manifest), "--out", str(out)],
+            "upstream-export": ["upstream-export", "--manifest", str(manifest), "--out-dir", str(out)]}[command]
+    code = main(["--config", str(write_inputs / "run.cfg")] + argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {manifest}: empty manifest\n"
+    assert not out.exists()
+
+
+def test_eval_verbose_names_the_worst_trials(tmp_path):
+    # the five lowest-scoring targets and highest-scoring non-targets, worst first; stdout is the same either way
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    rows = [(1, f"t{i}", "x", s) for i, s in enumerate([0.9, 0.3, 0.8, 0.1, 0.7, 0.3, 0.6])]
+    rows += [(0, f"n{i}", "y", s) for i, s in enumerate([0.2, 0.5, -0.1, 0.5, 0.0, 0.4, 0.1])]
+    trials.write_text("".join(f"{label} {a} {b}\n" for label, a, b, _ in rows))
+    scores.write_text("".join(f"{a} {b} {s:.6f}\n" for _, a, b, s in rows))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(svkit.__file__).parents[1]),
+                                                                     os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-m", "svkit.cli", *flag, "eval", "--scores", str(scores),
+                            "--trials", str(trials)], env=env, capture_output=True, text=True, timeout=60)
+            for flag in ([], ["--verbose"])]
+    assert [r.returncode for r in runs] == [0, 0] and runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith("status=ok eer=") and runs[0].stderr == ""
+    assert runs[1].stderr.splitlines() == [
+        "INFO svkit: worst target trial: t3 x score 0.100000",
+        "INFO svkit: worst target trial: t1 x score 0.300000",
+        "INFO svkit: worst target trial: t5 x score 0.300000",
+        "INFO svkit: worst target trial: t6 x score 0.600000",
+        "INFO svkit: worst target trial: t4 x score 0.700000",
+        "INFO svkit: worst non-target trial: n1 y score 0.500000",
+        "INFO svkit: worst non-target trial: n3 y score 0.500000",
+        "INFO svkit: worst non-target trial: n5 y score 0.400000",
+        "INFO svkit: worst non-target trial: n0 y score 0.200000",
+        "INFO svkit: worst non-target trial: n6 y score 0.100000",
+    ]
+
+
 @pytest.mark.parametrize("given, message", [
     (["--deterministic", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --deterministic"),
     (["--seed=3", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --seed=3"),

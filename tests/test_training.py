@@ -487,6 +487,24 @@ def test_import_only_run_never_draws_a_mock_upstream(imported_corpus, monkeypatc
     assert set(embs) == {row.utt_id for row in imported_corpus.rows}
 
 
+def test_import_only_training_reads_each_row_once_per_epoch_through_pipeline_load_stack(imported_corpus, monkeypatch):
+    # a stored row is read as `embed` reads it, by `System.stack_for`, so `pipeline.load_stack` sees every read
+    import svkit.pipeline as pipeline_mod
+
+    reads, load_stack = [], pipeline_mod.load_stack
+
+    def spy(path):
+        reads.append(path.name)
+        return load_stack(path)
+
+    monkeypatch.setattr(pipeline_mod, "load_stack", spy)
+    res = train(imported_corpus, tiny_schedule(stage1_epochs=2, stage2_epochs=1, lmft_epochs=1),
+                upstream_cfg=UP, ecapa_cfg=EC, seed=4)
+    names, n = sorted(row.path for row in imported_corpus.rows), len(imported_corpus)
+    assert len(res.log) == 4 and len(reads) == 4 * n
+    assert all(sorted(reads[e * n : (e + 1) * n]) == names for e in range(4))
+
+
 def stage2_step(n_crops=3):
     """One tuned stage-2 batch from fresh parameters: a generator that builds each crop's
     embedding when drawn (a `forward_graph` crop, `aggregate_graph` and `ecapa.forward`),

@@ -485,6 +485,11 @@ def test_manifest_of_an_iterator_keeps_every_row():
         Manifest(iter(rows + rows[:1]))
 
 
+def test_an_empty_manifest_built_in_python_is_allowed():
+    # only a manifest file must have a row (`load_manifest` refuses one that has none)
+    assert len(Manifest(())) == 0 and Manifest(()).speakers == []
+
+
 def test_manifest_path_check(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("u1\tspkA\tmissing.wav\n")
