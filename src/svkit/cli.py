@@ -34,8 +34,10 @@ logger = logging.getLogger("svkit")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only where the root logger has none; the level is
+    # set on `svkit`'s own logger, so --verbose holds for a caller that configured logging first
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         overrides = [_split_override(s) for s in args.set or []]
         cfg = load_config(args.config, overrides=overrides)

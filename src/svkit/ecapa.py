@@ -13,6 +13,11 @@ and batch-size independence:
     stays time-constant through every block;
   * attention in the pooling layer is a single distribution over time
     shared by all channels.
+
+Attentive statistics pooling and the SE gate are one autodiff node each: the
+forward runs the numpy ops of the composition of `Tensor` ops they replace, in
+the same order, so its values equal that composition's to the byte, and the
+VJP is a closed form within 1e-10 relative of the composition's gradients.
 """
 
 from __future__ import annotations
@@ -126,10 +131,33 @@ def init_params(cfg: EcapaConfig, seed: int = 0, trainable: bool = True) -> dict
 
 
 def se_gate(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Squeeze-excitation: sigmoid-gated channel rescaling from time-mean statistics."""
-    s = x.mean(axis=0, keepdims=True)
-    s = ad.linear(ad.linear(s, w1, b1, relu=True), w2, b2).sigmoid()
-    return x * s
+    """Squeeze-excitation: sigmoid-gated channel rescaling from time-mean statistics.
+
+    One node: `x * sigmoid(relu(mean_t(x) @ w1 + b1) @ w2 + b2)`. Its forward runs
+    the numpy ops of that composition of `Tensor` ops in order (the stable sigmoid
+    included), so its values equal the composition's to the byte; its VJP is the
+    closed form through the sigmoid, both linears and the time mean.
+    """
+    x, w1, b1, w2, b2 = (Tensor._coerce(v) for v in (x, w1, b1, w2, b2))
+    inv_t = 1.0 / x.data.shape[0]
+    s = x.data.sum(axis=0, keepdims=True) * inv_t
+    h = s @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    z = h @ w2.data
+    z += b2.data
+    ez = np.exp(-np.abs(z))
+    gate = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+    def vjp(g):
+        gz = (g * x.data).sum(axis=0, keepdims=True) * (gate * (1.0 - gate))
+        gh = gz @ w2.data.T
+        gh *= h > 0
+        gx = g * gate
+        gx += (gh @ w1.data.T) * inv_t
+        return gx, s.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0)
+
+    return Tensor._op(x.data * gate, (x, w1, b1, w2, b2), vjp)
 
 
 def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilation: int) -> Tensor:
@@ -142,7 +170,7 @@ def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilati
     )
     h = ad.frame_norm(
         ad.res2(h, [params[f"{prefix}.res2.conv{j}.w"] for j in convs],
-                [params[f"{prefix}.res2.conv{j}.b"] for j in convs], dilation).relu(),
+                [params[f"{prefix}.res2.conv{j}.b"] for j in convs], dilation, relu=True),
         params[f"{prefix}.norm2.g"],
         params[f"{prefix}.norm2.c"],
         _NORM_EPS,
@@ -162,13 +190,44 @@ def se_res2_block(x: Tensor, params: dict, prefix: str, cfg: EcapaConfig, dilati
 
 
 def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """Attention-weighted mean and std over time: (T, C) -> (2C,)."""
-    scores = ad.linear(x, w, b).tanh() @ v.reshape(-1, 1)
-    alpha = ad.softmax(scores, axis=0)
-    mu = (x * alpha).sum(axis=0)
-    ex2 = (x * x * alpha).sum(axis=0)
-    sigma = (ex2 - mu * mu).clip(_STD_EPS, None).sqrt()
-    return ad.concat([mu, sigma], axis=0)
+    """Attention-weighted mean and std over time: (T, C) -> (2C,).
+
+    One node. The attention is `alpha = softmax_t(tanh(x @ w + b) @ v)`, then
+    `mu = sum_t alpha * x` and `sigma = sqrt(max(sum_t alpha * x * x - mu * mu,
+    _STD_EPS))`. Its forward runs the numpy ops of that composition of `Tensor`
+    ops in order (the softmax's max held constant), so its values equal the
+    composition's to the byte; its VJP is the closed form through the clip
+    (a clipped variance gets no gradient), the softmax, the tanh and the
+    projection.
+    """
+    x, w, b, v = (Tensor._coerce(t) for t in (x, w, b, v))
+    a = x.data @ w.data
+    a += b.data
+    np.tanh(a, out=a)
+    scores = a @ v.data.reshape(-1, 1)
+    z = np.exp(scores - np.max(scores, axis=0, keepdims=True))
+    alpha = z / z.sum(axis=0, keepdims=True)
+    mu = (x.data * alpha).sum(axis=0)
+    xx = x.data * x.data
+    var = (xx * alpha).sum(axis=0) - mu * mu
+    sigma = np.sqrt(np.clip(var, _STD_EPS, None))
+
+    def vjp(g):
+        c = mu.shape[0]
+        gvar = g[c:] * 0.5 / sigma
+        gvar *= var >= _STD_EPS
+        gmu = g[:c] - 2.0 * mu * gvar
+        galpha = x.data @ gmu + xx @ gvar
+        gs = alpha[:, 0] * (galpha - alpha[:, 0] @ galpha)  # through the softmax, max constant
+        gpre = np.outer(gs, v.data)
+        gpre *= 1.0 - a * a  # through the tanh
+        gx = x.data * (2.0 * gvar)
+        gx += gmu
+        gx *= alpha
+        gx += gpre @ w.data.T
+        return gx, x.data.T @ gpre, gpre.sum(axis=0), gs @ a
+
+    return Tensor._op(np.concatenate([mu, sigma], axis=0), (x, w, b, v), vjp)
 
 
 def forward(features, params: dict, cfg: EcapaConfig) -> Tensor:

@@ -179,16 +179,28 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every tensor with a gradient. The moments are updated in place and
+        the bias corrections computed once; each value is the textbook expression's to the byte."""
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - self.BETA1**self.t, 1 - self.BETA2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            m_hat = self.m[i] / (1 - self.BETA1**self.t)
-            v_hat = self.v[i] / (1 - self.BETA2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            gg = (1 - self.BETA2) * g
+            gg *= g
+            v *= self.BETA2
+            v += gg
+            step = m / c1
+            step *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.EPS
+            step /= den
+            # `p.data - step` into `step`: the parameter gets a fresh array, so whoever holds the old one keeps it
+            p.data = np.subtract(p.data, step, out=step)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ OP_CASES = [
     # three groups of width 2 at dilation 2 on T=4: taps clip at both edges; x, ws and bs are built from t
     ("res2", lambda t: ad.res2(ad.concat([t, t.tanh()], axis=1), [t.reshape(6, 2), (t * t).reshape(6, 2)],
                                [t[0, :2], t[1, 1:]], 2).tanh()),
+    ("res2_relu", lambda t: ad.res2(ad.concat([t, t.tanh()], axis=1), [t.reshape(6, 2), (t * t).reshape(6, 2)],
+                                    [t[0, :2], t[1, 1:]], 2, relu=True).tanh()),
     # g and c are built from t, so the x, g and c gradients are all checked
     ("frame_norm", lambda t: ad.frame_norm(t, t[0] * t[1], t[2], 1e-5) * W),
     ("sub_row_mean", lambda t: (t - t.mean(axis=1, keepdims=True)) * W),

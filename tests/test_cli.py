@@ -876,6 +876,33 @@ def test_eval_verbose_names_the_worst_trials(tmp_path):
     ]
 
 
+def test_eval_verbose_logs_in_process_when_the_root_logger_has_a_handler(tmp_path, capsys):
+    # basicConfig does nothing once the root logger has a handler; --verbose must still reach svkit's logger
+    import io
+    import logging
+
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("1 a b\n1 a c\n0 a d\n")
+    scores.write_text("a b 0.900000\na c 0.200000\na d 0.400000\n")
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        lines = []
+        for flag in (["--verbose"], []):
+            assert main([*flag, "eval", "--scores", str(scores), "--trials", str(trials)]) == 0
+            lines.append([line for line in stream.getvalue().splitlines() if "worst" in line])
+            stream.truncate(0)
+            stream.seek(0)
+    finally:
+        root.removeHandler(handler)
+        logging.getLogger("svkit").setLevel(logging.NOTSET)
+    assert lines == [["worst target trial: a c score 0.200000", "worst target trial: a b score 0.900000",
+                      "worst non-target trial: a d score 0.400000"], []]
+    assert capsys.readouterr().out.count("status=ok eer=") == 2
+
+
 @pytest.mark.parametrize("given, message", [
     (["--deterministic", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --deterministic"),
     (["--seed=3", "eval", "--scores", "s.txt", "--trials", "t.txt"], "unrecognized arguments: --seed=3"),

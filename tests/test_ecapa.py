@@ -58,17 +58,33 @@ def test_se_gate_constant_input_equals_single_frame():
     np.testing.assert_allclose(many.data, np.tile(single.data, (9, 1)), atol=1e-12)
 
 
-def test_se_gate_w1_gradient_matches_fd():
+def composed_se_gate(x, w1, b1, w2, b2):
+    """The SE gate as eight nodes (time mean, two linears, sigmoid, product): the reference for `se_gate`."""
+    s = x.mean(axis=0, keepdims=True)
+    s = ad.linear(ad.linear(s, w1, b1, relu=True), w2, b2).sigmoid()
+    return x * s
+
+
+def random_tensors(rng, x_shape, *param_shapes):
+    """Gradient-carrying tensors: an input of `x_shape`, then one parameter per shape, a weight
+    matrix drawn at `init_params`' scale, sqrt(2 / rows)."""
+    return [Tensor(rng.standard_normal(x_shape), requires_grad=True)] + [
+        Tensor(rng.standard_normal(shape) * (np.sqrt(2.0 / shape[0]) if len(shape) == 2 else 1.0), requires_grad=True)
+        for shape in param_shapes]
+
+
+def se_tensors(rng, t, c, bottleneck):
+    """(x, w1, b1, w2, b2) of an SE gate."""
+    return random_tensors(rng, (t, c), (c, bottleneck), (bottleneck,), (bottleneck, c), (c,))
+
+
+def test_se_gate_gradients_match_fd():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((5, 6))
-    w1 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    b1, w2, b2 = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((4, 6))), Tensor(rng.standard_normal(6))
+    ts = se_tensors(rng, 5, 6, 4)
     probe = rng.standard_normal((5, 6))
-
-    def loss():
-        return (se_gate(Tensor(x), w1, b1, w2, b2) * probe).sum()
-
-    assert fd_report(loss, {"w1": w1}, 1e-6)["w1"] < 1e-4
+    params = dict(zip(("x", "w1", "b1", "w2", "b2"), ts))
+    report = fd_report(lambda: (se_gate(*ts) * probe).sum(), params, 1e-6)
+    assert max(report.values()) < 1e-6, report
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +142,79 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # attentive statistics pooling
 # ---------------------------------------------------------------------------
+
+
+def composed_attentive_stats_pool(x, w, b, v):
+    """Attentive statistics pooling as nineteen nodes (projection, softmax, moments, clip,
+    sqrt, concat): the reference for `attentive_stats_pool`."""
+    scores = ad.linear(x, w, b).tanh() @ v.reshape(-1, 1)
+    alpha = ad.softmax(scores, axis=0)
+    mu = (x * alpha).sum(axis=0)
+    ex2 = (x * x * alpha).sum(axis=0)
+    sigma = (ex2 - mu * mu).clip(em._STD_EPS, None).sqrt()
+    return ad.concat([mu, sigma], axis=0)
+
+
+def pool_tensors(rng, t, c, attention):
+    """(x, w, b, v) of an attentive pooling layer."""
+    return random_tensors(rng, (t, c), (c, attention), (attention,), (attention,))
+
+
+@pytest.mark.parametrize("constant_channel", [False, True])
+def test_asp_gradients_match_fd(constant_channel):
+    rng = np.random.default_rng(15)
+    ts = pool_tensors(rng, 6, 5, 3)
+    if constant_channel:  # its variance is 0: sigma sits on the clip and gets no gradient
+        ts[0].data[:, 2] = 0.8
+    probe = rng.standard_normal(10)
+    params = dict(zip("xwbv", ts))
+    report = fd_report(lambda: (attentive_stats_pool(*ts) * probe).sum(), params, 1e-6)
+    assert max(report.values()) < 1e-6, report
+    if constant_channel:
+        for p in ts:
+            p.grad = None
+        attentive_stats_pool(*ts)[5 + 2].backward()
+        assert all(not np.any(p.grad) for p in ts)
+
+
+SINGLE_NODE_CASES = [pytest.param(cfg, t, id=f"{name}-T{t}")
+                     for name, cfg in (("desk", EcapaConfig(in_dim=64, channels=64, se_bottleneck=32,
+                                                            attention_channels=32, embed_dim=64)),
+                                       ("scale4", EcapaConfig(in_dim=32, channels=32, res2_scale=4,
+                                                              se_bottleneck=16, attention_channels=16, embed_dim=32)),
+                                       ("C512", EcapaConfig()))
+                     for t in (2, 150)]
+
+
+def assert_single_node_matches(node, composed, arrays, probe):
+    """`node`'s forward is the bytes of `composed`'s, and each input's gradient is within 1e-10 relative."""
+    def run(op):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = op(*ts)
+        (y * probe).sum().backward()
+        return y.data, [t.grad for t in ts]
+
+    y, grads = run(node)
+    ref_y, ref_grads = run(composed)
+    assert y.tobytes() == ref_y.tobytes()
+    for i, (got, ref) in enumerate(zip(grads, ref_grads)):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), i
+
+
+@pytest.mark.parametrize("cfg,t", SINGLE_NODE_CASES)
+def test_asp_node_matches_the_composed_form(cfg, t):
+    rng = np.random.default_rng(t)
+    arrays = [p.data for p in pool_tensors(rng, t, cfg.cat_dim, cfg.attention_channels)]
+    arrays[0][:, 0] = 0.3  # one constant channel, on the clip
+    assert_single_node_matches(attentive_stats_pool, composed_attentive_stats_pool, arrays,
+                               rng.standard_normal(2 * cfg.cat_dim))
+
+
+@pytest.mark.parametrize("cfg,t", SINGLE_NODE_CASES)
+def test_se_node_matches_the_composed_form(cfg, t):
+    rng = np.random.default_rng(t)
+    arrays = [p.data for p in se_tensors(rng, t, cfg.channels, cfg.se_bottleneck)]
+    assert_single_node_matches(se_gate, composed_se_gate, arrays, rng.standard_normal((t, cfg.channels)))
 
 
 def test_asp_zero_attention_reduces_to_plain_stats():
@@ -295,14 +384,16 @@ def composed_linear(x, w, b, relu=False):
     return y.relu() if relu else y
 
 
-def composed_res2(x, ws, bs, dilation):
-    """The Res2 conv as per-group slices, adds and convs joined by `concat`: the reference for `ad.res2`."""
+def composed_res2(x, ws, bs, dilation, relu=False):
+    """The Res2 conv as per-group slices, adds and convs joined by `concat`, then a `relu`
+    node: the reference for `ad.res2`."""
     width = x.shape[1] // (len(ws) + 1)
     groups = [x[:, i * width : (i + 1) * width] for i in range(len(ws) + 1)]
     outs = [groups[0]]
     for i, (w, b) in enumerate(zip(ws, bs), start=1):
         outs.append(composed_conv1d(groups[i] + outs[i - 1], w, b, 3, dilation))
-    return ad.concat(outs, axis=1)
+    y = ad.concat(outs, axis=1)
+    return y.relu() if relu else y
 
 
 SCALE4 = EcapaConfig(in_dim=32, channels=32, res2_scale=4, dilations=(2, 3, 4),
@@ -359,7 +450,7 @@ def test_desk_forward_graph_size_is_pinned():
     out = forward(x, params, DESK)
     reached = reached_tensors(out)
     assert {id(p) for p in params.values()} | {id(x)} <= reached
-    assert len(reached) == 167  # 95 parameters, the input, 67 op nodes and 4 constants
+    assert len(reached) == 128  # 95 parameters, the input and 32 op nodes
 
 
 def test_tuned_desk_utterance_graph_size_is_pinned():
@@ -378,7 +469,7 @@ def test_tuned_desk_utterance_graph_size_is_pinned():
     for p in upstream.params.values():  # tuned, as in stage 2
         p.requires_grad = True
     tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
-    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [173, 284]
+    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [134, 245]
 
 
 def test_input_dim_mismatch():

@@ -277,6 +277,42 @@ def test_training_loss_decreases(tiny_corpus):
     assert losses[-1] < losses[0]
 
 
+def textbook_adam_step(opt: Adam):
+    """`Adam.step` as the textbook expressions, each moment and parameter a fresh array:
+    the reference the in-place step equals to the byte."""
+    opt.t += 1
+    for i, p in enumerate(opt.params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        opt.m[i] = opt.BETA1 * opt.m[i] + (1 - opt.BETA1) * g
+        opt.v[i] = opt.BETA2 * opt.v[i] + (1 - opt.BETA2) * g * g
+        m_hat = opt.m[i] / (1 - opt.BETA1**opt.t)
+        v_hat = opt.v[i] / (1 - opt.BETA2**opt.t)
+        p.data = p.data - opt.lr * m_hat / (np.sqrt(v_hat) + opt.EPS)
+
+
+def test_adam_step_in_place_matches_the_textbook_expressions():
+    # the desk system's full parameter set, as stage 2 trains it; one tensor gets no gradient at the third step
+    desk = dict(upstream_cfg=MockUpstreamConfig(n_layers=12, dim=64, seed=11),
+                ecapa_cfg=EcapaConfig(in_dim=64, channels=64, dilations=(2, 3, 4), se_bottleneck=32,
+                                      attention_channels=32, embed_dim=64), n_classes=8, seed=5)
+    opts = [Adam(System.init(**desk).trainable(True), lr=1e-2) for _ in range(2)]
+    assert len(opts[0].params) == 97
+    rng = np.random.default_rng(0)
+    for step in range(5):
+        grads = [rng.standard_normal(p.shape) for p in opts[0].params]
+        for opt in opts:
+            for p, g in zip(opt.params, grads):
+                p.grad = None if step == 2 and p is opt.params[4] else g.copy()
+        textbook_adam_step(opts[0])
+        opts[1].step()
+        for a, b in ((p.data, q.data) for p, q in zip(opts[0].params, opts[1].params)):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(opts[0].m + opts[0].v, opts[1].m + opts[1].v):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_non_finite_parameter_after_the_last_step_raises(tiny_corpus, monkeypatch):
     # no loss follows the last step, so the parameters themselves are checked
     last = -(-len(tiny_corpus.train) // 3)

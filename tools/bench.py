@@ -37,9 +37,10 @@ dot product of the embedding with a fixed probe vector as the loss) at
 perfbench's desk size (C=64) for T = 5, 150 and 300 frames and at the default
 C=512 for T = 300. Each size runs in a fresh child process with one BLAS
 thread, which times seven steps and keeps the fastest. For each it prints that
-step's ms and the number of op nodes one forward records: the desk sizes show
-the per-node Python cost, C=512 the matmul cost that a desk-tuned change can
-slow unseen.
+step's ms, the fastest forward's and the fastest backward's ms among the seven
+(the forward includes the loss), and the number of op nodes one forward
+records: the desk sizes show the per-node Python cost, C=512 the matmul cost
+that a desk-tuned change can slow unseen.
 
     python3 tools/bench.py --probe-train
 
@@ -233,7 +234,8 @@ def probe_scoring(sizes) -> list:
 
 
 def run_ecapa_steps(cfg_fields: dict, frames: int) -> dict:
-    """The fastest of ECAPA_STEPS forward-plus-backward steps and the op nodes one forward records."""
+    """The fastest of ECAPA_STEPS forward-plus-backward steps, the fastest forward and backward
+    among them, and the op nodes one forward records."""
     import numpy as np
 
     from svkit import ecapa
@@ -249,15 +251,18 @@ def run_ecapa_steps(cfg_fields: dict, frames: int) -> dict:
             if p._parents and id(p) not in nodes:
                 nodes.add(id(p))
                 todo.append(p)
-    steps = []
+    steps = []  # (forward s, backward s) per step
     for _ in range(ECAPA_STEPS):
         for p in params.values():
             p.grad = None
         gc.collect()
         start = time.perf_counter()
-        (ecapa.forward(feats, params, cfg) * probe).sum().backward()
-        steps.append(time.perf_counter() - start)
-    return {"op_nodes": len(nodes), "step_ms": 1e3 * min(steps)}
+        loss = (ecapa.forward(feats, params, cfg) * probe).sum()
+        mid = time.perf_counter()
+        loss.backward()
+        steps.append((mid - start, time.perf_counter() - mid))
+    return {"op_nodes": len(nodes), "step_ms": 1e3 * min(map(sum, steps)),
+            "forward_ms": 1e3 * min(f for f, _ in steps), "backward_ms": 1e3 * min(b for _, b in steps)}
 
 
 def probe_ecapa(cases) -> list:
@@ -268,6 +273,7 @@ def probe_ecapa(cases) -> list:
                **run_child("ecapa_steps", {"cfg_fields": asdict(cfg), "frames": frames})}
         results.append(res)
         print(f"ecapa forward+backward C={cfg.channels} T={frames} step_ms={res['step_ms']:.2f} "
+              f"forward_ms={res['forward_ms']:.2f} backward_ms={res['backward_ms']:.2f} "
               f"op_nodes={res['op_nodes']}", flush=True)
     return results
 
