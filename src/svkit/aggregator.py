@@ -1,7 +1,7 @@
 """Learnable weighted average over upstream layers.
 
-Weights live as free logits; the simplex constraint is enforced by a softmax,
-so the normalized weights always sum to one during training and export.
+Weights live as free logits; one softmax (`autodiff._softmax`) gives the weights
+the mix uses and export writes, so they always sum to one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ def normalized_weights(logits) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise DataError("weight logits contain non-finite values")
-    return ad.softmax(ad.Tensor(logits)).data
+    return np.divide(*ad._softmax(logits))
 
 
 def aggregate(layers, logits) -> np.ndarray:
@@ -26,33 +26,37 @@ def aggregate(layers, logits) -> np.ndarray:
     return aggregate_graph(layers, ad.Tensor(logits)).data
 
 
-MIX_BLOCK_BYTES = 16 << 20  # the float64 frames a mix with no gradient casts at a time
+MIX_BLOCK_BYTES = 16 << 20  # the float64 frames the mix casts at a time
 
 
 def aggregate_graph(layers, logits: ad.Tensor) -> ad.Tensor:
-    """The (T, D) softmax(logits)-weighted sum of a list of L+1 (T, D) layers, as one node.
+    """The (T, D) softmax(logits)-weighted sum of a list of L+1 (T, D) layers, as one node on the logits.
 
     A layer is a constant array (a stored float32 layer, or a float64 planted one) or, while the upstream
-    is fine-tuned, a tensor. With a gradient to compute they are stacked once in float64, the matrix the
-    logits' VJP reads; gradients flow to the logits and each tensor. With none (embed), at most
-    MIX_BLOCK_BYTES of float64 frames are cast and mixed at a time: each output entry is the same product
-    of the same column, so the values are those of the whole matrix to the byte.
+    is fine-tuned, a tensor; gradients flow to the logits and each tensor. At most MIX_BLOCK_BYTES of float64
+    frames are cast and mixed at a time, each output entry the same product of the same column as in the
+    whole (L+1, T*D) matrix, so the values are that matrix's to the byte; the logits' VJP keeps the blocks.
     """
-    w = ad.softmax(logits)
+    z, s = ad._softmax(logits.data)
+    w = z / s
     arrays = [h.data if isinstance(h, ad.Tensor) else h for h in layers]
     n, (t, d) = len(arrays), arrays[0].shape
     tuned = [l for l, h in enumerate(layers) if isinstance(h, ad.Tensor)]
-    parents = (w, *(layers[l] for l in tuned))
-    if not any(p.requires_grad for p in parents):
-        out = np.empty((t, d))
-        step = max(1, MIX_BLOCK_BYTES // (8 * n * d))
-        for lo in range(0, t, step):
-            block = np.stack([h[lo : lo + step] for h in arrays], dtype=np.float64)
-            np.matmul(w.data, block.reshape(n, -1), out=out[lo : lo + step].reshape(-1))
-        return ad.Tensor(out)
-    flat = np.stack(arrays, dtype=np.float64).reshape(n, t * d)
-    return ad.Tensor._op((w.data @ flat).reshape(t, d), parents,
-                         lambda g: ((g.reshape(1, -1) @ flat.T).ravel(), *(w.data[l] * g for l in tuned)))
+    out, kept = np.empty((t, d)), []
+    step = max(1, MIX_BLOCK_BYTES // (8 * n * d))
+    for lo in range(0, t, step):
+        block = np.stack([h[lo : lo + step] for h in arrays], dtype=np.float64).reshape(n, -1)
+        np.matmul(w, block, out=out[lo : lo + step].reshape(-1))
+        if logits.requires_grad:
+            kept.append((lo, block))
+
+    def vjp(g):  # each kept block's weight gradient, summed from -0.0 (from 0, a -0.0 would become 0.0),
+        # then the composed softmax's backward: the division's, the sum's and the exp's ops in their order
+        gw = sum(((g[lo : lo + step].reshape(1, -1) @ block.T).ravel() for lo, block in kept), -0.0)
+        gl = (gw / s + (-gw * z / (s * s)).sum(axis=0, keepdims=True)) * z if kept else None
+        return (gl, *(w[l] * g for l in tuned))
+
+    return ad.Tensor._op(out, (logits, *(layers[l] for l in tuned)), vjp)
 
 
 def export_weights(weights) -> list:

@@ -81,7 +81,7 @@ class FbankConfig:
                 f"{self.hop_samples}-sample frames at {SAMPLE_RATE} Hz; need window > hop >= 1 sample"
             )
         # a bin lies inside at most two triangles, so past 2 * (fft/2 + 1) filters one is surely empty
-        if self.n_mels > self.fft_size + 2 or not mel_filterbank(self).any(axis=1).all():
+        if self.n_mels > self.fft_size + 2 or _has_empty_filter(self):
             raise ConfigError(
                 f"fbank.n_mels = {self.n_mels} leaves a mel filter with no bin of the {self.fft_size}-point FFT"
             )
@@ -196,10 +196,23 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_grid(cfg: FbankConfig) -> tuple:
+    """The FFT bin centres and the n_mels + 2 mel-spaced filter edges, in Hz: filter m rises from edge m
+    to edge m + 1 and falls to edge m + 2."""
+    bin_hz = np.arange(cfg.fft_size // 2 + 1) * SAMPLE_RATE / cfg.fft_size
+    return bin_hz, mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), cfg.n_mels + 2))
+
+
+def _has_empty_filter(cfg: FbankConfig) -> bool:
+    """Whether a row of `mel_filterbank(cfg)` is all zero, found without building it: a triangle is
+    nonzero exactly at the bin centres strictly between its outer edges."""
+    bin_hz, pts = _mel_grid(cfg)
+    return bool(np.any(np.searchsorted(bin_hz, pts[:-2], "right") >= np.searchsorted(bin_hz, pts[2:], "left")))
+
+
 def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin centers, shape (n_mels, fft/2+1)."""
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * SAMPLE_RATE / cfg.fft_size
-    pts = mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), cfg.n_mels + 2))
+    bin_hz, pts = _mel_grid(cfg)
     left, center, right = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rise = (bin_hz - left) / (center - left)
     fall = (right - bin_hz) / (right - center)

@@ -34,7 +34,8 @@ those of the composition it replaces to the byte:
 cached, and one input-gradient scatter. A ReLU's or a clip's mask is built
 in its VJP, so a forward without backward never pays for it. Everything
 higher-level is composed from these, or records its own node through
-``Tensor._op`` under the same contract (ECAPA's attentive pooling and SE gate).
+``Tensor._op`` under the same contract (the layer mix, ECAPA's pooling and SE
+gate); they and ``sigmoid`` share one numpy ``_logistic`` and ``_softmax``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # the `_backward` of a node whose VJP has run and whose graph `backward` has dropped
 _RELEASED = object()
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic `1 / (1 + exp(-x))`, in the form neither branch of whose `where` can overflow."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> tuple:
+    """The softmax of `x` along `axis` as `(z, s)`: the exponentials of `x` less its max, and their sum."""
+    z = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return z, z.sum(axis=axis, keepdims=True)
 
 
 class Tensor:
@@ -258,8 +271,7 @@ class Tensor:
         return Tensor._op(data, (self,), lambda g: (g * (1.0 - data * data),))
 
     def sigmoid(self):
-        z = np.exp(-np.abs(self.data))
-        data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        data = _logistic(self.data)
         return Tensor._op(data, (self,), lambda g: (g * data * (1.0 - data),))
 
     def relu(self):
@@ -456,14 +468,6 @@ def frame_norm(x: Tensor, g: Tensor, c: Tensor, eps: float) -> Tensor:
         return gx, gyx.sum(axis=0), gy.sum(axis=0)
 
     return Tensor._op(y, (x, g, c), vjp)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max is treated as constant)."""
-    x = Tensor._coerce(x)
-    m = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    z = (x - m).exp()
-    return z / z.sum(axis=axis, keepdims=True)
 
 
 def logsumexp(x: Tensor, axis: int = -1) -> Tensor:

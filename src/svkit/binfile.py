@@ -24,10 +24,18 @@ from .errors import ConfigError, DataError, FormatError
 
 
 class Reader:
-    def __init__(self, path):
+    def __init__(self, path, prefix: int | None = None):
+        """A cursor over the file at `path`, all of it read, or only its first `prefix` bytes; `size` is the
+        file's size either way, and the position counts to it."""
         self.path = path
         try:
-            self._buf = memoryview(Path(path).read_bytes())
+            if prefix is None:
+                self._buf = memoryview(Path(path).read_bytes())
+                self.size = len(self._buf)
+            else:
+                with Path(path).open("rb") as f:
+                    self._buf = memoryview(f.read(prefix))
+                    self.size = os.fstat(f.fileno()).st_size
         except OSError as exc:
             raise FormatError(f"{path}: file not found or unreadable ({exc.strerror})") from None
         self._pos = 0
@@ -37,7 +45,7 @@ class Reader:
 
     @property
     def remaining(self) -> int:
-        return len(self._buf) - self._pos
+        return self.size - self._pos
 
     def header(self, magic: bytes, kind: str):
         """Consume the magic and u32 version 1 that open SVHS, SVCK and SVEB files."""
@@ -47,12 +55,17 @@ class Reader:
         if version != 1:
             raise self.error(f"unsupported {magic.decode()} version {version}")
 
-    def take(self, n: int, what: str) -> memoryview:
-        """The next n bytes, as a view into the file buffer."""
+    def skip(self, n: int, what: str) -> int:
+        """Move past the next n bytes of the file, unread; returns where they start."""
         start = self._pos
-        if start + n > len(self._buf):
+        if n > self.size - start:
             raise self.error(f"truncated {what} ({n} bytes needed, {self.remaining} left)")
         self._pos = start + n
+        return start
+
+    def take(self, n: int, what: str) -> memoryview:
+        """The next n bytes, as a view into the file buffer (a prefix reader's, within its prefix)."""
+        start = self.skip(n, what)
         return self._buf[start : self._pos]
 
     def unpack(self, fmt: str, what: str) -> tuple:

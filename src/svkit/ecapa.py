@@ -146,8 +146,7 @@ def se_gate(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor
     np.maximum(h, 0.0, out=h)
     z = h @ w2.data
     z += b2.data
-    ez = np.exp(-np.abs(z))
-    gate = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    gate = ad._logistic(z)
 
     def vjp(g):
         gz = (g * x.data).sum(axis=0, keepdims=True) * (gate * (1.0 - gate))
@@ -205,8 +204,7 @@ def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     a += b.data
     np.tanh(a, out=a)
     scores = a @ v.data.reshape(-1, 1)
-    z = np.exp(scores - np.max(scores, axis=0, keepdims=True))
-    alpha = z / z.sum(axis=0, keepdims=True)
+    alpha = np.divide(*ad._softmax(scores, axis=0))
     mu = (x.data * alpha).sum(axis=0)
     xx = x.data * x.data
     var = (xx * alpha).sum(axis=0) - mu * mu

@@ -18,7 +18,7 @@ from .ecapa import EcapaConfig
 from .errors import ConfigError, DataError, FormatError
 from .rng import child_rng
 from .upstream import (LayerStack, Manifest, MockUpstream, MockUpstreamConfig, PlantSpec, is_stack_file, load_stack,
-                       param_shapes, speaker_offset)
+                       param_shapes, speaker_offset, stack_duration)
 
 
 class System:
@@ -135,7 +135,4 @@ def utterance_durations(manifest: Manifest) -> dict:
 
 
 def _duration(path) -> float:
-    if not is_stack_file(path):
-        return read_wav_duration(path)
-    stack = load_stack(path)
-    return stack.layers.shape[1] / stack.frame_rate_hz
+    return stack_duration(path) if is_stack_file(path) else read_wav_duration(path)

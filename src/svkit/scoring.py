@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .autodiff import _logistic
 from .binfile import Reader, Writer, write_lines
 from .errors import DataError, FormatError
 from .upstream import Manifest
@@ -203,9 +204,7 @@ def _bce_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     """
     z = x @ theta[:-1] + theta[-1]
     value = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    e = np.exp(-np.abs(z))  # `Tensor.sigmoid`'s form: neither branch of the `where` can overflow
-    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    resid = (p - y) / len(y)
+    resid = (_logistic(z) - y) / len(y)
     return value, np.concatenate([x.T @ resid, [resid.sum()]])
 
 
@@ -231,7 +230,7 @@ def fit_calibration(scores, labels, quality=None) -> CalibrationModel:
     for _ in range(_NEWTON_MAX_ITER):
         if np.max(np.abs(grad)) < _GRAD_TOL:
             break
-        p = 0.5 * (1.0 + np.tanh(0.5 * (xb @ theta)))
+        p = _logistic(xb @ theta)
         hessian = (xb.T * (p * (1.0 - p) / len(labels))) @ xb
         direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         step = 1.0

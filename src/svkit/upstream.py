@@ -49,17 +49,22 @@ class LayerStack:
         return stack
 
     def _keep(self, arr: np.ndarray):
-        if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 1 or arr.shape[2] < 1:
-            raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("layer stack contains non-finite entries")
-        rate = self.frame_rate_hz
-        real = isinstance(rate, (int, float, np.number)) and not isinstance(rate, bool)  # numpy parses a str
-        with np.errstate(over="ignore"):  # an overflow is an infinite rate
-            if not (real and 0 < np.float32(rate) < np.inf):
-                raise ValueError(f"stack frame rate must be positive and finite in float32, got {rate!r}")
+        _check_stack(arr.shape, self.frame_rate_hz, arr)
         arr.flags.writeable = False
         object.__setattr__(self, "layers", arr)
+
+
+def _check_stack(shape: tuple, rate, layers=None):
+    """ValueError unless `shape` is (L+1) x T x D with L >= 1, the `layers` (if given) are finite and the
+    frame rate is positive and finite in float32, checked in that order."""
+    if len(shape) != 3 or shape[0] < 2 or shape[1] < 1 or shape[2] < 1:
+        raise ValueError("layer stack must be (L+1) x T x D with L >= 1")
+    if layers is not None and not np.all(np.isfinite(layers)):
+        raise ValueError("layer stack contains non-finite entries")
+    real = isinstance(rate, (int, float, np.number)) and not isinstance(rate, bool)  # numpy parses a str
+    with np.errstate(over="ignore"):  # an overflow is an infinite rate
+        if not (real and 0 < np.float32(rate) < np.inf):
+            raise ValueError(f"stack frame rate must be positive and finite in float32, got {rate!r}")
 
 
 # The mock's front end is fixed, like the encoders it stands in for (the
@@ -249,16 +254,36 @@ def save_stack(stack: LayerStack, path):
     w.save(path)
 
 
-def load_stack(path) -> LayerStack:
-    r = Reader(path)
+def _stack_header(r: Reader) -> tuple:
+    """The (L+1, T, D) shape and frame rate in the header of the SVHS file `r` opens, and the payload's size."""
     r.header(_SVHS_MAGIC, "SVHS stack file")
     n, t, d, rate = r.unpack("IIIf", "header")
-    payload = r.take(n * t * d * 4, "payload")
+    return (n, t, d), float(rate), n * t * d * 4
+
+
+def load_stack(path) -> LayerStack:
+    r = Reader(path)
+    shape, rate, size = _stack_header(r)
+    payload = r.take(size, "payload")
     r.end()
     try:
-        return LayerStack._own(np.frombuffer(payload, dtype="<f4").reshape(n, t, d), float(rate))
+        return LayerStack._own(np.frombuffer(payload, dtype="<f4").reshape(shape), rate)
     except ValueError as exc:
         raise r.error(str(exc)) from None
+
+
+def stack_duration(path) -> float:
+    """Seconds of the SVHS stack at `path`, frames / frame rate, from its header alone: `load_stack`'s checks
+    of the header, the file size, the shape and the rate, with its messages, but the payload's values unread."""
+    r = Reader(path, prefix=24)  # the header: magic, version, three u32 dims and an f32 frame rate
+    shape, rate, size = _stack_header(r)
+    r.skip(size, "payload")
+    r.end()
+    try:
+        _check_stack(shape, rate)
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
+    return shape[1] / rate
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from svkit.ecapa import EcapaConfig
 from svkit.errors import DataError
 from svkit.pipeline import System
 from svkit.upstream import LayerStack, Manifest, ManifestRow, MockUpstreamConfig, PlantSpec, speaker_offset
+from test_autodiff import softmax
 
 
 def stack_from(layers):
@@ -106,7 +107,7 @@ def test_aggregate_linear_in_stack():
 def former_graph(layers, logits, probe):
     """The former `aggregate_graph` (concat, reshape and matmul) and its logits and layer gradients."""
     logits = Tensor(logits, requires_grad=True)
-    w = ad.softmax(logits.reshape(1, -1), axis=1)
+    w = softmax(logits.reshape(1, -1), axis=1)
     t, d = layers[0].shape
     out = (w @ ad.concat(layers).reshape(len(layers), t * d)).reshape(t, d)
     (out * probe).sum().backward()
@@ -155,6 +156,28 @@ def test_one_node_matches_the_former_forms_byte_for_byte(case, t):
     layer_grads = [h.grad for h in layers if isinstance(h, Tensor)]
     assert len(layer_grads) == (13 if case == "tuned" else 0)
     assert [g.tobytes() for g in layer_grads] == [g.tobytes() for g in ref_layer_grads]
+
+
+@pytest.mark.parametrize("tuned", [False, True])
+@pytest.mark.parametrize("frames_per_block", [1, 7, 64])
+def test_a_mix_with_gradient_in_blocks_matches_the_one_matrix_graph(tuned, frames_per_block, monkeypatch):
+    # a paper-shape crop spans several blocks: the value and the tuned layers' gradients keep their bytes,
+    # and the logits' gradient, summed block by block, is within 1e-10 relative of the one-matrix graph's
+    monkeypatch.setattr(aggregator, "MIX_BLOCK_BYTES", frames_per_block * 13 * 64 * 8)
+    rng = np.random.default_rng(frames_per_block)
+    arrays = rng.standard_normal((13, 150, 64))
+    logits, probe = rng.standard_normal(13), rng.standard_normal((150, 64))
+    if tuned:
+        layers, old = ([Tensor(h, requires_grad=True) for h in arrays] for _ in range(2))
+    else:
+        layers = old = list(arrays.astype(np.float32))
+    ref, ref_grad, ref_layer_grads = former_graph(old, logits, probe)
+    graph_logits = Tensor(logits, requires_grad=True)
+    out = aggregate_graph(layers, graph_logits)
+    (out * probe).sum().backward()
+    assert out.data.tobytes() == ref.tobytes()
+    assert np.max(np.abs(graph_logits.grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+    assert [h.grad.tobytes() for h in layers if tuned] == [g.tobytes() for g in ref_layer_grads]
 
 
 def test_aggregate_graph_gradient_flows_to_layers():

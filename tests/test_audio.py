@@ -2,6 +2,7 @@
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +254,37 @@ def test_fbank_config_refuses_mel_filters_with_no_fft_bin(n_mels, empty):
             FbankConfig(n_mels=n_mels)
     else:
         assert fbank(tone(1000.0), FbankConfig(n_mels=n_mels)).min() > math.log(LOG_FLOOR)
+
+
+def refused(**fields) -> bool:
+    """Whether FbankConfig refuses `fields` for an empty mel filter."""
+    try:
+        FbankConfig(**fields)
+    except ConfigError as exc:
+        assert "leaves a mel filter with no bin" in str(exc)
+        return True
+    return False
+
+
+# 5, 10 and 25 ms windows are 128-, 256- and 512-point FFTs: every filter count up to fft/2 + 1 + 2, past which
+# one is surely empty; 64 ms (1024 points) in strides, and a few counts at 1 s (16384 points)
+@pytest.mark.parametrize("win_ms, counts", [(5, range(1, 132)), (10, range(1, 260)), (25, range(1, 516)),
+                                            (64, range(1, 1028, 13)), (1000, (1, 40, 400))])
+def test_fbank_config_refuses_exactly_the_filterbanks_with_an_empty_filter(win_ms, counts):
+    fft_size = FbankConfig(n_mels=1, win_ms=win_ms, hop_ms=1.0).fft_size
+    for n_mels in counts:
+        built = mel_filterbank(SimpleNamespace(n_mels=n_mels, fft_size=fft_size))
+        assert refused(n_mels=n_mels, win_ms=win_ms, hop_ms=1.0) == (not built.any(axis=1).all()), n_mels
+
+
+def test_a_config_load_checks_the_mel_filters_without_building_the_filterbank(monkeypatch):
+    import svkit.audio as audio
+    from svkit.config import load_config
+
+    monkeypatch.setattr(audio, "mel_filterbank", lambda cfg: pytest.fail("the filterbank was built"))
+    assert load_config(overrides=[("fbank.win_ms", "1000"), ("fbank.n_mels", "3000")]).fbank.n_mels == 3000
+    with pytest.raises(ConfigError, match="fbank.n_mels = 4000 leaves a mel filter with no bin of the 16384-point"):
+        load_config(overrides=[("fbank.win_ms", "1000"), ("fbank.n_mels", "4000")])
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,14 @@ def test_ecapa_probe_times_each_size_in_a_child(capsys):
     scale4 = EcapaConfig(in_dim=6, channels=8, res2_scale=4, se_bottleneck=4, attention_channels=4, embed_dim=4)
     results = bench.probe_ecapa([(tiny, 5), (scale4, 3)])
     lines = capsys.readouterr().out.splitlines()
-    assert [(r["channels"], r["frames"], r["op_nodes"]) for r in results] == [(16, 5, 32), (8, 3, 32)]
+    assert [(r["channels"], r["frames"], r["op_nodes"], r["crop_op_nodes"]) for r in results] == [(16, 5, 32, 64),
+                                                                                                   (8, 3, 32, 64)]
     for res, line in zip(results, lines, strict=True):
         assert 0 < res["forward_ms"] and 0 < res["backward_ms"]
         assert res["forward_ms"] + res["backward_ms"] <= res["step_ms"] * (1 + 1e-9)
         assert line == (f"ecapa forward+backward C={res['channels']} T={res['frames']} "
                         f"step_ms={res['step_ms']:.2f} forward_ms={res['forward_ms']:.2f} "
-                        f"backward_ms={res['backward_ms']:.2f} op_nodes=32")
+                        f"backward_ms={res['backward_ms']:.2f} op_nodes=32 crop_op_nodes=64")
 
 
 def test_train_probe_runs_one_epoch_in_a_child_per_batch_size(capsys):

@@ -19,7 +19,8 @@ from svkit.binfile import write_lines, write_npy
 from svkit.ecapa import load_checkpoint, save_checkpoint
 from svkit.errors import ConfigError, FormatError, ToolkitError
 from svkit.scoring import Trial, load_embeddings, load_scores, load_trials, save_embeddings, save_scores, save_trials
-from svkit.upstream import LayerStack, Manifest, ManifestRow, load_manifest, load_stack, save_manifest, save_stack
+from svkit.upstream import (LayerStack, Manifest, ManifestRow, load_manifest, load_stack, save_manifest, save_stack,
+                            stack_duration)
 
 
 def svhs(n=2, t=3, d=4, rate=50.0, values=None):
@@ -85,6 +86,18 @@ DEFECTS = [
     ("svck_empty_tensor_huge_dims", svck(svck_record(b"w", [0] + [2**32 - 1] * 3, [])), load_checkpoint, "bad shape"),
     ("svck_rank_beyond_numpy", svck(svck_record(b"w", [1] * 70, [1])), load_checkpoint, "bad shape"),
     ("svhs_empty_stack_huge_dims", svhs(n=0, t=2**32 - 1, d=2**32 - 1, values=[]), load_stack, None),
+    # the header-only duration read makes load_stack's checks but the payload values'
+    ("svhs_duration_bad_magic", b"SVHX" + svhs()[4:], stack_duration, r"bad magic \(not an SVHS stack file\)$"),
+    ("svhs_duration_version_2", b"SVHS" + struct.pack("<IIIIf", 2, 2, 3, 4, 50.0), stack_duration,
+     "unsupported SVHS version 2$"),
+    ("svhs_duration_truncated_header", svhs()[:20], stack_duration, r"truncated header \(16 bytes needed, 12 left\)$"),
+    ("svhs_duration_truncated_payload", svhs()[:-1], stack_duration,
+     r"truncated payload \(96 bytes needed, 95 left\)$"),
+    ("svhs_duration_trailing_bytes", svhs() + b"\x00", stack_duration, r"payload size mismatch \(1 trailing bytes\)$"),
+    ("svhs_duration_one_layer", svhs(n=1, values=np.zeros(12)), stack_duration, "L >= 1$"),
+    ("svhs_duration_empty_stack_huge_dims", svhs(n=0, t=2**32 - 1, d=2**32 - 1, values=[]), stack_duration, "L >= 1$"),
+    ("svhs_duration_nan_frame_rate", svhs(rate=float("nan")), stack_duration, "frame rate must be positive"),
+    ("svhs_duration_zero_frame_rate", svhs(rate=0.0), stack_duration, "frame rate must be positive"),
     ("wav_duration_rate_zero", wav(rate=0), read_wav_duration, "unsupported sample rate"),
     ("wav_duration_stereo_8k", wav(channels=2, rate=8000), read_wav_duration, "channel count"),
     ("trials_invalid_utf8", b"1 a b\n0 a \xff\n", load_trials, "UTF-8"),
@@ -121,7 +134,31 @@ def test_wav_skips_an_odd_sized_chunk_and_its_pad_byte(tmp_path):
     assert read_wav_duration(listed) == read_wav_duration(plain) == 4 / 16000
 
 
-@pytest.mark.parametrize("loader", [load_stack, load_checkpoint, load_embeddings, read_wav])
+def test_stack_duration_reads_the_header_alone(tmp_path, monkeypatch):
+    import svkit.upstream as upstream
+
+    big = tmp_path / "big.svhs"  # a paper-shape row, 25 x 1000 x 1024, sparse: its header and a zero payload
+    big.write_bytes(svhs(25, 1000, 1024, 50.0, values=[]))
+    with big.open("r+b") as f:
+        f.truncate(24 + 25 * 1000 * 1024 * 4)
+    nan = tmp_path / "nan.svhs"
+    nan.write_bytes(svhs(rate=40.0, values=np.full(24, np.nan)))
+    read = []
+
+    class SpyReader(upstream.Reader):
+        def __init__(self, path, prefix=None):
+            super().__init__(path, prefix)
+            read.append(len(self._buf))
+
+    monkeypatch.setattr(upstream, "Reader", SpyReader)
+    assert stack_duration(big) == 20.0
+    assert stack_duration(nan) == 3 / 40.0  # the payload's values are not read, so not checked
+    assert read == [24, 24]
+    with pytest.raises(FormatError, match="non-finite"):
+        load_stack(nan)
+
+
+@pytest.mark.parametrize("loader", [load_stack, load_checkpoint, load_embeddings, read_wav, stack_duration])
 def test_missing_file_is_format_error(tmp_path, loader):
     with pytest.raises(FormatError, match="not found or unreadable"):
         loader(tmp_path / "absent.bin")
@@ -276,12 +313,18 @@ def test_mutated_files_load_or_raise_toolkit_error(tmp_path, fmt):
         target.write_bytes(mutate(raw, rng))
         try:
             out = loader(target)
-        except ToolkitError:
+        except ToolkitError as exc:
             rejected += 1
             if fmt == "wav":
                 with pytest.raises(ToolkitError):
                     read_wav_duration(target)
+            if fmt == "svhs" and "non-finite" not in str(exc):  # the duration read leaves the values unread
+                with pytest.raises(FormatError) as info:
+                    stack_duration(target)
+                assert str(info.value) == str(exc)
             continue
         if fmt == "wav":
             assert read_wav_duration(target) == len(out) / 16000
+        if fmt == "svhs":
+            assert stack_duration(target) == out.layers.shape[1] / out.frame_rate_hz
     assert rejected > 0

@@ -20,7 +20,7 @@ from svkit.ecapa import (
 )
 from svkit.errors import ConfigError, FormatError
 from gradcheck import fd_report
-from test_autodiff import time_patches
+from test_autodiff import softmax, time_patches
 
 SMALL = EcapaConfig(
     in_dim=6, channels=16, res2_scale=8, dilations=(2, 3, 4),
@@ -148,7 +148,7 @@ def composed_attentive_stats_pool(x, w, b, v):
     """Attentive statistics pooling as nineteen nodes (projection, softmax, moments, clip,
     sqrt, concat): the reference for `attentive_stats_pool`."""
     scores = ad.linear(x, w, b).tanh() @ v.reshape(-1, 1)
-    alpha = ad.softmax(scores, axis=0)
+    alpha = softmax(scores, axis=0)
     mu = (x * alpha).sum(axis=0)
     ex2 = (x * x * alpha).sum(axis=0)
     sigma = (ex2 - mu * mu).clip(em._STD_EPS, None).sqrt()
@@ -455,8 +455,8 @@ def test_desk_forward_graph_size_is_pinned():
 
 def test_tuned_desk_utterance_graph_size_is_pinned():
     # one fine-tuned desk crop: the mock upstream's graph, `aggregate_graph` (one
-    # node for all 13 layers, after the logits' softmax) and ECAPA; a frozen crop's graph,
-    # with the stack as a constant, holds only the logits' and ECAPA's nodes
+    # node for all 13 layers, on the logits) and ECAPA; a frozen crop's graph,
+    # with the stack as a constant, holds only the logits, the mix node and ECAPA's tensors
     from svkit.aggregator import aggregate_graph
     from svkit.audio import Waveform
     from svkit.upstream import MockUpstream, MockUpstreamConfig
@@ -469,7 +469,27 @@ def test_tuned_desk_utterance_graph_size_is_pinned():
     for p in upstream.params.values():  # tuned, as in stage 2
         p.requires_grad = True
     tuned = forward(aggregate_graph(upstream.forward_graph(Tensor(samples)), logits), params, DESK)
-    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [134, 245]
+    assert [len(reached_tensors(frozen)), len(reached_tensors(tuned))] == [129, 240]
+
+
+def test_frozen_desk_training_crop_op_nodes_are_pinned():
+    # one stage-1 crop: the mix of 13 stored float32 layers (one node on the logits), ECAPA's 32 op
+    # nodes and `aam_loss`'s 31; the parameters, logits and anchors are leaves, the layers constants
+    from svkit.aggregator import aggregate_graph
+    from svkit.training import AamConfig, aam_loss
+
+    rng = np.random.default_rng(0)
+    logits = Tensor(np.zeros(13), requires_grad=True)
+    anchors = Tensor(rng.standard_normal((4, DESK.embed_dim)), requires_grad=True)
+    mixed = aggregate_graph(list(rng.standard_normal((13, 150, DESK.in_dim), dtype=np.float32)), logits)
+    loss = aam_loss(forward(mixed, init_params(DESK, seed=0), DESK), 1, anchors, AamConfig())
+    ops, todo = {id(loss)}, [loss]
+    while todo:  # the tensors with recorded parents
+        for p in todo.pop()._parents:
+            if p._parents and id(p) not in ops:
+                ops.add(id(p))
+                todo.append(p)
+    assert len(ops) == 64
 
 
 def test_input_dim_mismatch():

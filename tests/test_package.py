@@ -111,7 +111,7 @@ def test_binfile_owns_every_file_read_and_write():
                 continue
             func, attr = ast.unparse(node.func), getattr(node.func, "attr", None)
             if (
-                attr in ("read_bytes", "read_text")
+                attr in ("read_bytes", "read_text", "open")  # `Path.open`, in whatever mode
                 or func == "open"
                 or func.startswith(("np.load", "np.fromfile", "np.genfromtxt", "np.memmap"))
             ):

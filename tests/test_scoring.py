@@ -529,6 +529,46 @@ def test_fit_calibration_quality_aware_converges():
     np.testing.assert_allclose(theta, ref.x, rtol=1e-6)
 
 
+def tanh_hessian_fit(x, labels):
+    """The former `fit_calibration` loop, its Hessian weights from the logistic's tanh form
+    `0.5 * (1 + tanh(z / 2))`: the reference for the one logistic form. Returns theta."""
+    xb = np.column_stack([x, np.ones(len(labels))])
+    theta = np.zeros(xb.shape[1])
+    value, grad = scoring._bce_value_grad(theta, x, labels)
+    for _ in range(scoring._NEWTON_MAX_ITER):
+        if np.max(np.abs(grad)) < scoring._GRAD_TOL:
+            break
+        p = 0.5 * (1.0 + np.tanh(0.5 * (xb @ theta)))
+        hessian = (xb.T * (p * (1.0 - p) / len(labels))) @ xb
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        step = 1.0
+        while True:
+            cand = theta - step * direction
+            cand_value, cand_grad = scoring._bce_value_grad(cand, x, labels)
+            if cand_value <= value or step < 1e-18:
+                break
+            step *= 0.5
+        if cand_value >= value:
+            break
+        theta, value, grad = cand, cand_value, cand_grad
+    return theta
+
+
+@pytest.mark.parametrize("seed", [4, 5, 12])
+@pytest.mark.parametrize("with_quality", [False, True])
+def test_fit_calibration_matches_the_tanh_form_hessian_fit(seed, with_quality):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    labels = (rng.random(n) < 0.5).astype(float)
+    seconds = np.exp(rng.uniform(np.log(2.0), np.log(20.0), (n, 2)))
+    scores = labels * 2.0 - 1.0 + rng.standard_normal(n) * (0.5 + 2.0 / np.sqrt(seconds.min(axis=1)))
+    quality = np.column_stack([np.log(seconds.min(axis=1)), np.log(seconds).sum(axis=1)]) if with_quality else None
+    model = fit_calibration(scores, labels, quality)
+    theta = np.array([model.score_weight, *model.quality_weights, model.bias])
+    ref = tanh_hessian_fit(scores[:, None] if quality is None else np.column_stack([scores, quality]), labels)
+    assert np.max(np.abs(theta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_fit_calibration_halves_a_step_that_raises_the_loss_and_stops_without_a_decrease(monkeypatch):
     # scores at a large offset with a tiny spread leave the fit at rounding level: the first full Newton
     # step rounds the loss up, its half does not, and a later step that cannot lower the loss ends the fit

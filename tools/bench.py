@@ -38,9 +38,11 @@ perfbench's desk size (C=64) for T = 5, 150 and 300 frames and at the default
 C=512 for T = 300. Each size runs in a fresh child process with one BLAS
 thread, which times seven steps and keeps the fastest. For each it prints that
 step's ms, the fastest forward's and the fastest backward's ms among the seven
-(the forward includes the loss), and the number of op nodes one forward
-records: the desk sizes show the per-node Python cost, C=512 the matmul cost
-that a desk-tuned change can slow unseen.
+(the forward includes the loss), the number of op nodes one forward
+records, and `crop_op_nodes`, those of one frozen training crop at that size
+(the mix of 13 float32 layers, the forward and `aam_loss`): the desk sizes
+show the per-node Python cost, C=512 the matmul cost that a desk-tuned change
+can slow unseen.
 
     python3 tools/bench.py --probe-train
 
@@ -87,6 +89,7 @@ PROBE_SEED = 61
 CHAIN_MIN_REPEATS, CHAIN_MIN_S = 3, 1.0  # the first passes of a fresh process run slower
 PROBE_FRAMES = (("desk", 5), ("desk", 150), ("desk", 300), ("default", 300))
 ECAPA_STEPS = 7
+CROP_LAYERS = 13  # the desk upstream's layers 0..12
 TRAIN_SHAPE = (25, 300, 1024)  # (layers, frames, dims) of one probe row
 TRAIN_BATCHES = (1, 4)
 EMBED_SHAPE = (25, 1000, 1024)  # (layers, frames, dims) of the embed probe's row
@@ -233,24 +236,37 @@ def probe_scoring(sizes) -> list:
     return results
 
 
+def op_nodes(out) -> int:
+    """The tensors with recorded parents reached from `out`, `out` included: the op nodes of its graph."""
+    nodes, todo = {id(out)}, [out]
+    while todo:
+        for p in todo.pop()._parents:
+            if p._parents and id(p) not in nodes:
+                nodes.add(id(p))
+                todo.append(p)
+    return len(nodes)
+
+
 def run_ecapa_steps(cfg_fields: dict, frames: int) -> dict:
     """The fastest of ECAPA_STEPS forward-plus-backward steps, the fastest forward and backward
-    among them, and the op nodes one forward records."""
+    among them, the op nodes one forward records, and those of one frozen training crop: the mix of
+    CROP_LAYERS float32 layers, the forward and `aam_loss`."""
     import numpy as np
 
     from svkit import ecapa
+    from svkit.aggregator import aggregate_graph
+    from svkit.autodiff import Tensor
+    from svkit.training import AamConfig, aam_loss
 
     cfg = ecapa.EcapaConfig(**cfg_fields)
     params = ecapa.init_params(cfg, seed=PROBE_SEED)
     rng = np.random.default_rng(PROBE_SEED)
     feats, probe = rng.standard_normal((frames, cfg.in_dim)), rng.standard_normal(cfg.embed_dim)
-    emb = ecapa.forward(feats, params, cfg)
-    nodes, todo = {id(emb)}, [emb]
-    while todo:  # the tensors with recorded parents, reached from the embedding
-        for p in todo.pop()._parents:
-            if p._parents and id(p) not in nodes:
-                nodes.add(id(p))
-                todo.append(p)
+    nodes = op_nodes(ecapa.forward(feats, params, cfg))
+    mixed = aggregate_graph(list(rng.standard_normal((CROP_LAYERS, frames, cfg.in_dim), dtype=np.float32)),
+                            Tensor(np.zeros(CROP_LAYERS), requires_grad=True))
+    anchors = Tensor(rng.standard_normal((2, cfg.embed_dim)), requires_grad=True)
+    crop_nodes = op_nodes(aam_loss(ecapa.forward(mixed, params, cfg), 0, anchors, AamConfig()))
     steps = []  # (forward s, backward s) per step
     for _ in range(ECAPA_STEPS):
         for p in params.values():
@@ -261,7 +277,7 @@ def run_ecapa_steps(cfg_fields: dict, frames: int) -> dict:
         mid = time.perf_counter()
         loss.backward()
         steps.append((mid - start, time.perf_counter() - mid))
-    return {"op_nodes": len(nodes), "step_ms": 1e3 * min(map(sum, steps)),
+    return {"op_nodes": nodes, "crop_op_nodes": crop_nodes, "step_ms": 1e3 * min(map(sum, steps)),
             "forward_ms": 1e3 * min(f for f, _ in steps), "backward_ms": 1e3 * min(b for _, b in steps)}
 
 
@@ -274,7 +290,7 @@ def probe_ecapa(cases) -> list:
         results.append(res)
         print(f"ecapa forward+backward C={cfg.channels} T={frames} step_ms={res['step_ms']:.2f} "
               f"forward_ms={res['forward_ms']:.2f} backward_ms={res['backward_ms']:.2f} "
-              f"op_nodes={res['op_nodes']}", flush=True)
+              f"op_nodes={res['op_nodes']} crop_op_nodes={res['crop_op_nodes']}", flush=True)
     return results
 
 
